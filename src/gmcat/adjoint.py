@@ -12,11 +12,12 @@ hom-set at a time, which is what keeps everything finite and decidable.
 from dataclasses import dataclass, field
 from itertools import product
 
-from .dalgebra import DAlgebra
+from .dalgebra import (DAlgebra, underlying_act, underlying_compose,
+                       underlying_ident, xi_fill)
 from .dmulticat import enumerate_M2
 from .errors import BoundExceeded, StructuralError
 from .fincat import category
-from .finset import canon_key
+from .finset import UnionFind, canon_key
 from .opmonad import (I_D, S_D, T_D, align_sigma, all_elements, canonicalize,
                       chi, elements_of, eta, gamma_D, map_elem, mu, mu_raw)
 
@@ -191,29 +192,14 @@ class LazyDAlgebra:
     def _closure(self, a, b):
         key = ("cls", a, b)
         if key not in self._cache:
-            items = self.hom_hat(a, b)
-            parent = {h: h for h in items}
-
-            def find(h):
-                while parent[h] != h:
-                    parent[h] = parent[parent[h]]
-                    h = parent[h]
-                return h
-
+            uf = UnionFind(self.hom_hat(a, b))
             for lhs, rhs in self.relation_instances(a, b):
-                if lhs not in parent or rhs not in parent:
+                if lhs not in uf.parent or rhs not in uf.parent:
                     raise StructuralError("relation leg left its hom-set")
-                ra, rb = find(lhs), find(rhs)
-                if ra != rb:
-                    parent[max(ra, rb, key=canon_key)] = min(ra, rb,
-                                                             key=canon_key)
-            buckets = {}
-            for h in items:
-                buckets.setdefault(find(h), []).append(h)
+                uf.union(lhs, rhs)
             classes, lookup = [], {}
-            for members in buckets.values():
-                members.sort(key=canon_key)
-                cls = LMorphism(members[0], tuple(members))
+            for members in uf.classes().values():
+                cls = LMorphism(members[0], members)
                 classes.append(cls)
                 for h in members:
                     lookup[h] = cls
@@ -259,26 +245,20 @@ class LazyDAlgebra:
             return self.class_of(hat)
         return hat_xi1(self.operad, self.M, e)
 
-    def eq(self, h1, h2):
-        return h1 == h2
+
+def _free_on(M, name, quotient):
+    """The lazy free algebra on M, memoized on M so it lives as long as M."""
+    if name not in M.free_algebras:
+        M.free_algebras[name] = LazyDAlgebra(M.operad, M, quotient, name)
+    return M.free_algebras[name]
 
 
 def hat_L(M):
-    return LazyDAlgebra(M.operad, M, quotient=False, name="hat_L")
+    return _free_on(M, "hat_L", quotient=False)
 
 
 def L(M):
-    return LazyDAlgebra(M.operad, M, quotient=True, name="L")
-
-
-_instances = {}
-
-
-def _lazy_for(M, quotient=True):
-    key = (id(M), quotient)
-    if key not in _instances:
-        _instances[key] = L(M) if quotient else hat_L(M)
-    return _instances[key]
+    return _free_on(M, "L", quotient=True)
 
 
 def coeq_equiv(M, e1, e2):
@@ -287,14 +267,14 @@ def coeq_equiv(M, e1, e2):
     if hat_source(op, e1) != hat_source(op, e2) or \
        hat_target(op, M, e1) != hat_target(op, M, e2):
         return False
-    lz = _lazy_for(M)
+    lz = L(M)
     return lz.class_of(e1) == lz.class_of(e2)
 
 
 def validate_coeq_fork(M, a, b):
     """Leg endpoints and the reflexive section, on every generated instance."""
     op = M.operad
-    lz = _lazy_for(M)
+    lz = L(M)
     failures, instances = [], 0
     for lhs, rhs in lz.relation_instances(a, b):
         instances += 1
@@ -319,7 +299,7 @@ def descent_report(M, bound=2):
     """Composition and the action land in the same class whichever member
     of each class represents it."""
     op = M.operad
-    lz = _lazy_for(M)
+    lz = L(M)
     objs = lz.objects_upto(bound)
     failures, pairs = [], 0
     for a in objs:
@@ -400,25 +380,6 @@ def unit_hat(op, M, f):
     return make_hat(op, M, eta(op, 0, f), I_D(op, M.src[f]))
 
 
-def _ul_ident(lazy, a):
-    return (lazy.ident(a), eta(lazy.operad, 0, a))
-
-
-def _ul_act(lazy, w, delta):
-    op = lazy.operad
-    moved = lazy.xi1(map_elem(op, lazy.ident, delta))
-    return (lazy.compose(w[0], moved), S_D(op, delta))
-
-
-def _ul_compose(lazy, w, Phi):
-    op = lazy.operad
-    mids = map_elem(op, lambda v: v[0], Phi)
-    filled = lazy.xi1(canonicalize(op, 1, mids.n,
-                                   op.level(mids.n).ident[mids.d], mids.xs))
-    return (lazy.compose(w[0], filled),
-            mu(op, map_elem(op, lambda v: v[1], Phi)))
-
-
 def _map_checklist(M, lazy):
     """The multicategory-map laws for the unit into the given construction."""
     op = M.operad
@@ -439,16 +400,16 @@ def _map_checklist(M, lazy):
         if lazy.xi0(w[1]) != lazy.src(w[0]):
             failures.append(("source not preserved", f))
     for x in M.objects:
-        if upair(M.ident[x]) != _ul_ident(lazy, e0(x)):
+        if upair(M.ident[x]) != underlying_ident(lazy, e0(x)):
             failures.append(("identity not preserved", x))
     for f, Phi in enumerate_M2(M):
         lhs = upair(M.compose(f, Phi))
-        rhs = _ul_compose(lazy, upair(f), map_elem(op, upair, Phi))
+        rhs = underlying_compose(lazy, upair(f), map_elem(op, upair, Phi))
         if lhs != rhs:
             failures.append(("composition not preserved", (f, Phi)))
     for (f, delta), out in sorted(M.source_action.items(), key=canon_key):
         lhs = upair(out)
-        rhs = _ul_act(lazy, upair(f), map_elem(op, e0, delta))
+        rhs = underlying_act(lazy, upair(f), map_elem(op, e0, delta))
         if lhs != rhs:
             failures.append(("action not preserved", (f, delta)))
     return {"ok": not failures, "failures": failures,
@@ -457,22 +418,22 @@ def _map_checklist(M, lazy):
 
 
 def unit_report(M):
-    return _map_checklist(M, _lazy_for(M))
+    return _map_checklist(M, L(M))
 
 
 def hat_unit_report(M):
-    return _map_checklist(M, _lazy_for(M, quotient=False))
+    return _map_checklist(M, hat_L(M))
 
 
 def witness_hat_unit_failure(M):
     """First action pair the provisional unit fails on, if any."""
     op = M.operad
-    lz = _lazy_for(M, quotient=False)
+    lz = hat_L(M)
     e0 = lambda x: unit_object(op, x)
     for (f, delta), out in sorted(M.source_action.items(), key=canon_key):
         lhs = unit_hat(op, M, out)
         w = (unit_hat(op, M, f), map_elem(op, e0, M.src[f]))
-        rhs = _ul_act(lz, w, map_elem(op, e0, delta))[0]
+        rhs = underlying_act(lz, w, map_elem(op, e0, delta))[0]
         if lhs != rhs:
             return {"f": f, "delta": delta, "lhs": lhs, "rhs": rhs}
     return None
@@ -487,12 +448,10 @@ def counit_object(A, X):
 
 def counit_hat(A, hat):
     """Evaluate a provisional morphism over the underlying multicategory."""
-    op, C = A.operad, A.carrier
-    tops = map_elem(op, lambda w: w[0], hat.phi)
-    g_top = A.xi1(canonicalize(op, 1, tops.n,
-                               op.level(tops.n).ident[tops.d], tops.xs))
-    moved = A.xi1(map_elem(op, C.ident.get, hat.sigma))
-    return C.comp[(g_top, moved)]
+    op = A.operad
+    g_top = xi_fill(A, map_elem(op, lambda w: w[0], hat.phi))
+    moved = A.xi1(map_elem(op, A.ident, hat.sigma))
+    return A.compose(g_top, moved)
 
 
 def counit_report(A, bound=2):
@@ -500,7 +459,7 @@ def counit_report(A, bound=2):
     from .dalgebra import underlying
     op = A.operad
     U = underlying(A, bound)
-    LU = _lazy_for(U)
+    LU = L(U)
     objs = LU.objects_upto(bound)
     failures, classes_seen, bounded = [], 0, 0
     eps = {}
@@ -570,7 +529,7 @@ def check_triangles(M, A, bound=2):
 
     bounded = 0
     UA = underlying(A, bound)
-    LUA = _lazy_for(UA)
+    LUA = L(UA)
     e0A = lambda x: unit_object(UA.operad, x)
     for w in UA.morphisms:
         try:
@@ -585,7 +544,7 @@ def check_triangles(M, A, bound=2):
         except Exception as exc:  # fault diagnostics, not control flow
             fail_U.append(("round trip broke", w, repr(exc)))
 
-    LM = _lazy_for(M)
+    LM = L(M)
     e0 = lambda x: unit_object(op, x)
 
     def u1(g):
@@ -601,12 +560,7 @@ def check_triangles(M, A, bound=2):
                                                    map_elem(op, e0, M.src[g])),
                                     rep.phi)
                     hat2 = HatMorphism(phi2, map_elem(op, e0, rep.sigma))
-                    tops = map_elem(op, lambda v: v[0], hat2.phi)
-                    g_top = LM.xi1(canonicalize(
-                        op, 1, tops.n, op.level(tops.n).ident[tops.d],
-                        tops.xs))
-                    moved = LM.xi1(map_elem(op, LM.ident, hat2.sigma))
-                    if LM.compose(g_top, moved) != cls:
+                    if counit_hat(LM, hat2) != cls:
                         fail_L.append(("round trip moves a class", cls))
                 except BoundExceeded:
                     bounded += 1

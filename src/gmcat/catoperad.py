@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BoundExceeded, StructuralError
-from .finset import GroupAction, Perm, block_perm, block_sum, perms
+from .finset import Perm, block_perm, block_sum, perms
 from .fincat import category, validate_category
 
 
@@ -82,12 +82,6 @@ class CatOperad:
 
     def id_mor(self, n, d):
         return self.levels[n].ident[d]
-
-    def sigma_action(self, j, n):
-        """The level-n action packaged for the orbit tools (as a left action)."""
-        carrier = self.elements(j, n)
-        table = {(s, x): self.act(j, n, s.inverse(), x) for s in perms(n) for x in carrier}
-        return GroupAction(perms(n), tuple(carrier), table)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Targets are builtin names or JSON files (see docs/formats.md). Exit codes:
 0 all checks pass, 1 a verified violation, 2 unusable input or config,
-3 a requested computation does not fit inside the truncation.
+3 a requested computation does not fit inside the truncation, 4 an internal
+error (an unexpected exception; its traceback goes to stderr).
 """
 
 import argparse
@@ -10,6 +11,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import jsonio
 from .adjoint import (L, check_triangles, counit_report, hat_L,
@@ -318,6 +320,10 @@ def main(argv=None):
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a crash must not read as a failed check
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     emit(report, cfg, time.perf_counter() - t0)
     return exit_code(report)
 

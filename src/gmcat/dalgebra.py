@@ -5,6 +5,12 @@ evaluate object- and morphism-level monad elements into the carrier. The
 procedures are closed-form (the element monads are unbounded), so every
 validator takes an arity bound and reports instances that overflow the
 operad truncation as 'bounded' rather than silently passing them.
+
+The shared helpers below (the underlying multicategory, xi_fill, the
+counit) read an algebra only through `operad`, `ident(x)`, `compose(f, g)`,
+`xi0` and `xi1`. DAlgebra offers these over its carrier tables, and the
+lazy free algebras of the adjoint module offer them over their hom-sets,
+so one copy of each helper serves both.
 """
 
 from dataclasses import dataclass
@@ -24,6 +30,12 @@ class DAlgebra:
     xi0: object      # procedure on object-level elements over carrier objects
     xi1: object      # procedure on morphism-level elements over carrier morphisms
     name: str = ""
+
+    def ident(self, x):
+        return self.carrier.ident[x]
+
+    def compose(self, f, g):
+        return self.carrier.comp[(f, g)]
 
 
 def validate_algebra(A, arity_bound=3):
@@ -129,21 +141,21 @@ def xi_fill(A, mids):
 
 
 def underlying_ident(A, x):
-    return (A.carrier.ident[x], eta(A.operad, 0, x))
+    return (A.ident(x), eta(A.operad, 0, x))
 
 
 def underlying_act(A, w, delta):
     """Rearrange a multimorphism's source splitting along permutation data."""
     op = A.operad
-    moved = A.xi1(map_elem(op, A.carrier.ident.get, delta))
-    return (A.carrier.comp[(w[0], moved)], S_D(op, delta))
+    moved = A.xi1(map_elem(op, A.ident, delta))
+    return (A.compose(w[0], moved), S_D(op, delta))
 
 
 def underlying_compose(A, w, Phi):
     """Plug a splitting-compatible list of multimorphisms into another."""
     op = A.operad
     mids = map_elem(op, lambda v: v[0], Phi)
-    glued = A.carrier.comp[(w[0], xi_fill(A, mids))]
+    glued = A.compose(w[0], xi_fill(A, mids))
     return (glued, mu(op, map_elem(op, lambda v: v[1], Phi)))
 
 

@@ -14,9 +14,10 @@ from itertools import product
 
 from .errors import StructuralError
 from .fincat import Presheaf, transport_presheaf, validate_presheaf
-from .finset import Perm, block_perm, canon_key, identity_perm, perms
-from .opmonad import (T_D, all_elements, canonicalize, elements_of, eta,
-                      map_elem, melem, monad_set_category, mu)
+from .finset import block_perm, canon_key, identity_perm, perms
+from .opmonad import (T_D, align_sigma, all_elements, canonicalize,
+                      elements_of, eta, map_elem, melem, monad_set_category,
+                      mu)
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,9 @@ class DMulticat:
     ident: dict          # x -> unary morphism
     source_action: dict  # (f, delta) -> f' for morphism-monad delta with T_D(delta) = src(f)
     composition: dict    # (f, Phi) -> f' for object-monad Phi over morphisms
+    # the lazy free algebras on this multicategory, by name (see adjoint.L)
+    free_algebras: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
 
     def arity(self, f):
         return self.src[f].n
@@ -344,14 +348,11 @@ def _encode(cm, op, symmetric):
 def _level_unit_obj(op, n):
     """The object of level n sitting over the identity arrangement."""
     objs = sorted(op.elements(0, n), key=canon_key)
-    if op.name == "barratt_eccles":
-        return tuple(range(1, n + 1))
     return objs[0] if len(objs) == 1 else identity_perm(n).images
 
 
 def _align_to_identity(op, e):
     """The permutation carrying e's canonical d-part to the level unit object."""
-    from .opmonad import align_sigma
     target = _level_unit_obj(op, e.n)
     s = align_sigma(op, 0, e.n, e.d, target)
     if s is None:
@@ -364,12 +365,11 @@ def _left_coset_perm(op, delta, src_elem):
     delta has a representative (unit -> r-arrangement) over the literal sources."""
     n = delta.n
     L = op.level(n)
+    unit = _level_unit_obj(op, n)
     for s in perms(n):
         m = op.act(1, n, s, delta.d)
-        if L.tgt[m] == _level_unit_obj(op, n) and s.permuted(delta.xs) == src_elem.xs:
-            if op.name == "barratt_eccles":
-                return Perm(L.src[m])
-            return identity_perm(n)
+        if L.tgt[m] == unit and s.permuted(delta.xs) == src_elem.xs:
+            return align_sigma(op, 0, n, unit, L.src[m])
     raise StructuralError("could not align action morphism")
 
 

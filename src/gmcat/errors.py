@@ -15,7 +15,3 @@ class FreenessError(StructuralError):
 
 class BoundExceeded(RuntimeError):
     """A construction left the configured arity/truncation bound."""
-
-
-class InputError(ValueError):
-    """Malformed user input (JSON parse / schema violations)."""

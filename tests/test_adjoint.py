@@ -1,5 +1,8 @@
 """Provisional and quotiented free constructions, unit/counit, triangles."""
 
+import gc
+import weakref
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -196,3 +199,15 @@ def test_materialized_action_is_bounded_loudly():
     probe = next(e for e in three if sum(x.n for x in e.xs) == 3)
     with pytest.raises(BoundExceeded):
         A.xi0(probe)
+
+
+def test_free_algebras_are_memoized_on_their_multicategory():
+    M = terminal_multicat(BE, cap=2)
+    assert L(M) is L(M) and hat_L(M) is hat_L(M)
+    assert L(M) is not hat_L(M)
+    assert L(replace(M)) is not L(M)
+    assert unit_report(M)["ok"]
+    alive = weakref.ref(M)
+    del M
+    gc.collect()
+    assert alive() is None

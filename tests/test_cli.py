@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import gmcat.cli
 from gmcat import jsonio
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              operad_tables, tabulated_operad, validate_operad)
@@ -285,3 +286,13 @@ def test_cli_reports_are_deterministic(tmp_path):
                  "--bound", "2", "--seed", "7"], tmp_path, "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert r1 == r2
+
+
+def test_cli_internal_error_exits_4(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise KeyError("injected")
+    monkeypatch.setattr(gmcat.cli, "validate_multicat", crash)
+    assert main(["validate", "multicat", "terminal_symmetric"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "internal error: KeyError: 'injected'" in err

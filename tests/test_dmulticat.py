@@ -3,7 +3,8 @@
 import pytest
 from dataclasses import replace
 
-from gmcat.catoperad import associativity_operad, barratt_eccles
+from gmcat.catoperad import (associativity_operad, barratt_eccles,
+                             operad_tables, tabulated_operad)
 from gmcat.errors import StructuralError
 from gmcat.fincat import validate_presheaf
 from gmcat.finset import Perm, perms
@@ -181,3 +182,24 @@ def test_classical_validation_catches_missing_units():
     del bad[("s1", ("s1",))]
     rep = validate_classical(replace(cm, comp=bad), symmetric=True)
     assert not rep["ok"]
+
+
+def _tabulated(op, name):
+    acts, comps = operad_tables(op)
+    return tabulated_operad(name, op.max_level, op.levels, op.unit, acts, comps)
+
+
+@pytest.mark.parametrize("builtin, encode", [
+    (barratt_eccles(3), from_symmetric),
+    (associativity_operad(3), from_nonsymmetric),
+])
+def test_tabulated_operad_encodes_like_its_builtin(builtin, encode):
+    # the encoders may read only the operad's structure, never its name
+    cm = pairing_classical()
+    M = encode(cm, op=builtin)
+    Mt = encode(cm, op=_tabulated(builtin, "renamed_table"))
+    assert (Mt.src, Mt.source_action, Mt.composition) == \
+        (M.src, M.source_action, M.composition)
+    rep = validate_multicat(M, seed=3)
+    assert rep["ok"], rep["failures"][:3]
+    assert validate_multicat(Mt, seed=3) == rep
