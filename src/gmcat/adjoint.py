@@ -122,7 +122,15 @@ class LazyDAlgebra:
     M: object
     quotient: bool
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
+    # multimorphism lists by length, as (phi, target, flattened source) rows
+    phi_rows: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
+    # object-level data by arity, indexed (by (source, target), by target)
+    sigma_index: dict = field(default_factory=dict, init=False, compare=False,
+                              repr=False)
+    # hom-set closures by (a, b), as (sorted classes, member -> class)
+    closures: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     # -- enumeration --------------------------------------------------------
     def objects_upto(self, bound):
@@ -131,8 +139,7 @@ class LazyDAlgebra:
     def _phis(self, n):
         """All multimorphism lists of a given length, with target and
         flattened source precomputed (skipping flattenings past truncation)."""
-        key = ("phi", n)
-        if key not in self._cache:
+        if n not in self.phi_rows:
             op, M = self.operad, self.M
             rows = []
             for phi in elements_of(op, 0, M.morphisms, n):
@@ -140,32 +147,28 @@ class LazyDAlgebra:
                     continue
                 rows.append((phi, list_target(op, M, phi),
                              flat_source(op, M, phi)))
-            self._cache[key] = tuple(rows)
-        return self._cache[key]
+            self.phi_rows[n] = tuple(rows)
+        return self.phi_rows[n]
 
     def _sigmas(self, n):
-        key = ("sig", n)
-        if key not in self._cache:
+        if n not in self.sigma_index:
             op, M = self.operad, self.M
             by_ends, by_tgt = {}, {}
             for s in elements_of(op, 1, M.objects, n):
                 by_ends.setdefault((S_D(op, s), T_D(op, s)), []).append(s)
                 by_tgt.setdefault(T_D(op, s), []).append(s)
-            self._cache[key] = (by_ends, by_tgt)
-        return self._cache[key]
+            self.sigma_index[n] = (by_ends, by_tgt)
+        return self.sigma_index[n]
 
     def hom_hat(self, a, b):
-        key = ("hom", a, b)
-        if key not in self._cache:
-            out = []
-            for phi, tgt_b, flat in self._phis(b.n):
-                if tgt_b != b or flat.n != a.n:
-                    continue
-                for s in self._sigmas(a.n)[0].get((a, flat), ()):
-                    out.append(HatMorphism(phi, s))
-            out.sort(key=canon_key)
-            self._cache[key] = tuple(out)
-        return self._cache[key]
+        out = []
+        for phi, tgt_b, flat in self._phis(b.n):
+            if tgt_b != b or flat.n != a.n:
+                continue
+            for s in self._sigmas(a.n)[0].get((a, flat), ()):
+                out.append(HatMorphism(phi, s))
+        out.sort(key=canon_key)
+        return tuple(out)
 
     # -- the coequalizer relation -------------------------------------------
     def relation_instances(self, a, b):
@@ -190,8 +193,7 @@ class LazyDAlgebra:
                            HatMorphism(phi, gamma_D(op, absorbed, s)))
 
     def _closure(self, a, b):
-        key = ("cls", a, b)
-        if key not in self._cache:
+        if (a, b) not in self.closures:
             uf = UnionFind(self.hom_hat(a, b))
             for lhs, rhs in self.relation_instances(a, b):
                 if lhs not in uf.parent or rhs not in uf.parent:
@@ -204,8 +206,8 @@ class LazyDAlgebra:
                 for h in members:
                     lookup[h] = cls
             classes.sort(key=canon_key)
-            self._cache[key] = (tuple(classes), lookup)
-        return self._cache[key]
+            self.closures[(a, b)] = (tuple(classes), lookup)
+        return self.closures[(a, b)]
 
     def class_of(self, hat):
         a = hat_source(self.operad, hat)
@@ -392,7 +394,7 @@ def _map_checklist(M, lazy):
     def upair(f):
         return (u1(f), map_elem(op, e0, M.src[f]))
 
-    failures = []
+    failures, m2 = [], enumerate_M2(M)
     for f in M.morphisms:
         w = upair(f)
         if lazy.tgt(w[0]) != e0(M.tgt[f]):
@@ -402,7 +404,7 @@ def _map_checklist(M, lazy):
     for x in M.objects:
         if upair(M.ident[x]) != underlying_ident(lazy, e0(x)):
             failures.append(("identity not preserved", x))
-    for f, Phi in enumerate_M2(M):
+    for f, Phi in m2:
         lhs = upair(M.compose(f, Phi))
         rhs = underlying_compose(lazy, upair(f), map_elem(op, upair, Phi))
         if lhs != rhs:
@@ -413,7 +415,7 @@ def _map_checklist(M, lazy):
         if lhs != rhs:
             failures.append(("action not preserved", (f, delta)))
     return {"ok": not failures, "failures": failures,
-            "morphisms": len(M.morphisms), "pairs": len(enumerate_M2(M)),
+            "morphisms": len(M.morphisms), "pairs": len(m2),
             "action_pairs": len(M.source_action)}
 
 

@@ -14,7 +14,7 @@ families of total arity up to the bound (default: the truncation level).
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import BoundExceeded, StructuralError
@@ -22,6 +22,7 @@ from .finset import Perm, block_perm, block_sum, perms
 from .fincat import category, validate_category
 
 
+# Module-global on purpose: small and hot (structure_laws ran 35% slower without).
 @lru_cache(maxsize=None)
 def _mul(a, b):
     """Image tuple of the composite a after b."""
@@ -50,8 +51,10 @@ class CatOperad:
     unit: object   # object of level 1
     _act: object   # (j, n, sigma, x) -> x . sigma  (right action; j=0 objects, j=1 morphisms)
     _compose: object  # (j, k, x, inners) -> element of level sum(n_i); inners = ((n_i, x_i), ...)
-    _canon_cache: dict = field(default_factory=dict, repr=False)
-    _align_cache: dict = field(default_factory=dict, repr=False)
+    # memos of the monad layer, described in the opmonad docstring
+    elems: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    nested: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def level(self, n):
         if not 0 <= n <= self.max_level:
@@ -82,6 +85,10 @@ class CatOperad:
 
     def id_mor(self, n, d):
         return self.levels[n].ident[d]
+
+    @cached_property
+    def is_free(self):
+        return freeness_report(self)["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,7 @@ def composable_families(op, j, total_arity):
 
 
 def is_sigma_free(op):
-    return freeness_report(op)["ok"]
+    return op.is_free
 
 
 def freeness_report(op):

@@ -13,7 +13,7 @@ lazy free algebras of the adjoint module offer them over their hom-sets,
 so one copy of each helper serves both.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .dmulticat import DMulticat, enumerate_M2, enumerate_M3, gamma_S, gamma_T
 from .errors import BoundExceeded, StructuralError
@@ -30,6 +30,9 @@ class DAlgebra:
     xi0: object      # procedure on object-level elements over carrier objects
     xi1: object      # procedure on morphism-level elements over carrier morphisms
     name: str = ""
+    # the underlying multicategories of this algebra, by arity bound (see underlying)
+    underlying: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
 
     def ident(self, x):
         return self.carrier.ident[x]
@@ -160,7 +163,10 @@ def underlying_compose(A, w, Phi):
 
 
 def underlying(A, bound=3):
-    """The multicategory whose multimorphisms are (morphism, source splitting)."""
+    """The multicategory whose multimorphisms are (morphism, source splitting),
+    memoized on A, so every check of A at one bound shares it and L of it."""
+    if bound in A.underlying:
+        return A.underlying[bound]
     op, C = A.operad, A.carrier
     objects = tuple(C.objects)
     splittings = []
@@ -193,8 +199,8 @@ def underlying(A, bound=3):
             composition[w2] = underlying_compose(A, *w2)
         except BoundExceeded:
             pass  # composite leaves a truncated carrier; total for total algebras
-    return DMulticat(op, objects, morphisms, tgt, src, ident, action,
-                     composition)
+    A.underlying[bound] = replace(half, composition=composition)
+    return A.underlying[bound]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ so finite inputs need no user-facing truncation.
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 from .errors import StructuralError
@@ -39,7 +40,7 @@ class DMulticat:
     def arity(self, f):
         return self.src[f].n
 
-    @property
+    @cached_property
     def cap(self):
         return max((e.n for e in self.src.values()), default=0)
 

@@ -5,7 +5,7 @@ order on labels (`canon_key`), block permutations/sums, and free-action
 orbit canonicalization.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itperms
 
@@ -93,6 +93,7 @@ def identity_perm(n):
     return Perm(tuple(range(1, n + 1)))
 
 
+# Module-global on purpose: small, hot permutation arithmetic (see catoperad._mul).
 @lru_cache(maxsize=None)
 def perms(n):
     """All of Sym(n) in lexicographic image order."""
@@ -287,7 +288,6 @@ class GroupAction:
     carrier: tuple
     table: dict
     free: bool = False
-    _validated: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         rep = self.validate()
@@ -297,7 +297,6 @@ class GroupAction:
             w = self.freeness_witness()
             if w is not None:
                 raise FreenessError(f"action not free: {w[0]!r} fixes {w[1]!r}", witness=w)
-        self._validated = True
 
     def act(self, s, x):
         return self.table[(s, x)]

@@ -38,7 +38,7 @@ def load_label(v, op=None):
     return v
 
 
-def _entries(table, op_hint=None):
+def _entries(table):
     return sorted(([dump_label(k), dump_label(v)] for k, v in table.items()),
                   key=repr)
 

@@ -8,13 +8,17 @@ alignment (finding the translate matching a given d-part) well defined.
 Alignment-based operations (gamma_D, chi, category composition in DC)
 demand freeness and refuse to run otherwise; plain monad structure
 (eta, mu, map_elem) works for any operad.
+
+The memos live on the operad. Orbit data is memoized per element:
+`op.orbits[(j, n, d)]` is ({d.sigma: sigma}, least d.sigma, its sigma),
+built when d is first canonicalized or aligned. `op.elems[(j, d, xs)]` is
+the canonical element and `op.nested` holds nested_elements results.
 """
 
 import random
 from dataclasses import dataclass
 from itertools import product
 
-from .catoperad import freeness_report
 from .errors import BoundExceeded, FreenessError, StructuralError
 from .fincat import CatFunctor, Presheaf, category
 from .finset import canon_key, perms, sort_labels
@@ -51,51 +55,39 @@ def composable_pair(op, first, second):
     return ComposablePair(first, second)
 
 
-def operad_is_free(op):
-    free = op._align_cache.get("__free")
-    if free is None:
-        free = freeness_report(op)["ok"]
-        op._align_cache["__free"] = free
-    return free
-
-
 def _require_free(op, what):
-    if not operad_is_free(op):
+    if not op.is_free:
         raise FreenessError(f"{what} needs a sigma-free operad")
 
 
-def _min_translate(op, j, n, d):
-    """The unique sigma with minimal d.sigma (free actions only)."""
-    key = ("min", j, n, d)
-    hit = op._align_cache.get(key)
+def _orbit(op, j, n, d):
+    """({d.sigma: sigma}, least d.sigma, its sigma); unique for free actions."""
+    key = (j, n, d)
+    hit = op.orbits.get(key)
     if hit is None:
-        hit = min(perms(n), key=lambda s: canon_key(op.act(j, n, s, d)))
-        op._align_cache[key] = hit
+        translates = {op.act(j, n, s, d): s for s in perms(n)}
+        least = min(translates, key=canon_key)
+        hit = op.orbits[key] = (translates, least, translates[least])
     return hit
 
 
 def align_sigma(op, j, n, d_from, d_to):
     """The unique sigma with d_from.sigma = d_to, or None; demands freeness."""
     _require_free(op, "orbit alignment")
-    key = ("al", j, n, d_from, d_to)
-    if key not in op._align_cache:
-        for s in perms(n):
-            op._align_cache[("al", j, n, d_from, op.act(j, n, s, d_from))] = s
-        op._align_cache.setdefault(key, None)
-    return op._align_cache[key]
+    return _orbit(op, j, n, d_from)[0].get(d_to)
 
 
 def canonicalize(op, j, n, d, xs):
     if n > op.max_level:
         raise BoundExceeded(f"arity {n} exceeds truncation {op.max_level}")
     key = (j, d, xs)
-    hit = op._canon_cache.get(key)
+    hit = op.elems.get(key)
     if hit is None:
         if n <= 1:
             hit = MonadElem(j, n, d, tuple(xs))
-        elif operad_is_free(op):
-            s = _min_translate(op, j, n, d)
-            hit = MonadElem(j, n, op.act(j, n, s, d), s.permuted(xs))
+        elif op.is_free:
+            _, least, s = _orbit(op, j, n, d)
+            hit = MonadElem(j, n, least, s.permuted(xs))
         else:
             best = None
             for s in perms(n):
@@ -104,25 +96,16 @@ def canonicalize(op, j, n, d, xs):
                 if best is None or ck < best[0]:
                     best = (ck, cand)
             hit = MonadElem(j, n, best[1][0], tuple(best[1][1]))
-        op._canon_cache[key] = hit
+        op.elems[key] = hit
     return hit
 
 
 def melem(op, j, d, xs):
     xs = tuple(xs)
-    n = _level_of(op, j, d, len(xs))
-    return canonicalize(op, j, n, d, xs)
-
-
-def _level_of(op, j, d, n):
-    key = ("set", j, n)
-    members = op._align_cache.get(key)
-    if members is None:
-        members = frozenset(op.elements(j, n))
-        op._align_cache[key] = members
-    if d not in members:
+    n = len(xs)
+    if d not in op.elements(j, n):
         raise StructuralError(f"{d!r} is not a level-{n} element")
-    return n
+    return canonicalize(op, j, n, d, xs)
 
 
 def eta(op, j, x):
@@ -223,12 +206,8 @@ def dcat_compose(op, C, E, E2):
 def elements_of(op, j, labels, n):
     """All canonical elements of arity n over the given labels, sorted."""
     labels = tuple(labels)
-    if operad_is_free(op):
-        reps = op._align_cache.get(("reps", j, n))
-        if reps is None:
-            reps = sort_labels({op.act(j, n, _min_translate(op, j, n, d), d)
-                                for d in op.elements(j, n)})
-            op._align_cache[("reps", j, n)] = reps
+    if op.is_free:
+        reps = sort_labels({_orbit(op, j, n, d)[1] for d in op.elements(j, n)})
         return tuple(MonadElem(j, n, d, xs)
                      for d in reps for xs in product(labels, repeat=n))
     seen = {canonicalize(op, j, n, d, xs)
@@ -250,14 +229,14 @@ def nested_elements(op, j, labels, layers, budget):
     flattening (weights[0] = top arity, last = leaf count).
     """
     labels = tuple(labels)
-    memo_key = ("nested", j, labels, layers, budget)
-    hit = op._align_cache.get(memo_key)
+    memo_key = (j, labels, layers, budget)
+    hit = op.nested.get(memo_key)
     if hit is not None:
         return hit
     cap = min(budget, op.max_level)
     if layers == 1:
         out = tuple((e, (e.n,)) for e in all_elements(op, j, labels, cap))
-        op._align_cache[memo_key] = out
+        op.nested[memo_key] = out
         return out
     inner = nested_elements(op, j, labels, layers - 1, budget)
     depth = layers - 1
@@ -290,7 +269,7 @@ def nested_elements(op, j, labels, layers, budget):
             seen.add(e)
             uniq.append((e, w))
     result = tuple(sorted(uniq, key=lambda ew: canon_key(ew[0])))
-    op._align_cache[memo_key] = result
+    op.nested[memo_key] = result
     return result
 
 

@@ -211,3 +211,21 @@ def test_free_algebras_are_memoized_on_their_multicategory():
     del M
     gc.collect()
     assert alive() is None
+
+
+def test_underlying_is_memoized_on_its_algebra():
+    A = z2_discrete_algebra(BE)
+    U = underlying(A, 2)
+    assert underlying(A, 2) is U and underlying(A, 3) is not U
+    # the counit, a second counit and the triangles share L(U) and its closures
+    assert counit_report(A, bound=2)["ok"]
+    closures = L(U).closures
+    built = len(closures)
+    assert built > 0
+    assert counit_report(A, bound=2)["ok"]
+    assert check_triangles(MB, A, bound=2)["ok"]
+    assert len(closures) == built
+    alive = weakref.ref(A)
+    del A
+    gc.collect()
+    assert alive() is None

@@ -3,10 +3,12 @@
 import pytest
 from dataclasses import replace
 
+from gmcat.adjoint import check_triangles, counit_report, unit_report
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
-                             operad_tables, tabulated_operad)
+                             operad_tables, tabulated_operad, validate_operad)
+from gmcat.dalgebra import free_algebra, validate_algebra, z2_discrete_algebra
 from gmcat.errors import StructuralError
-from gmcat.fincat import validate_presheaf
+from gmcat.fincat import terminal_category, validate_presheaf
 from gmcat.finset import Perm, perms
 from gmcat.dmulticat import (ClassicalMulticat, DMulticat, enumerate_M2,
                              enumerate_M3, from_nonsymmetric, from_symmetric,
@@ -194,12 +196,27 @@ def _tabulated(op, name):
     (associativity_operad(3), from_nonsymmetric),
 ])
 def test_tabulated_operad_encodes_like_its_builtin(builtin, encode):
-    # the encoders may read only the operad's structure, never its name
+    # the encoders and validators may read only the operad's structure,
+    # never its name
+    table = _tabulated(builtin, "renamed_table")
     cm = pairing_classical()
     M = encode(cm, op=builtin)
-    Mt = encode(cm, op=_tabulated(builtin, "renamed_table"))
+    Mt = encode(cm, op=table)
     assert (Mt.src, Mt.source_action, Mt.composition) == \
         (M.src, M.source_action, M.composition)
     rep = validate_multicat(M, seed=3)
     assert rep["ok"], rep["failures"][:3]
     assert validate_multicat(Mt, seed=3) == rep
+
+    algebra = {from_symmetric: z2_discrete_algebra,
+               from_nonsymmetric: lambda op: free_algebra(
+                   op, terminal_category(), 2)}[encode]
+
+    def reports(op):
+        A, T = algebra(op), terminal_multicat(op)
+        return (validate_operad(op), validate_algebra(A, 2), unit_report(T),
+                counit_report(A, bound=2), check_triangles(T, A, bound=2))
+
+    want = reports(builtin)
+    assert all(r["ok"] for r in want)
+    assert reports(table) == want
