@@ -12,9 +12,9 @@ hom-set at a time, which is what keeps everything finite and decidable.
 from dataclasses import dataclass, field
 from itertools import product
 
-from .dalgebra import (DAlgebra, underlying_act, underlying_compose,
-                       underlying_ident, xi_fill)
-from .dmulticat import enumerate_M2
+from .dalgebra import (DAlgebra, underlying, underlying_act,
+                       underlying_compose, underlying_ident, xi_fill)
+from .dmulticat import act_slots, enumerate_M2
 from .errors import BoundExceeded, StructuralError
 from .fincat import category
 from .finset import UnionFind, canon_key
@@ -181,13 +181,8 @@ class LazyDAlgebra:
                      for s in (M.src[g] for g in phi.xs)]
             if any(not c for c in slots):
                 continue
-            lvl = op.level(phi.n)
             for taus in product(*slots):
-                acted = tuple(M.source_action[(g, t)]
-                              for g, t in zip(phi.xs, taus))
-                attached = canonicalize(op, 0, phi.n, phi.d, acted)
-                absorbed = canonicalize(
-                    op, 1, *mu_raw(op, 1, phi.n, lvl.ident[phi.d], taus))
+                attached, absorbed = act_slots(M, phi, taus)
                 for s in self._sigmas(a.n)[0].get((a, S_D(op, absorbed)), ()):
                     yield (HatMorphism(attached, s),
                            HatMorphism(phi, gamma_D(op, absorbed, s)))
@@ -284,13 +279,9 @@ def validate_coeq_fork(M, a, b):
             if hat_source(op, leg) != a or hat_target(op, M, leg) != b:
                 failures.append(("leg moves an endpoint", leg))
     for h in lz.hom_hat(a, b):
-        taus = tuple(I_D(op, M.src[g]) for g in h.phi.xs)
-        acted = tuple(M.source_action[(g, t)] for g, t in zip(h.phi.xs, taus))
-        lvl = op.level(h.phi.n)
-        absorbed = canonicalize(
-            op, 1, *mu_raw(op, 1, h.phi.n, lvl.ident[h.phi.d], taus))
-        sec_l = HatMorphism(canonicalize(op, 0, h.phi.n, h.phi.d, acted),
-                            h.sigma)
+        acted, absorbed = act_slots(
+            M, h.phi, tuple(I_D(op, M.src[g]) for g in h.phi.xs))
+        sec_l = HatMorphism(acted, h.sigma)
         sec_r = HatMorphism(h.phi, gamma_D(op, absorbed, h.sigma))
         if sec_l != h or sec_r != h:
             failures.append(("identity data is not a common section", h))
@@ -458,7 +449,6 @@ def counit_hat(A, hat):
 
 def counit_report(A, bound=2):
     """Class-constancy, functoriality, and the algebra-map law of the counit."""
-    from .dalgebra import underlying
     op = A.operad
     U = underlying(A, bound)
     LU = L(U)
@@ -524,8 +514,8 @@ def counit_report(A, bound=2):
 # triangle identities
 
 def check_triangles(M, A, bound=2):
-    """Both adjunction triangles, exhaustively within the bound."""
-    from .dalgebra import underlying
+    """Both adjunction triangles, exhaustively within the bound. Exceptions
+    other than BoundExceeded and StructuralError are crashes and propagate."""
     op = M.operad
     fail_U, fail_L = [], []
 
@@ -543,7 +533,7 @@ def check_triangles(M, A, bound=2):
                 fail_U.append(("round trip moves a multimorphism", w, back))
         except BoundExceeded:
             bounded += 1  # instance leaves a truncated carrier
-        except Exception as exc:  # fault diagnostics, not control flow
+        except StructuralError as exc:
             fail_U.append(("round trip broke", w, repr(exc)))
 
     LM = L(M)
@@ -566,7 +556,7 @@ def check_triangles(M, A, bound=2):
                         fail_L.append(("round trip moves a class", cls))
                 except BoundExceeded:
                     bounded += 1
-                except Exception as exc:
+                except StructuralError as exc:
                     fail_L.append(("round trip broke", cls, repr(exc)))
     return {"ok": not (fail_U or fail_L),
             "triangle_U": fail_U, "triangle_L": fail_L,

@@ -16,8 +16,7 @@ import traceback
 from . import jsonio
 from .adjoint import (L, check_triangles, counit_report, hat_L,
                       hat_unit_report, unit_report, witness_hat_unit_failure)
-from .catoperad import (BUILTIN_OPERADS, associativity_operad, barratt_eccles,
-                        freeness_report, validate_operad)
+from .catoperad import BUILTIN_OPERADS, freeness_report, validate_operad
 from .dalgebra import (free_algebra, terminal_algebra, underlying,
                        validate_algebra, z2_discrete_algebra)
 from .dmulticat import (from_nonsymmetric, from_symmetric, terminal_multicat,
@@ -28,9 +27,6 @@ from .finset import canon_key
 from .opmonad import canonicalize
 from .report import (DEFAULT_TRUNCATE, RunConfig, build, check, emit,
                      exit_code, from_validator)
-
-MULTICAT_BUILTINS = ("terminal", "terminal_symmetric", "terminal_nonsymmetric")
-ALGEBRA_BUILTINS = ("z2_discrete", "terminal", "free")
 
 
 def build_parser():
@@ -109,22 +105,18 @@ def _load_doc(path, kinds):
     return doc
 
 
-def _operad_for(cfg):
-    name = cfg.operad or "barratt_eccles"
-    if name in BUILTIN_OPERADS:
-        op = BUILTIN_OPERADS[name](cfg.truncate)
-    else:
-        op = jsonio.decode_operad(_load_doc(name, {"operad"}))
-    if op.max_level < cfg.bound:
-        raise StructuralError(
-            f"operad truncation {op.max_level} below arity bound {cfg.bound}")
-    return op
-
-
 def _operad_target(target, cfg):
     if target in BUILTIN_OPERADS:
         return BUILTIN_OPERADS[target](cfg.truncate)
     return jsonio.decode_operad(_load_doc(target, {"operad"}))
+
+
+def _operad_for(cfg):
+    op = _operad_target(cfg.operad or "barratt_eccles", cfg)
+    if op.max_level < cfg.bound:
+        raise StructuralError(
+            f"operad truncation {op.max_level} below arity bound {cfg.bound}")
+    return op
 
 
 def _multicat_target(target, cfg):
@@ -132,9 +124,9 @@ def _multicat_target(target, cfg):
     if target == "terminal":
         return terminal_multicat(_operad_for(cfg)), []
     if target == "terminal_symmetric":
-        return terminal_multicat(barratt_eccles(cfg.truncate)), []
+        return terminal_multicat(_operad_target("barratt_eccles", cfg)), []
     if target == "terminal_nonsymmetric":
-        return terminal_multicat(associativity_operad(cfg.truncate)), []
+        return terminal_multicat(_operad_target("associativity", cfg)), []
     doc = _load_doc(target, {"dmulticat", "classical_multicat"})
     if doc["kind"] == "dmulticat":
         return jsonio.decode_multicat(doc), []
@@ -144,14 +136,9 @@ def _multicat_target(target, cfg):
                          validate_classical(cm, symmetric))
     if pre["status"] != "pass":
         return None, [pre]
-    if cfg.operad:
-        M = (from_symmetric if symmetric else from_nonsymmetric)(
-            cm, _operad_for(cfg))
-    elif symmetric:
-        M = from_symmetric(cm, barratt_eccles(cfg.truncate))
-    else:
-        M = from_nonsymmetric(cm, associativity_operad(cfg.truncate))
-    return M, [pre]
+    op = (_operad_for(cfg) if cfg.operad else
+          _operad_target("barratt_eccles" if symmetric else "associativity", cfg))
+    return (from_symmetric if symmetric else from_nonsymmetric)(cm, op), [pre]
 
 
 def _algebra_target(target, cfg):

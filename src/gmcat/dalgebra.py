@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 from .dmulticat import DMulticat, enumerate_M2, enumerate_M3, gamma_S, gamma_T
 from .errors import BoundExceeded, StructuralError
 from .fincat import discrete_category, terminal_category
-from .opmonad import (I_D, S_D, T_D, all_elements, canonicalize, dcat_compose,
-                      dcat_ident, dcat_src, dcat_tgt, elements_of, eta,
-                      map_elem, monad_category, mu, nested_elements)
+from .opmonad import (I_D, S_D, T_D, all_elements, dcat_compose, dcat_ident,
+                      dcat_src, dcat_tgt, elements_of, eta, map_elem,
+                      monad_category, mu, nested_elements)
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ def free_algebra(op, C, carrier_bound):
 
 def xi_fill(A, mids):
     """Evaluate a filling: morphisms stacked under an identity arrangement."""
-    op = A.operad
-    return A.xi1(canonicalize(op, 1, mids.n,
-                              op.level(mids.n).ident[mids.d], mids.xs))
+    return A.xi1(I_D(A.operad, mids))
 
 
 def underlying_ident(A, x):

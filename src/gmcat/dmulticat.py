@@ -6,6 +6,11 @@ category {D0 M0, D1 M0}, and composition gamma takes a morphism together
 with an object-monad element of morphisms filling its source slots. All
 enumeration is bounded by the largest source arity appearing in the data,
 so finite inputs need no user-facing truncation.
+
+A classical source list (x1..xn) is encoded as [b; x1..xn] with b the base
+point of level n, its least object (`_level_unit_obj`; the identity
+arrangement for the permutation operads). Alignments go through the
+operad's orbit table.
 """
 
 import random
@@ -15,10 +20,10 @@ from itertools import product
 
 from .errors import StructuralError
 from .fincat import Presheaf, transport_presheaf, validate_presheaf
-from .finset import block_perm, canon_key, identity_perm, perms
+from .finset import block_perm, canon_key, perms
 from .opmonad import (T_D, align_sigma, all_elements, canonicalize,
                       elements_of, eta, map_elem, melem, monad_set_category,
-                      mu)
+                      mu, mu_raw)
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,17 @@ def gamma_S(M, w):
     return (f, map_elem(op, lambda W: M.compose(W[0], W[1]), Psi))
 
 
+def act_slots(M, phi, deltas):
+    """The two legs of the interchange at a filling phi with one action
+    morphism per slot: (phi acted on slot by slot, the deltas absorbed into
+    one morphism-level element over phi's arrangement)."""
+    op, k = M.operad, phi.n
+    acted = tuple(M.source_action[(g, t)] for g, t in zip(phi.xs, deltas))
+    return (canonicalize(op, 0, k, phi.d, acted),
+            canonicalize(op, 1, *mu_raw(op, 1, k, op.level(k).ident[phi.d],
+                                        deltas)))
+
+
 def _psi_presheaf(M, base=None):
     op = M.operad
     DC = base if base is not None else monad_set_category(op, M.objects, M.cap)
@@ -181,12 +197,9 @@ def validate_multicat(M, coherence_budget=2000, seed=0):
 
     coh = _coherence_triples(M, coherence_budget, seed)
     for f, Phi, deltas in coh:
-        k = Phi.n
-        lhs_delta = mu(op, canonicalize(op, 1, k, op.level(k).ident[Phi.d], deltas))
-        lhs = M.source_action.get((M.composition[(f, Phi)], lhs_delta))
-        Phi2 = canonicalize(op, 0, k, Phi.d,
-                            tuple(M.source_action[(g, d)] for g, d in zip(Phi.xs, deltas)))
-        rhs = M.composition.get((f, Phi2))
+        acted, absorbed = act_slots(M, Phi, deltas)
+        lhs = M.source_action.get((M.composition[(f, Phi)], absorbed))
+        rhs = M.composition.get((f, acted))
         if lhs is None or lhs != rhs:
             failures.append(("action does not interchange with composition",
                              (f, Phi, deltas)))
@@ -347,9 +360,9 @@ def _encode(cm, op, symmetric):
 
 
 def _level_unit_obj(op, n):
-    """The object of level n sitting over the identity arrangement."""
-    objs = sorted(op.elements(0, n), key=canon_key)
-    return objs[0] if len(objs) == 1 else identity_perm(n).images
+    """The base point of level n: its least object (the identity arrangement
+    for the permutation operads)."""
+    return min(op.elements(0, n), key=canon_key)
 
 
 def _align_to_identity(op, e):
@@ -367,28 +380,19 @@ def _left_coset_perm(op, delta, src_elem):
     n = delta.n
     L = op.level(n)
     unit = _level_unit_obj(op, n)
-    for s in perms(n):
-        m = op.act(1, n, s, delta.d)
-        if L.tgt[m] == unit and s.permuted(delta.xs) == src_elem.xs:
-            return align_sigma(op, 0, n, unit, L.src[m])
-    raise StructuralError("could not align action morphism")
+    s = align_sigma(op, 0, n, L.tgt[delta.d], unit)
+    if s is None or s.permuted(delta.xs) != src_elem.xs:
+        raise StructuralError("could not align action morphism")
+    return align_sigma(op, 0, n, unit, L.src[op.act(1, n, s, delta.d)])
 
 
-def from_symmetric(cm, op=None):
-    """Encode a classical symmetric multicategory over the permutation operad."""
-    if op is None:
-        from .catoperad import barratt_eccles
-        cap = max((len(cm.src[f]) for f in cm.morphisms), default=0)
-        op = barratt_eccles(max(cap, 1))
+def from_symmetric(cm, op):
+    """Encode a classical symmetric multicategory over a permutation operad."""
     return _encode(cm, op, symmetric=True)
 
 
-def from_nonsymmetric(cm, op=None):
-    """Encode a classical non-symmetric multicategory over the word operad."""
-    if op is None:
-        from .catoperad import associativity_operad
-        cap = max((len(cm.src[f]) for f in cm.morphisms), default=0)
-        op = associativity_operad(max(cap, 1))
+def from_nonsymmetric(cm, op):
+    """Encode a classical non-symmetric multicategory over a word operad."""
     return _encode(cm, op, symmetric=False)
 
 

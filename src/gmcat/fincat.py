@@ -22,11 +22,6 @@ class FinCategory:
     ident: dict
     comp: dict  # (f, g) -> f.g, defined exactly when src[f] == tgt[g]
 
-    def compose(self, f, g):
-        if (f, g) not in self.comp:
-            raise StructuralError(f"non-composable pair ({f!r}, {g!r})")
-        return self.comp[(f, g)]
-
     def hom(self, a, b):
         return tuple(f for f in self.morphisms if self.src[f] == a and self.tgt[f] == b)
 
@@ -149,29 +144,26 @@ def validate_functor(F):
     return {"ok": not failures, "failures": failures}
 
 
-def is_target_cover(F):
-    """Unique lifting of morphisms through target objects; returns (ok, witness)."""
+def _is_cover(F, c_end, d_end):
+    """Unique lifting of morphisms through the chosen end; returns (ok, witness)."""
     C, D = F.dom, F.cod
     for x in C.objects:
         for f in D.morphisms:
-            if D.tgt[f] != F.obj_map[x]:
+            if d_end[f] != F.obj_map[x]:
                 continue
-            lifts = [h for h in C.morphisms if C.tgt[h] == x and F.mor_map[h] == f]
+            lifts = [h for h in C.morphisms if c_end[h] == x and F.mor_map[h] == f]
             if len(lifts) != 1:
                 return False, ("no lift" if not lifts else "ambiguous lift", (x, f))
     return True, None
+
+
+def is_target_cover(F):
+    """Unique lifting of morphisms through target objects; returns (ok, witness)."""
+    return _is_cover(F, F.dom.tgt, F.cod.tgt)
 
 
 def is_source_cover(F):
-    C, D = F.dom, F.cod
-    for x in C.objects:
-        for f in D.morphisms:
-            if D.src[f] != F.obj_map[x]:
-                continue
-            lifts = [h for h in C.morphisms if C.src[h] == x and F.mor_map[h] == f]
-            if len(lifts) != 1:
-                return False, ("no lift" if not lifts else "ambiguous lift", (x, f))
-    return True, None
+    return _is_cover(F, F.dom.src, F.cod.src)
 
 
 def target_lift(F, x, f):

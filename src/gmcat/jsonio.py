@@ -100,11 +100,16 @@ def decode_presheaf(doc):
 # operads
 
 def encode_operad(op):
-    if op.name in BUILTIN_OPERADS:
-        ref = BUILTIN_OPERADS[op.name](op.max_level)
-        if ref.levels == op.levels:
-            return {"kind": "operad", "builtin": op.name,
-                    "truncate": op.max_level}
+    # a table-backed operad may carry a builtin's name: refer to the builtin
+    # only when op runs the builtin's own procedures over the builtin's levels
+    make = BUILTIN_OPERADS.get(op.name)
+    ref = make(op.max_level) if make else None
+    if ref is not None and all(
+            getattr(mine, "__code__", None) is theirs.__code__
+            for mine, theirs in ((op._act, ref._act),
+                                 (op._compose, ref._compose))) and \
+            ref.levels == op.levels:
+        return {"kind": "operad", "builtin": op.name, "truncate": op.max_level}
     act_table, comp_table = operad_tables(op)
     return {"kind": "operad", "name": op.name, "max_level": op.max_level,
             "unit": dump_label(op.unit),
@@ -170,9 +175,9 @@ def decode_multicat(doc):
          for f, p, g in doc["composition"]})
 
 
-def encode_classical(cm, symmetric=None):
+def encode_classical(cm, symmetric):
     return {"kind": "classical_multicat",
-            "symmetric": bool(cm.act) if symmetric is None else symmetric,
+            "symmetric": symmetric,
             "objects": [dump_label(x) for x in cm.objects],
             "morphisms": [dump_label(f) for f in cm.morphisms],
             "src": [[dump_label(f), [dump_label(x) for x in xs]]

@@ -10,9 +10,12 @@ demand freeness and refuse to run otherwise; plain monad structure
 (eta, mu, map_elem) works for any operad.
 
 The memos live on the operad. Orbit data is memoized per element:
-`op.orbits[(j, n, d)]` is ({d.sigma: sigma}, least d.sigma, its sigma),
-built when d is first canonicalized or aligned. `op.elems[(j, d, xs)]` is
-the canonical element and `op.nested` holds nested_elements results.
+`op.orbits[(j, n, d)]` is ({d.sigma: sigma}, least d.sigma, every sigma
+that reaches it), built when d is first canonicalized or aligned. A free
+action has exactly one such sigma; otherwise canonicalize takes the least
+relabelling over all of them, so one canonical form serves every operad.
+`op.elems[(j, d, xs)]` is the canonical element and `op.nested` holds
+nested_elements results. Every MonadElem is such a canonical element.
 """
 
 import random
@@ -41,33 +44,22 @@ class MonadElem:
         return f"D{self.j}[{self.d!r}; {inner}]"
 
 
-@dataclass(frozen=True)
-class ComposablePair:
-    """An element of D2: morphism-level elements with S_D(first) = T_D(second)."""
-
-    first: MonadElem
-    second: MonadElem
-
-
-def composable_pair(op, first, second):
-    if S_D(op, first) != T_D(op, second):
-        raise StructuralError("pair is not composable: source and target orbits differ")
-    return ComposablePair(first, second)
-
-
 def _require_free(op, what):
     if not op.is_free:
         raise FreenessError(f"{what} needs a sigma-free operad")
 
 
 def _orbit(op, j, n, d):
-    """({d.sigma: sigma}, least d.sigma, its sigma); unique for free actions."""
+    """({d.sigma: sigma}, least d.sigma, every sigma reaching it); for a free
+    action each translate has exactly one sigma."""
     key = (j, n, d)
     hit = op.orbits.get(key)
     if hit is None:
-        translates = {op.act(j, n, s, d): s for s in perms(n)}
+        pairs = [(op.act(j, n, s, d), s) for s in perms(n)]
+        translates = dict(pairs)
         least = min(translates, key=canon_key)
-        hit = op.orbits[key] = (translates, least, translates[least])
+        hit = op.orbits[key] = (translates, least,
+                                tuple(s for t, s in pairs if t == least))
     return hit
 
 
@@ -83,20 +75,11 @@ def canonicalize(op, j, n, d, xs):
     key = (j, d, xs)
     hit = op.elems.get(key)
     if hit is None:
-        if n <= 1:
-            hit = MonadElem(j, n, d, tuple(xs))
-        elif op.is_free:
-            _, least, s = _orbit(op, j, n, d)
-            hit = MonadElem(j, n, least, s.permuted(xs))
-        else:
-            best = None
-            for s in perms(n):
-                cand = (op.act(j, n, s, d), s.permuted(xs))
-                ck = (canon_key(cand[0]), canon_key(cand[1]))
-                if best is None or ck < best[0]:
-                    best = (ck, cand)
-            hit = MonadElem(j, n, best[1][0], tuple(best[1][1]))
-        op.elems[key] = hit
+        _, least, sigmas = _orbit(op, j, n, d)
+        relabelled = [s.permuted(xs) for s in sigmas]
+        if len(relabelled) > 1:  # ordering labels is costly; free orbits skip it
+            relabelled.sort(key=canon_key)
+        hit = op.elems[key] = MonadElem(j, n, least, relabelled[0])
     return hit
 
 
@@ -274,18 +257,11 @@ def nested_elements(op, j, labels, layers, budget):
 
 
 def monad_set_category(op, labels, bound):
-    """The category {D0 X, D1 X} over a plain label set, as explicit tables."""
-    objects = all_elements(op, 0, labels, bound)
-    morphisms = all_elements(op, 1, labels, bound)
-    src = {E: S_D(op, E) for E in morphisms}
-    tgt = {E: T_D(op, E) for E in morphisms}
-    ident = {X: I_D(op, X) for X in objects}
-    comp = {}
-    for E in morphisms:
-        for E2 in morphisms:
-            if src[E] == tgt[E2]:
-                comp[(E, E2)] = gamma_D(op, E, E2)
-    return category(objects, morphisms, src, tgt, ident, comp)
+    """The category {D0 X, D1 X} over a plain label set: DX for the discrete
+    category whose morphisms are the labels themselves."""
+    same = {x: x for x in labels}
+    X = category(labels, labels, same, same, same, {(x, x): x for x in labels})
+    return monad_category(op, X, bound)
 
 
 def monad_category(op, C, bound):
@@ -303,19 +279,19 @@ def monad_category(op, C, bound):
     return category(objects, morphisms, src, tgt, ident, comp)
 
 
-def monad_functor(op, F, bound, dom_cat=None, cod_cat=None):
-    dom = dom_cat if dom_cat is not None else monad_category(op, F.dom, bound)
-    cod = cod_cat if cod_cat is not None else monad_category(op, F.cod, bound)
+def monad_functor(op, F, bound):
+    dom = monad_category(op, F.dom, bound)
+    cod = monad_category(op, F.cod, bound)
     return CatFunctor(dom, cod,
                       {X: map_elem(op, lambda x: F.obj_map[x], X) for X in dom.objects},
                       {E: map_elem(op, lambda f: F.mor_map[f], E) for E in dom.morphisms})
 
 
-def monad_presheaf(op, P, bound, base=None):
+def monad_presheaf(op, P, bound):
     """The derived action of DC on D0 of a presheaf carrier."""
     _require_free(op, "the derived presheaf action")
     C = P.base
-    DC = base if base is not None else monad_category(op, C, bound)
+    DC = monad_category(op, C, bound)
     carrier = all_elements(op, 0, P.carrier, bound)
     eps = {X: map_elem(op, lambda x: P.eps[x], X) for X in carrier}
     act = {}
@@ -354,18 +330,13 @@ def chi(op, sigma, phis, src_of, tgt_of):
     if S_D(op, sigma) != map_elem(op, tgt_of, phis):
         raise StructuralError("chi precondition fails: S_D(sigma) != D0 T(phis)")
     n, L = sigma.n, op.level(sigma.n)
-    want = tuple(tgt_of(g) for g in phis.xs)
-    found = None
-    for s in perms(n):
-        m_hat = op.act(1, n, s, sigma.d)
-        if L.src[m_hat] == phis.d and s.permuted(sigma.xs) == want:
-            found = m_hat
-            break
-    if found is None:
+    s = align_sigma(op, 0, n, L.src[sigma.d], phis.d)
+    if s is None or s.permuted(sigma.xs) != tuple(tgt_of(g) for g in phis.xs):
         raise StructuralError("interchange lifting failed: corrupted data")
-    first = canonicalize(op, 0, n, L.tgt[found], phis.xs)
-    lifted = MonadElem(1, n, found, phis.xs)  # representative; theta canonicalizes
-    return first, theta(op, lifted, src_of)
+    lifted = op.act(1, n, s, sigma.d)
+    inners = tuple(I_D(op, src_of(g)) for g in phis.xs)
+    return (canonicalize(op, 0, n, L.tgt[lifted], phis.xs),
+            canonicalize(op, 1, *mu_raw(op, 1, n, lifted, inners)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +421,11 @@ def validate_monad_category(op, labels, bound):
 # ---------------------------------------------------------------------------
 # cartesianness
 
-def _random_sets(rng, prefix_a="a", prefix_b="b", prefix_z="z", max_size=5):
-    sizes = [rng.randint(1, max_size) for _ in range(3)]
-    A = tuple(f"{prefix_a}{i}" for i in range(sizes[0]))
-    B = tuple(f"{prefix_b}{i}" for i in range(sizes[1]))
-    Z = tuple(f"{prefix_z}{i}" for i in range(sizes[2]))
+def _random_sets(rng):
+    sizes = [rng.randint(1, 5) for _ in range(3)]
+    A = tuple(f"a{i}" for i in range(sizes[0]))
+    B = tuple(f"b{i}" for i in range(sizes[1]))
+    Z = tuple(f"z{i}" for i in range(sizes[2]))
     f = {a: rng.choice(Z) for a in A}
     g = {b: rng.choice(Z) for b in B}
     return A, B, Z, f, g
@@ -485,7 +456,7 @@ def _square_preserved(op, j, A, B, Z, f, g, bound):
     return failures
 
 
-def check_cartesian(op, j, seed=0, squares=100, max_size=5, bound=3, nat_samples=12):
+def check_cartesian(op, j, seed=0, squares=100, bound=3):
     """Sampled pullback preservation plus fiberwise eta/mu naturality squares."""
     rng = random.Random(seed)
     report = {"operad": op.name, "j": j, "seed": seed, "ok": True,
@@ -495,7 +466,7 @@ def check_cartesian(op, j, seed=0, squares=100, max_size=5, bound=3, nat_samples
 
     done = 0
     while done < squares:
-        A, B, Z, f, g = _random_sets(rng, max_size=max_size)
+        A, B, Z, f, g = _random_sets(rng)
         if sum(1 for a in A for b in B if f[a] == g[b]) > 10:
             continue  # keep the enumeration tractable; seeded, so still deterministic
         fails = _square_preserved(op, j, A, B, Z, f, g, bound)
@@ -507,7 +478,7 @@ def check_cartesian(op, j, seed=0, squares=100, max_size=5, bound=3, nat_samples
 
     # one fixed collapse plus seeded random functions
     functions = [(("x", "y"), ("z",), {"x": "z", "y": "z"})]
-    for _ in range(nat_samples):
+    for _ in range(12):
         na, nb = rng.randint(1, 3), rng.randint(1, 3)
         A = tuple(f"x{i}" for i in range(na))
         B = tuple(f"z{i}" for i in range(nb))

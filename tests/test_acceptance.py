@@ -231,12 +231,15 @@ def test_criterion_6_free_construction_oracle():
 
 
 def test_criterion_7_adjunction_suite():
+    t0 = time.perf_counter()
     rep = adjunction_suite(bound=3)
+    elapsed = time.perf_counter() - t0
     for key, r in rep.items():
         assert r["ok"], (key, r["failures"][:2] if "failures" in r else r)
     assert rep["tri_sym"]["checked_U"] > 0 and rep["tri_sym"]["checked_L"] > 0
-    print(f"\n[criterion 7] adjunction suite: PASS "
-          f"(U={rep['tri_sym']['checked_U']}+{rep['tri_word']['checked_U']}, "
+    assert elapsed < 90.0
+    print(f"\n[criterion 7] adjunction suite: PASS ({elapsed:.1f}s < 90s, "
+          f"U={rep['tri_sym']['checked_U']}+{rep['tri_word']['checked_U']}, "
           f"L={rep['tri_sym']['checked_L']}+{rep['tri_word']['checked_L']}, "
           f"counit classes={rep['counit_sym']['classes']}"
           f"+{rep['counit_word']['classes']})")

@@ -15,12 +15,13 @@ from gmcat.adjoint import (L, check_triangles, coeq_equiv, counit_hat,
                            witness_hat_unit_failure)
 from gmcat.catoperad import associativity_operad, barratt_eccles
 from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
-                            z2_discrete_algebra)
-from gmcat.dmulticat import terminal_multicat
+                            xi_fill, z2_discrete_algebra)
+from gmcat.dmulticat import (ClassicalMulticat, from_nonsymmetric,
+                             terminal_multicat)
 from gmcat.errors import BoundExceeded, StructuralError
 from gmcat.fincat import terminal_category, validate_category
 from gmcat.finset import canon_key
-from gmcat.opmonad import I_D, elements_of, melem
+from gmcat.opmonad import I_D, T_D, elements_of, eta, map_elem, melem, mu
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -185,6 +186,59 @@ def test_triangle_fault_injection(monkeypatch):
     rep = check_triangles(M, z2_discrete_algebra(BE), bound=2)
     assert not rep["ok"]
     assert rep["triangle_U"]
+
+
+def test_triangle_crash_is_not_a_failed_triangle(monkeypatch):
+    def crash(A, hat):
+        raise KeyError("injected")
+    monkeypatch.setattr(adjoint, "counit_hat", crash)
+    with pytest.raises(KeyError):
+        check_triangles(terminal_multicat(BE), z2_discrete_algebra(BE), bound=2)
+
+
+def test_triangle_L_fault_injection(monkeypatch):
+    # evaluate only the lists and drop the rearrangement data: the round
+    # trip through z2 still holds, the one through L(M) moves a class
+    def counit_without_data(A, hat):
+        return xi_fill(A, map_elem(A.operad, lambda w: w[0], hat.phi))
+    monkeypatch.setattr(adjoint, "counit_hat", counit_without_data)
+    BE3 = barratt_eccles(3)
+    rep = check_triangles(terminal_multicat(BE3), z2_discrete_algebra(BE3),
+                          bound=2)
+    assert not rep["ok"] and not rep["triangle_U"]
+    assert {f[0] for f in rep["triangle_L"]} == {"round trip moves a class"}
+
+
+def test_counit_fault_injection(monkeypatch):
+    # the free algebra's action drops the rearrangement data: the counit
+    # into the free algebra on the terminal category stops being an algebra map
+    def xi1_without_data(op, M, E):
+        lists = map_elem(op, lambda h: h.phi, E)
+        flat = mu(op, map_elem(op, lambda h: h.sigma, E))
+        return make_hat(op, M, mu(op, T_D(op, lists)), I_D(op, T_D(op, flat)))
+    monkeypatch.setattr(adjoint, "hat_xi1", xi1_without_data)
+    BE3 = barratt_eccles(3)
+    rep = counit_report(free_algebra(BE3, terminal_category(), 2), bound=2)
+    assert not rep["ok"]
+    assert {f[0] for f in rep["failures"]} == {"action not preserved"}
+
+
+def test_unit_report_catches_a_foreign_composition():
+    # the unit of Z/2 (one object, unary 1 and e with e.e = 1) into the free
+    # algebra on a copy where e.e = e
+    ASS2 = associativity_operad(2)
+    flip = ClassicalMulticat(
+        ("*",), ("1", "e"), {"1": ("*",), "e": ("*",)}, {"1": "*", "e": "*"},
+        {"*": "1"}, {("1", ("1",)): "1", ("1", ("e",)): "e",
+                     ("e", ("1",)): "e", ("e", ("e",)): "1"})
+    M = from_nonsymmetric(flip, ASS2)
+    assert unit_report(M)["ok"]
+    M = from_nonsymmetric(flip, ASS2)
+    key = ("e", eta(ASS2, 0, "e"))
+    M.free_algebras["L"] = L(replace(M, composition={**M.composition,
+                                                     key: "e"}))
+    rep = unit_report(M)
+    assert rep["failures"] == [("composition not preserved", key)]
 
 
 def test_make_hat_rejects_mismatched_parts():

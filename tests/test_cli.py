@@ -48,6 +48,23 @@ def test_operad_builtin_reference():
     assert op.name == "barratt_eccles" and op.max_level == 4
 
 
+def test_operad_builtin_name_alone_is_not_a_reference():
+    # a table-backed copy of BE(3) under the builtin's name, with one action
+    # entry changed: the swap now fixes (1, 2)
+    base = barratt_eccles(3)
+    at, ct = operad_tables(base)
+    at[(0, 2, (2, 1), (1, 2))] = (1, 2)
+    tampered = tabulated_operad("barratt_eccles", 3, base.levels, base.unit,
+                                at, ct)
+    assert not validate_operad(tampered)["ok"]
+    doc = rt(jsonio.encode_operad(tampered))
+    assert "builtin" not in doc and "levels" in doc
+    assert not validate_operad(jsonio.decode_operad(doc))["ok"]
+    for op in (base, associativity_operad(3)):
+        assert jsonio.encode_operad(op) == {"kind": "operad", "builtin": op.name,
+                                            "truncate": 3}
+
+
 def test_operad_tabulated_round_trip():
     base = associativity_operad(2)
     at, ct = operad_tables(base)

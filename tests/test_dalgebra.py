@@ -129,6 +129,19 @@ def test_kappa_squares_terminal():
     assert rep["ok"], rep["failures"][:3]
 
 
+def test_kappa_report_catches_a_wrong_composite():
+    # the underlying multicategory of z2, with one composite replaced by a
+    # multimorphism over the other carrier morphism
+    A = z2_discrete_algebra(BE)
+    U = underlying(A, 2)
+    w = next(w for w in enumerate_M2(U) if w[1].n == 2)
+    other = next(v for v in U.morphisms if v[0] != U.composition[w][0])
+    A.underlying[2] = replace(U, composition={**U.composition, w: other})
+    rep = kappa_report(A, bound=2)
+    assert not rep["ok"]
+    assert ("comparison misses the composite", w) in rep["failures"]
+
+
 def test_unit_laws_of_action():
     A = z2_discrete_algebra(BE)
     assert A.xi0(eta(BE, 0, 1)) == 1

@@ -11,9 +11,8 @@ from gmcat.fincat import (CatFunctor, Presheaf, c0_presheaf, discrete_category,
                           grothendieck, is_target_cover, validate_category,
                           validate_functor, validate_presheaf)
 from gmcat.finset import Perm, perms
-from gmcat.opmonad import (ComposablePair, I_D, S_D, T_D, all_elements,
-                           canonicalize, check_cartesian,
-                           check_preserves_cover, chi, composable_pair,
+from gmcat.opmonad import (I_D, S_D, T_D, all_elements, canonicalize,
+                           check_cartesian, check_preserves_cover, chi,
                            dcat_compose, elements_of, eta, gamma_D, map_elem,
                            melem, monad_category, monad_functor,
                            monad_presheaf, mu, nested_elements, theta,
@@ -124,14 +123,6 @@ def test_gamma_rejects_noncomposable():
         gamma_D(BE, e, bad)
     with pytest.raises(StructuralError):
         gamma_D(BE, e, melem(BE, 1, ((1,), (1,)), ("x",)))
-
-
-def test_composable_pair_factory():
-    e = melem(BE, 1, ((1, 2), (2, 1)), ("x", "y"))
-    good = composable_pair(BE, melem(BE, 1, ((1, 2), (1, 2)), ("y", "x")), e)
-    assert isinstance(good, ComposablePair)
-    with pytest.raises(StructuralError):
-        composable_pair(BE, e, e)
 
 
 def test_truncation_is_loud():
