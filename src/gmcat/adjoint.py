@@ -17,7 +17,7 @@ from .dalgebra import (DAlgebra, underlying, underlying_act,
 from .dmulticat import act_slots, enumerate_M2
 from .errors import BoundExceeded, StructuralError
 from .fincat import category
-from .finset import UnionFind, canon_key
+from .finset import UnionFind, canon_key, fibre_product, fibres
 from .opmonad import (I_D, S_D, T_D, align_sigma, all_elements, canonicalize,
                       chi, elements_of, eta, gamma_D, map_elem, mu, mu_raw)
 
@@ -122,7 +122,8 @@ class LazyDAlgebra:
     M: object
     quotient: bool
     name: str = ""
-    # multimorphism lists by length, as (phi, target, flattened source) rows
+    # multimorphism lists by length, as (phi, flattened source) rows grouped
+    # by (target, flattened arity): the rows that can land in one hom-set
     phi_rows: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
     # object-level data by arity, indexed (by (source, target), by target)
@@ -136,47 +137,37 @@ class LazyDAlgebra:
     def objects_upto(self, bound):
         return all_elements(self.operad, 0, self.M.objects, bound)
 
-    def _phis(self, n):
-        """All multimorphism lists of a given length, with target and
-        flattened source precomputed (skipping flattenings past truncation)."""
-        if n not in self.phi_rows:
+    def _phis(self, a, b):
+        """The multimorphism lists with target b whose flattened sources have
+        a's arity, with those sources (skipping flattenings past truncation)."""
+        if b.n not in self.phi_rows:
             op, M = self.operad, self.M
-            rows = []
-            for phi in elements_of(op, 0, M.morphisms, n):
-                if sum(M.src[g].n for g in phi.xs) > op.max_level:
-                    continue
-                rows.append((phi, list_target(op, M, phi),
-                             flat_source(op, M, phi)))
-            self.phi_rows[n] = tuple(rows)
-        return self.phi_rows[n]
+            rows = ((phi, flat_source(op, M, phi))
+                    for phi in elements_of(op, 0, M.morphisms, b.n)
+                    if sum(M.src[g].n for g in phi.xs) <= op.max_level)
+            self.phi_rows[b.n] = fibres(
+                rows, lambda r: (list_target(op, M, r[0]), r[1].n))
+        return self.phi_rows[b.n].get((b, a.n), ())
 
     def _sigmas(self, n):
         if n not in self.sigma_index:
-            op, M = self.operad, self.M
-            by_ends, by_tgt = {}, {}
-            for s in elements_of(op, 1, M.objects, n):
-                by_ends.setdefault((S_D(op, s), T_D(op, s)), []).append(s)
-                by_tgt.setdefault(T_D(op, s), []).append(s)
-            self.sigma_index[n] = (by_ends, by_tgt)
+            op = self.operad
+            sigmas = elements_of(op, 1, self.M.objects, n)
+            self.sigma_index[n] = (
+                fibres(sigmas, lambda s: (S_D(op, s), T_D(op, s))),
+                fibres(sigmas, lambda s: T_D(op, s)))
         return self.sigma_index[n]
 
     def hom_hat(self, a, b):
-        out = []
-        for phi, tgt_b, flat in self._phis(b.n):
-            if tgt_b != b or flat.n != a.n:
-                continue
-            for s in self._sigmas(a.n)[0].get((a, flat), ()):
-                out.append(HatMorphism(phi, s))
-        out.sort(key=canon_key)
-        return tuple(out)
+        by_ends = self._sigmas(a.n)[0]
+        return tuple(sorted((HatMorphism(phi, s) for phi, flat in self._phis(a, b)
+                             for s in by_ends.get((a, flat), ())), key=canon_key))
 
     # -- the coequalizer relation -------------------------------------------
     def relation_instances(self, a, b):
         """Both legs of every relation instance landing in hom(a, b)."""
         op, M = self.operad, self.M
-        for phi, tgt_b, flat in self._phis(b.n):
-            if tgt_b != b or flat.n != a.n:
-                continue
+        for phi, _ in self._phis(a, b):
             slots = [self._sigmas(s.n)[1].get(s, ())
                      for s in (M.src[g] for g in phi.xs)]
             if any(not c for c in slots):
@@ -338,11 +329,8 @@ def to_algebra(lazy, bound):
                 mors.append(h)
                 src[h], tgt[h] = a, b
     ident = {a: lazy.ident(a) for a in objs}
-    comp = {}
-    for f in mors:
-        for g in mors:
-            if src[f] == tgt[g]:
-                comp[(f, g)] = lazy.compose(f, g)
+    comp = {(f, g): lazy.compose(f, g)
+            for f, g in fibre_product(mors, src.__getitem__, mors, tgt.__getitem__)}
     carrier = category(objs, mors, src, tgt, ident, comp)
     inside = frozenset(mors)
 
@@ -476,18 +464,16 @@ def counit_report(A, bound=2):
             bounded += 1
         elif eps[LU.ident(a)] != A.carrier.ident[counit_object(A, a)]:
             failures.append(("identity not preserved", a))
-    for f, fa in eps.items():
-        for g, ga in eps.items():
-            if LU.src(f) == LU.tgt(g):
-                try:
-                    h = LU.compose(f, g)
-                except BoundExceeded:
-                    bounded += 1
-                    continue
-                if h not in eps:
-                    bounded += 1
-                elif eps[h] != A.carrier.comp[(fa, ga)]:
-                    failures.append(("composition not preserved", (f, g)))
+    for f, g in fibre_product(eps, LU.src, eps, LU.tgt):
+        try:
+            h = LU.compose(f, g)
+        except BoundExceeded:
+            bounded += 1
+            continue
+        if h not in eps:
+            bounded += 1
+        elif eps[h] != A.carrier.comp[(eps[f], eps[g])]:
+            failures.append(("composition not preserved", (f, g)))
     mors = tuple(eps)
     checked = 0
     for E in all_elements(op, 1, mors, 2):

@@ -19,11 +19,10 @@ from .adjoint import (L, check_triangles, counit_report, hat_L,
 from .catoperad import BUILTIN_OPERADS, freeness_report, validate_operad
 from .dalgebra import (free_algebra, terminal_algebra, underlying,
                        validate_algebra, z2_discrete_algebra)
-from .dmulticat import (from_nonsymmetric, from_symmetric, terminal_multicat,
-                        validate_classical, validate_multicat)
+from .dmulticat import (_level_unit_obj, from_nonsymmetric, from_symmetric,
+                        terminal_multicat, validate_classical, validate_multicat)
 from .errors import BoundExceeded, StructuralError
 from .fincat import terminal_category, validate_category
-from .finset import canon_key
 from .opmonad import canonicalize
 from .report import (DEFAULT_TRUNCATE, RunConfig, build, check, emit,
                      exit_code, from_validator)
@@ -172,8 +171,16 @@ def _object_spec(spec, M, op):
     for x in labels:
         if x not in M.objects:
             raise StructuralError(f"{x!r} is not an object of the multicategory")
-    d0 = min(op.elements(0, len(labels)), key=canon_key)
-    return canonicalize(op, 0, len(labels), d0, labels)
+    return canonicalize(op, 0, len(labels), _level_unit_obj(op, len(labels)), labels)
+
+
+def _algebra_checks(A, cfg):
+    """The carrier's category laws, then the algebra laws, which read the
+    carrier's tables and so run only on a carrier that passed."""
+    checks = [from_validator("carrier category laws", validate_category(A.carrier))]
+    if checks[0]["status"] != "fail":
+        checks.append(from_validator("algebra laws", validate_algebra(A, cfg.bound)))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +201,7 @@ def cmd_validate(cfg):
             checks.append(from_validator(
                 "multicategory axioms", validate_multicat(M, seed=cfg.seed)))
     else:
-        A = _algebra_target(target, cfg)
-        checks.append(from_validator("carrier category laws",
-                                     validate_category(A.carrier)))
-        checks.append(from_validator("algebra laws",
-                                     validate_algebra(A, cfg.bound)))
+        checks = _algebra_checks(_algebra_target(target, cfg), cfg)
     return build(cfg, checks)
 
 
@@ -232,9 +235,7 @@ def cmd_free(cfg):
 
 def cmd_underlying(cfg):
     A = _algebra_target(cfg.targets[0], cfg)
-    checks = [from_validator("carrier category laws",
-                             validate_category(A.carrier)),
-              from_validator("algebra laws", validate_algebra(A, cfg.bound))]
+    checks = _algebra_checks(A, cfg)
     if any(c["status"] == "fail" for c in checks):
         return build(cfg, checks)
     U = underlying(A, cfg.bound)

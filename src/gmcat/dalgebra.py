@@ -15,12 +15,14 @@ so one copy of each helper serves both.
 
 from dataclasses import dataclass, field, replace
 
-from .dmulticat import DMulticat, enumerate_M2, enumerate_M3, gamma_S, gamma_T
+from .dmulticat import (DMulticat, enumerate_M2, enumerate_M3, gamma_S, gamma_T,
+                        source_action_domain)
 from .errors import BoundExceeded, StructuralError
 from .fincat import discrete_category, terminal_category
-from .opmonad import (I_D, S_D, T_D, all_elements, dcat_compose, dcat_ident,
-                      dcat_src, dcat_tgt, elements_of, eta, map_elem,
-                      monad_category, mu, nested_elements)
+from .finset import fibre_product
+from .opmonad import (I_D, S_D, all_elements, dcat_compose, dcat_ident,
+                      dcat_src, dcat_tgt, eta, map_elem, monad_category, mu,
+                      nested_elements)
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,13 @@ def validate_algebra(A, arity_bound=3):
                 failures.append(("identities not preserved", X))
         except BoundExceeded:
             bounded += 1
-    for E in mors:
-        tgt_key = dcat_src(op, C, E)
-        for E2 in mors:
-            if dcat_tgt(op, C, E2) != tgt_key:
-                continue
-            try:
-                if A.xi1(dcat_compose(op, C, E, E2)) != \
-                   C.comp[(A.xi1(E), A.xi1(E2))]:
-                    failures.append(("composition not preserved", (E, E2)))
-            except BoundExceeded:
-                bounded += 1
+    for E, E2 in fibre_product(mors, lambda E: dcat_src(op, C, E),
+                               mors, lambda E2: dcat_tgt(op, C, E2)):
+        try:
+            if A.xi1(dcat_compose(op, C, E, E2)) != C.comp[(A.xi1(E), A.xi1(E2))]:
+                failures.append(("composition not preserved", (E, E2)))
+        except BoundExceeded:
+            bounded += 1
     return {"ok": not failures, "failures": failures, "bounded": bounded,
             "morphisms_checked": len(mors)}
 
@@ -167,28 +165,19 @@ def underlying(A, bound=3):
         return A.underlying[bound]
     op, C = A.operad, A.carrier
     objects = tuple(C.objects)
-    splittings = []
+    values = {}  # each splitting's value in the carrier
     for X in all_elements(op, 0, objects, bound):
         try:
-            splittings.append((X, A.xi0(X)))
+            values[X] = A.xi0(X)
         except BoundExceeded:
             continue  # cannot match any in-carrier source
-    morphisms = []
-    for h in C.morphisms:
-        for X, val in splittings:
-            if C.src[h] == val:
-                morphisms.append((h, X))
-    morphisms = tuple(morphisms)
+    morphisms = tuple(fibre_product(C.morphisms, C.src.__getitem__,
+                                    values, values.__getitem__))
     tgt = {w: C.tgt[w[0]] for w in morphisms}
     src = {w: w[1] for w in morphisms}
     ident = {x: underlying_ident(A, x) for x in objects}
-
-    action = {}
-    for w in morphisms:
-        for delta in elements_of(op, 1, objects, w[1].n):
-            if T_D(op, delta) != w[1]:
-                continue
-            action[(w, delta)] = underlying_act(A, w, delta)
+    action = {(w, delta): underlying_act(A, w, delta)
+              for w, delta in source_action_domain(op, morphisms, src, objects, bound)}
 
     half = DMulticat(op, objects, morphisms, tgt, src, ident, action, {})
     composition = {}

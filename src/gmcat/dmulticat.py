@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import StructuralError
 from .fincat import Presheaf, transport_presheaf, validate_presheaf
-from .finset import block_perm, canon_key, perms
+from .finset import block_perm, canon_key, fibre_product, fibres, perms
 from .opmonad import (T_D, align_sigma, all_elements, canonicalize,
                       elements_of, eta, map_elem, melem, monad_set_category,
                       mu, mu_raw)
@@ -80,9 +80,7 @@ def enumerate_M3(M):
     pairs whose first components recover the pair's filling."""
     op, out = M.operad, []
     m2 = enumerate_M2(M)
-    by_first = {}
-    for w in m2:
-        by_first.setdefault(w[0], []).append(w)
+    by_first = fibres(m2, lambda w: w[0])
     for f, Phi in m2:
         slots = [by_first.get(g, ()) for g in Phi.xs]
         if any(not s for s in slots):
@@ -208,19 +206,17 @@ def validate_multicat(M, coherence_budget=2000, seed=0):
 
 
 def _coherence_triples(M, budget, seed):
-    """Pairs from M2 with one action morphism chosen per source slot."""
+    """Pairs from M2 with one action morphism chosen per source slot, among
+    the action entries M has (validate_presheaf reports the missing ones)."""
     op = M.operad
-    deltas_at = {}
-    for n in range(M.cap + 1):
-        for X in all_elements(op, 0, M.objects, n):
-            deltas_at.setdefault(X, [])
-        for d in elements_of(op, 1, M.objects, n):
-            deltas_at.setdefault(T_D(op, d), []).append(d)
+    deltas_at = fibres(all_elements(op, 1, M.objects, M.cap), lambda d: T_D(op, d))
+    acting = {g: [t for t in deltas_at.get(M.src[g], ()) if (g, t) in M.source_action]
+              for g in M.morphisms}
     combos = []
     for f, Phi in enumerate_M2(M):
         if (f, Phi) not in M.composition:
             continue
-        slots = [deltas_at.get(M.src[g], ()) for g in Phi.xs]
+        slots = [acting[g] for g in Phi.xs]
         if any(not s for s in slots):
             continue
         count = 1
@@ -279,9 +275,10 @@ def validate_classical(cm, symmetric):
                     if lhs != cm.act.get((f, s.compose(t).images)):
                         failures.append(("action law fails", (f, s.images, t.images)))
 
+    into = fibres(cm.morphisms, cm.tgt.__getitem__)
+
     def fillings(f):
-        slots = [[g for g in cm.morphisms if cm.tgt[g] == x] for x in cm.src[f]]
-        for combo in product(*slots):
+        for combo in product(*(into.get(x, ()) for x in cm.src[f])):
             if sum(len(cm.src[g]) for g in combo) <= cap:
                 yield combo
 
@@ -335,18 +332,14 @@ def _encode(cm, op, symmetric):
     src = {f: melem(op, 0, _level_unit_obj(op, len(cm.src[f])), cm.src[f])
            for f in cm.morphisms}
     action = {}
-    for f in cm.morphisms:
-        n = len(cm.src[f])
-        for delta in elements_of(op, 1, cm.objects, n):
-            if T_D(op, delta) != src[f]:
-                continue
-            r = _left_coset_perm(op, delta, src[f])
-            if symmetric:
-                action[(f, delta)] = cm.act[(f, r.inverse().images)]
-            else:
-                if not r.is_identity:
-                    raise StructuralError("non-identity action morphism over a discrete operad")
-                action[(f, delta)] = f
+    for f, delta in source_action_domain(op, cm.morphisms, src, cm.objects, cap):
+        r = _left_coset_perm(op, delta, src[f])
+        if symmetric:
+            action[(f, delta)] = cm.act[(f, r.inverse().images)]
+        else:
+            if not r.is_identity:
+                raise StructuralError("non-identity action morphism over a discrete operad")
+            action[(f, delta)] = f
     composition = {}
     M_half = DMulticat(op, tuple(cm.objects), tuple(cm.morphisms),
                        dict(cm.tgt), src, dict(cm.ident), action, {})
@@ -357,6 +350,13 @@ def _encode(cm, op, symmetric):
             raise StructuralError("filling misaligned with literal sources")
         composition[(f, Phi)] = cm.comp[(f, fillers)]
     return replace(M_half, composition=composition)
+
+
+def source_action_domain(op, morphisms, src, objects, cap):
+    """The pairs (f, delta) with T_D(delta) = src(f), arities up to cap: the
+    domain of a source action."""
+    return fibre_product(morphisms, src.__getitem__,
+                         all_elements(op, 1, objects, cap), lambda d: T_D(op, d))
 
 
 def _level_unit_obj(op, n):
@@ -408,12 +408,8 @@ def terminal_multicat(op, cap=None):
            for n in range(cap + 1)}
     tgt = {f: "*" for f in morphisms}
     ident = {"*": ("t", 1)}
-    action = {}
-    for f in morphisms:
-        n = f[1]
-        for delta in elements_of(op, 1, objects, n):
-            if T_D(op, delta) == src[f]:
-                action[(f, delta)] = f
+    action = {(f, delta): f
+              for f, delta in source_action_domain(op, morphisms, src, objects, cap)}
     M_half = DMulticat(op, objects, morphisms, tgt, src, ident, action, {})
     composition = {(f, Phi): ("t", mu(op, map_elem(op, src.get, Phi)).n)
                    for f, Phi in enumerate_M2(M_half)}

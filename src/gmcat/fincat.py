@@ -10,7 +10,8 @@ eps(x.f) = src(f).
 from dataclasses import dataclass
 
 from .errors import FreenessError, StructuralError
-from .finset import FinFn, GroupAction, canon_key, finset, identity_perm, sort_labels
+from .finset import (FinFn, GroupAction, canon_key, fibre_product, fibres, finset,
+                     identity_perm, sort_labels)
 
 
 @dataclass
@@ -26,8 +27,8 @@ class FinCategory:
         return tuple(f for f in self.morphisms if self.src[f] == a and self.tgt[f] == b)
 
     def composable_pairs(self):
-        return tuple((f, g) for f in self.morphisms for g in self.morphisms
-                     if self.src[f] == self.tgt[g])
+        return tuple(fibre_product(self.morphisms, self.src.__getitem__,
+                                   self.morphisms, self.tgt.__getitem__))
 
 
 def category(objects, morphisms, src, tgt, ident, comp):
@@ -58,13 +59,20 @@ def validate_category(C):
         i = C.ident.get(o)
         if i is None or C.src.get(i) != o or C.tgt.get(i) != o:
             failures.append(("bad identity", o))
-    pairs = set(C.composable_pairs())
+    if failures:  # the checks below pair morphisms through these tables
+        return {"ok": False, "failures": failures,
+                "objects": len(C.objects), "morphisms": len(C.morphisms)}
+    ordered = C.composable_pairs()
+    pairs = set(ordered)
     if set(C.comp) != pairs:
         for w in sorted(set(C.comp) ^ pairs, key=canon_key):
             failures.append(("composition table domain mismatch", w))
-    for (f, g) in pairs & set(C.comp):
+    mors = set(C.morphisms)
+    for f, g in ordered:  # in pair order, so the witnesses do not depend on hashing
+        if (f, g) not in C.comp:
+            continue
         h = C.comp[(f, g)]
-        if h not in set(C.morphisms) or C.src.get(h) != C.src[g] or C.tgt.get(h) != C.tgt[f]:
+        if h not in mors or C.src.get(h) != C.src[g] or C.tgt.get(h) != C.tgt[f]:
             failures.append(("composite has wrong endpoints", (f, g)))
     for f in C.morphisms:
         a, b = C.src[f], C.tgt[f]
@@ -72,16 +80,12 @@ def validate_category(C):
             failures.append(("right unit fails", (f, a)))
         if C.comp.get((C.ident[b], f)) != f:
             failures.append(("left unit fails", (f, b)))
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if C.src[f] != C.tgt[g]:
-                continue
-            fg = C.comp.get((f, g))
-            for h in C.morphisms:
-                if C.src[g] != C.tgt[h]:
-                    continue
-                if C.comp.get((fg, h)) != C.comp.get((f, C.comp.get((g, h)))):
-                    failures.append(("associativity fails", (f, g, h)))
+    # lazy: the triples of a level-4 category run to hundreds of thousands
+    with_fg = ((f, g, C.comp.get((f, g))) for f, g in ordered)
+    for (f, g, fg), h in fibre_product(with_fg, lambda p: C.src[p[1]],
+                                       C.morphisms, C.tgt.__getitem__):
+        if C.comp.get((fg, h)) != C.comp.get((f, C.comp.get((g, h)))):
+            failures.append(("associativity fails", (f, g, h)))
     return {"ok": not failures, "failures": failures,
             "objects": len(C.objects), "morphisms": len(C.morphisms),
             "composable_pairs": len(pairs)}
@@ -103,8 +107,8 @@ def nerve_level(C, n):
                           {o: o for o in C.objects})
     chains = [(f,) for f in C.morphisms]
     for _ in range(n - 1):
-        chains = [ch + (g,) for ch in chains for g in C.morphisms
-                  if C.src[ch[-1]] == C.tgt[g]]
+        chains = [ch + (g,) for ch, g in fibre_product(
+            chains, lambda ch: C.src[ch[-1]], C.morphisms, C.tgt.__getitem__)]
     return NerveLevel(n, tuple(chains),
                       {ch: C.src[ch[-1]] for ch in chains},
                       {ch: C.tgt[ch[0]] for ch in chains})
@@ -147,13 +151,12 @@ def validate_functor(F):
 def _is_cover(F, c_end, d_end):
     """Unique lifting of morphisms through the chosen end; returns (ok, witness)."""
     C, D = F.dom, F.cod
-    for x in C.objects:
-        for f in D.morphisms:
-            if d_end[f] != F.obj_map[x]:
-                continue
-            lifts = [h for h in C.morphisms if c_end[h] == x and F.mor_map[h] == f]
-            if len(lifts) != 1:
-                return False, ("no lift" if not lifts else "ambiguous lift", (x, f))
+    lifts = fibres(C.morphisms, lambda h: (c_end[h], F.mor_map[h]))
+    for x, f in fibre_product(C.objects, F.obj_map.__getitem__,
+                              D.morphisms, d_end.__getitem__):
+        hits = lifts.get((x, f), ())
+        if len(hits) != 1:
+            return False, ("no lift" if not hits else "ambiguous lift", (x, f))
     return True, None
 
 
@@ -219,7 +222,7 @@ def validate_presheaf(P):
     for x in P.carrier:
         if P.eps.get(x) not in C.objects:
             failures.append(("eps value outside objects", x))
-    want = {(x, f) for x in P.carrier for f in C.morphisms if P.eps[x] == C.tgt[f]}
+    want = set(fibre_product(P.carrier, P.eps.__getitem__, C.morphisms, C.tgt.__getitem__))
     if set(P.act) != want:
         for w in sorted(set(P.act) ^ want, key=canon_key):
             failures.append(("action domain mismatch", w))
@@ -232,25 +235,23 @@ def validate_presheaf(P):
     for x in P.carrier:
         if P.act[(x, C.ident[P.eps[x]])] != x:
             failures.append(("unit action fails", x))
-    for (f, g) in C.composable_pairs():
-        for x in P.carrier:
-            if P.eps[x] != C.tgt[f]:
-                continue
-            if P.act[(P.act[(x, f)], g)] != P.act[(x, C.comp[(f, g)])]:
-                failures.append(("associativity of action fails", (x, f, g)))
+    for (f, g), x in fibre_product(C.composable_pairs(), lambda p: C.tgt[p[0]],
+                                   P.carrier, P.eps.__getitem__):
+        if P.act[(P.act[(x, f)], g)] != P.act[(x, C.comp[(f, g)])]:
+            failures.append(("associativity of action fails", (x, f, g)))
     return {"ok": not failures, "failures": failures}
 
 
 def c0_presheaf(C):
     """Objects as a presheaf: the action of f moves tgt(f) to src(f)."""
-    act = {(x, f): C.src[f] for x in C.objects for f in C.morphisms if x == C.tgt[f]}
+    act = {(x, f): C.src[f] for x, f in fibre_product(C.objects, lambda x: x,
+                                                      C.morphisms, C.tgt.__getitem__)}
     return Presheaf(C, tuple(C.objects), {x: x for x in C.objects}, act)
 
 
 def c1_presheaf(C):
     """C's own morphisms acted on by composing at the source."""
-    act = {(x, f): C.comp[(x, f)] for x in C.morphisms for f in C.morphisms
-           if C.src[x] == C.tgt[f]}
+    act = {p: C.comp[p] for p in C.composable_pairs()}
     return Presheaf(C, tuple(C.morphisms), {x: C.src[x] for x in C.morphisms}, act)
 
 
@@ -262,7 +263,8 @@ def objects_presheaf(F):
     C, D = F.dom, F.cod
     eps = {x: F.obj_map[x] for x in C.objects}
     act = {(x, f): C.src[target_lift(F, x, f)]
-           for x in C.objects for f in D.morphisms if eps[x] == D.tgt[f]}
+           for x, f in fibre_product(C.objects, eps.__getitem__,
+                                     D.morphisms, D.tgt.__getitem__)}
     return Presheaf(D, tuple(C.objects), eps, act)
 
 
@@ -274,7 +276,8 @@ def morphisms_presheaf(F):
     C, D = F.dom, F.cod
     eps = {h: F.obj_map[C.src[h]] for h in C.morphisms}
     act = {(h, f): C.comp[(h, target_lift(F, C.src[h], f))]
-           for h in C.morphisms for f in D.morphisms if eps[h] == D.tgt[f]}
+           for h, f in fibre_product(C.morphisms, eps.__getitem__,
+                                     D.morphisms, D.tgt.__getitem__)}
     return Presheaf(D, tuple(C.morphisms), eps, act)
 
 
@@ -285,15 +288,14 @@ def grothendieck(P):
         raise StructuralError(f"grothendieck needs a valid presheaf: {rep['failures'][0]}")
     C = P.base
     objects = tuple(P.carrier)
-    morphisms = [(x, f) for x in P.carrier for f in C.morphisms if P.eps[x] == C.tgt[f]]
+    morphisms = tuple(fibre_product(P.carrier, P.eps.__getitem__,
+                                    C.morphisms, C.tgt.__getitem__))
     src = {(x, f): P.act[(x, f)] for (x, f) in morphisms}
     tgt = {(x, f): x for (x, f) in morphisms}
     ident = {x: (x, C.ident[P.eps[x]]) for x in objects}
-    comp = {}
-    for (x, f) in morphisms:
-        for (y, g) in morphisms:
-            if src[(x, f)] == y:
-                comp[((x, f), (y, g))] = (x, C.comp[(f, g)])
+    comp = {((x, f), (y, g)): (x, C.comp[(f, g)])
+            for (x, f), (y, g) in fibre_product(morphisms, src.__getitem__,
+                                                morphisms, tgt.__getitem__)}
     G = category(objects, morphisms, src, tgt, ident, comp)
     proj = CatFunctor(G, C, {x: P.eps[x] for x in objects}, {m: m[1] for m in morphisms})
     return G, proj
@@ -313,15 +315,13 @@ def transport_presheaf(F, P, eps_factor):
         if F.obj_map.get(eps_factor.get(x)) != P.eps[x]:
             raise StructuralError(f"eps factorization fails at {x!r}")
     act = {}
-    for x in P.carrier:
-        for h in C.morphisms:
-            if C.tgt[h] != eps_factor[x]:
-                continue
-            y = P.act[(x, F.mor_map[h])]
-            if eps_factor[y] != C.src[h]:
-                raise StructuralError(
-                    f"factorization incompatible with action at ({x!r}, {h!r})")
-            act[(x, h)] = y
+    for x, h in fibre_product(P.carrier, eps_factor.__getitem__,
+                              C.morphisms, C.tgt.__getitem__):
+        y = P.act[(x, F.mor_map[h])]
+        if eps_factor[y] != C.src[h]:
+            raise StructuralError(
+                f"factorization incompatible with action at ({x!r}, {h!r})")
+        act[(x, h)] = y
     out = Presheaf(C, tuple(P.carrier), dict(eps_factor), act)
     rep = validate_presheaf(out)
     if not rep["ok"]:
@@ -336,11 +336,9 @@ def project_presheaf(F, P):
         raise StructuralError(f"projection needs a target cover: {w}")
     C, D = F.dom, F.cod
     eps = {x: F.obj_map[P.eps[x]] for x in P.carrier}
-    act = {}
-    for x in P.carrier:
-        for f in D.morphisms:
-            if D.tgt[f] == eps[x]:
-                act[(x, f)] = P.act[(x, target_lift(F, P.eps[x], f))]
+    act = {(x, f): P.act[(x, target_lift(F, P.eps[x], f))]
+           for x, f in fibre_product(P.carrier, eps.__getitem__,
+                                     D.morphisms, D.tgt.__getitem__)}
     return Presheaf(D, tuple(P.carrier), eps, act)
 
 
@@ -416,18 +414,16 @@ def quotient_category(C, A):
                 raise StructuralError(f"endpoints do not descend at {f!r}")
     ident = {obj_label[o]: mor_label[C.ident[o]] for o in C.objects}
     comp = {}
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if src[mor_label[f]] != tgt[mor_label[g]]:
-                continue
-            aligned = [gg for gg in act_mor.orbit(g) if C.tgt[gg] == C.src[f]]
-            vals = {mor_label[C.comp[(f, gg)]] for gg in aligned}
-            if len(vals) != 1:
-                raise StructuralError(f"composition does not descend at ({f!r}, {g!r})")
-            key = (mor_label[f], mor_label[g])
-            v = vals.pop()
-            if comp.setdefault(key, v) != v:
-                raise StructuralError(f"composition does not descend at {key}")
+    for f, g in fibre_product(C.morphisms, lambda f: src[mor_label[f]],
+                              C.morphisms, lambda g: tgt[mor_label[g]]):
+        aligned = [gg for gg in act_mor.orbit(g) if C.tgt[gg] == C.src[f]]
+        vals = {mor_label[C.comp[(f, gg)]] for gg in aligned}
+        if len(vals) != 1:
+            raise StructuralError(f"composition does not descend at ({f!r}, {g!r})")
+        key = (mor_label[f], mor_label[g])
+        v = vals.pop()
+        if comp.setdefault(key, v) != v:
+            raise StructuralError(f"composition does not descend at {key}")
     Q = category(objects, morphisms, src, tgt, ident, comp)
     rep = validate_category(Q)
     if not rep["ok"]:

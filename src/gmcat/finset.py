@@ -1,8 +1,9 @@
 """Finite sets, functions, permutations, and group actions.
 
-Everything downstream leans on three things defined here: a total canonical
-order on labels (`canon_key`), block permutations/sums, and free-action
-orbit canonicalization.
+Everything downstream leans on four things defined here: a total canonical
+order on labels (`canon_key`), block permutations/sums, free-action orbit
+canonicalization, and the fibre product: every "which of these lie over the
+same point" question goes through `fibres` and `fibre_product`.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,23 @@ def canon_key(x):
 
 def sort_labels(xs):
     return tuple(sorted(xs, key=canon_key))
+
+
+def fibres(xs, key):
+    """Group xs by key: {key(x): [x, ...]}, each group in the order of xs."""
+    out = {}
+    for x in xs:
+        out.setdefault(key(x), []).append(x)
+    return out
+
+
+def fibre_product(A, f, B, g):
+    """The pairs (a, b) with f(a) == g(b), in the order of the nested loop
+    over A then B. f runs once per a and g once per b; lazy in A."""
+    over = fibres(B, g)
+    for a in A:
+        for b in over.get(f(a), ()):
+            yield a, b
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +202,8 @@ def pullback(f, g):
     """Pullback of the cospan f: A -> Z <- B :g, with literal-pair labels."""
     if f.tgt != g.tgt:
         raise StructuralError("pullback: cospan codomains differ")
-    pairs = [(a, b) for a in f.src for b in g.src if canon_key(f(a)) == canon_key(g(b))]
-    P = finset(pairs)
+    P = finset(fibre_product(f.src, lambda a: canon_key(f(a)),
+                             g.src, lambda b: canon_key(g(b))))
     p1 = fn(P, f.src, lambda w: w[0])
     p2 = fn(P, g.src, lambda w: w[1])
     return P, p1, p2
@@ -214,10 +232,7 @@ class UnionFind:
         return False
 
     def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return {r: sort_labels(v) for r, v in out.items()}
+        return {r: sort_labels(v) for r, v in fibres(self.parent, self.find).items()}
 
 
 def coequalizer(f, g):
@@ -239,15 +254,12 @@ def is_pullback(P, p1, p2, f, g):
     for w in P:
         if canon_key(f(p1(w))) != canon_key(g(p2(w))):
             return False, ("square does not commute", w)
-    index = {}
-    for w in P:
-        index.setdefault((canon_key(p1(w)), canon_key(p2(w))), []).append(w)
-    for a in f.src:
-        for b in g.src:
-            if canon_key(f(a)) == canon_key(g(b)):
-                hits = index.get((canon_key(a), canon_key(b)), [])
-                if len(hits) != 1:
-                    return False, ("lift not unique" if hits else "lift missing", (a, b))
+    index = fibres(P, lambda w: (canon_key(p1(w)), canon_key(p2(w))))
+    for a, b in fibre_product(f.src, lambda a: canon_key(f(a)),
+                              g.src, lambda b: canon_key(g(b))):
+        hits = index.get((canon_key(a), canon_key(b)), [])
+        if len(hits) != 1:
+            return False, ("lift not unique" if hits else "lift missing", (a, b))
     for ws in index.values():
         if len(ws) > 1:
             return False, ("projections not jointly injective", ws)
@@ -263,10 +275,8 @@ def is_coequalizer(Q, q, f, g):
     for a in f.src:
         uf.union(f(a), g(a))
     want = {frozenset(map(canon_key, v)) for v in uf.classes().values()}
-    fibers = {}
-    for b in f.tgt:
-        fibers.setdefault(canon_key(q(b)), set()).add(canon_key(b))
-    if set(map(frozenset, fibers.values())) != want:
+    fibers = fibres(f.tgt, lambda b: canon_key(q(b)))
+    if {frozenset(map(canon_key, v)) for v in fibers.values()} != want:
         return False, ("fibers differ from generated congruence", None)
     if len(fibers) != len(Q):
         return False, ("quotient map not surjective", None)
@@ -403,9 +413,7 @@ def orbit_pullback_report(f, g, act_a, act_b, act_z):
             return rep
     PQ, r1, r2 = pullback(fbar, gbar)
     # comparison map [ (a,b) ] -> ([a],[b]) must be a bijection
-    image = {}
-    for w in QP:
-        image.setdefault(canon_key((qa(w[0]), qb(w[1]))), []).append(w)
+    image = fibres(QP, lambda w: canon_key((qa(w[0]), qb(w[1]))))
     for k, ws in image.items():
         if len(ws) > 1:
             rep["ok"] = False

@@ -24,7 +24,7 @@ from itertools import product
 
 from .errors import BoundExceeded, FreenessError, StructuralError
 from .fincat import CatFunctor, Presheaf, category
-from .finset import canon_key, perms, sort_labels
+from .finset import canon_key, fibre_product, fibres, perms, sort_labels
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,9 @@ def monad_category(op, C, bound):
     src = {E: dcat_src(op, C, E) for E in morphisms}
     tgt = {E: dcat_tgt(op, C, E) for E in morphisms}
     ident = {X: dcat_ident(op, C, X) for X in objects}
-    comp = {}
-    for E in morphisms:
-        for E2 in morphisms:
-            if src[E] == tgt[E2]:
-                comp[(E, E2)] = dcat_compose(op, C, E, E2)
+    comp = {(E, E2): dcat_compose(op, C, E, E2)
+            for E, E2 in fibre_product(morphisms, src.__getitem__,
+                                       morphisms, tgt.__getitem__)}
     return category(objects, morphisms, src, tgt, ident, comp)
 
 
@@ -295,19 +293,17 @@ def monad_presheaf(op, P, bound):
     carrier = all_elements(op, 0, P.carrier, bound)
     eps = {X: map_elem(op, lambda x: P.eps[x], X) for X in carrier}
     act = {}
-    for X in carrier:
-        for E in DC.morphisms:
-            if eps[X] != DC.tgt[E]:
-                continue
-            n, L = E.n, op.level(E.n)
-            tau = align_sigma(op, 0, n, X.d, L.tgt[E.d])
-            if tau is None:
-                raise StructuralError("eps matched but orbits do not align")
-            xs = tau.permuted(X.xs)
-            if tuple(P.eps[x] for x in xs) != tuple(C.tgt[f] for f in E.xs):
-                raise StructuralError("eps matched but labels do not align")
-            act[(X, E)] = canonicalize(op, 0, n, L.src[E.d],
-                                       tuple(P.act[(x, f)] for x, f in zip(xs, E.xs)))
+    for X, E in fibre_product(carrier, eps.__getitem__,
+                              DC.morphisms, DC.tgt.__getitem__):
+        n, L = E.n, op.level(E.n)
+        tau = align_sigma(op, 0, n, X.d, L.tgt[E.d])
+        if tau is None:
+            raise StructuralError("eps matched but orbits do not align")
+        xs = tau.permuted(X.xs)
+        if tuple(P.eps[x] for x in xs) != tuple(C.tgt[f] for f in E.xs):
+            raise StructuralError("eps matched but labels do not align")
+        act[(X, E)] = canonicalize(op, 0, n, L.src[E.d],
+                                   tuple(P.act[(x, f)] for x, f in zip(xs, E.xs)))
     return Presheaf(DC, carrier, eps, act)
 
 
@@ -376,16 +372,13 @@ def validate_monad_category(op, labels, bound):
             failures.append(("right unit fails", E))
         if gamma_D(op, I_D(op, T_D(op, E)), E) != E:
             failures.append(("left unit fails", E))
+    by_tgt = fibres(mors, lambda E: T_D(op, E))
     for E in mors:
-        for E2 in mors:
-            if S_D(op, E) != T_D(op, E2):
-                continue
+        for E2 in by_tgt.get(S_D(op, E), ()):
             g = gamma_D(op, E, E2)
             if S_D(op, g) != S_D(op, E2) or T_D(op, g) != T_D(op, E):
                 failures.append(("composite endpoints fail", (E, E2)))
-            for E3 in mors:
-                if S_D(op, E2) != T_D(op, E3):
-                    continue
+            for E3 in by_tgt.get(S_D(op, E2), ()):
                 if gamma_D(op, g, E3) != gamma_D(op, E, gamma_D(op, E2, E3)):
                     failures.append(("gamma associativity fails", (E, E2, E3)))
     # mu commutes with the category structure maps
@@ -431,25 +424,19 @@ def _random_sets(rng):
     return A, B, Z, f, g
 
 
-def _square_preserved(op, j, A, B, Z, f, g, bound):
-    """D of a pullback square is again a pullback: unique joint lifts."""
-    P = tuple((a, b) for a in A for b in B if f[a] == g[b])
-    DP = all_elements(op, j, P, bound)
-    index = {}
-    for w in DP:
-        u = map_elem(op, lambda p: p[0], w)
-        v = map_elem(op, lambda p: p[1], w)
-        index.setdefault((u, v), []).append(w)
-    fibers_b = {}
-    for v in all_elements(op, j, B, bound):
-        fibers_b.setdefault(map_elem(op, lambda b: g[b], v), []).append(v)
+def _square_preserved(op, j, A, B, f, g, P, bound):
+    """D of the pullback square P of f and g is again a pullback: unique joint lifts."""
+    index = fibres(all_elements(op, j, P, bound),
+                   lambda w: (map_elem(op, lambda p: p[0], w),
+                              map_elem(op, lambda p: p[1], w)))
     failures = []
-    for u in all_elements(op, j, A, bound):
-        fu = map_elem(op, lambda a: f[a], u)
-        for v in fibers_b.get(fu, ()):
-            k = len(index.get((u, v), ()))
-            if k != 1:
-                failures.append(("missing lift" if k == 0 else "ambiguous lift", (u, v)))
+    for u, v in fibre_product(all_elements(op, j, A, bound),
+                              lambda u: map_elem(op, f.__getitem__, u),
+                              all_elements(op, j, B, bound),
+                              lambda v: map_elem(op, g.__getitem__, v)):
+        k = len(index.get((u, v), ()))
+        if k != 1:
+            failures.append(("missing lift" if k == 0 else "ambiguous lift", (u, v)))
     for (u, v), ws in index.items():
         if len(ws) > 1:
             failures.append(("projections not jointly injective", (u, v)))
@@ -467,9 +454,10 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
     done = 0
     while done < squares:
         A, B, Z, f, g = _random_sets(rng)
-        if sum(1 for a in A for b in B if f[a] == g[b]) > 10:
+        P = tuple(fibre_product(A, f.__getitem__, B, g.__getitem__))
+        if len(P) > 10:
             continue  # keep the enumeration tractable; seeded, so still deterministic
-        fails = _square_preserved(op, j, A, B, Z, f, g, bound)
+        fails = _square_preserved(op, j, A, B, f, g, P, bound)
         report["squares"]["checked"] += 1
         done += 1
         if fails:
@@ -488,35 +476,27 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         fl = lambda a: fmap[a]
         DA = all_elements(op, j, A, bound)
         # eta square: pairs (x in D A, b in B) with D f(x) = eta(b) lift uniquely to A
-        eta_index = {}
-        for a in A:
-            eta_index.setdefault((eta(op, j, a), fmap[a]), []).append(a)
-        for x in DA:
-            for b in B:
-                if map_elem(op, fl, x) == eta(op, j, b):
-                    hits = eta_index.get((x, b), ())
-                    report["eta_naturality"]["checked"] += 1
-                    if len(hits) != 1:
-                        report["eta_naturality"]["failures"].append(
-                            {"map": fmap, "pair": (x, b), "lifts": len(hits)})
+        eta_index = fibres(A, lambda a: (eta(op, j, a), fmap[a]))
+        for x, b in fibre_product(DA, lambda x: map_elem(op, fl, x),
+                                  B, lambda b: eta(op, j, b)):
+            hits = eta_index.get((x, b), ())
+            report["eta_naturality"]["checked"] += 1
+            if len(hits) != 1:
+                report["eta_naturality"]["failures"].append(
+                    {"map": fmap, "pair": (x, b), "lifts": len(hits)})
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
-        DDA = [e for e, _ in nested_elements(op, j, A, 2, bound)]
-        index = {}
-        for v in DDA:
-            key = (mu(op, v), map_elem(op, lambda e: map_elem(op, fl, e), v))
-            index.setdefault(key, []).append(v)
-        by_mu = {}
-        for w, _ in nested_elements(op, j, B, 2, bound):
-            by_mu.setdefault(mu(op, w), []).append(w)
-        for u in DA:
-            fu = map_elem(op, fl, u)
-            for w in by_mu.get(fu, ()):
-                report["mu_naturality"]["checked"] += 1
-                hits = index.get((u, w), ())
-                if len(hits) != 1:
-                    report["mu_naturality"]["failures"].append(
-                        {"map": fmap, "pair": (u, w),
-                         "lifts": [repr(v) for v in hits]})
+        index = fibres((v for v, _ in nested_elements(op, j, A, 2, bound)),
+                       lambda v: (mu(op, v),
+                                  map_elem(op, lambda e: map_elem(op, fl, e), v)))
+        for u, w in fibre_product(DA, lambda u: map_elem(op, fl, u),
+                                  (w for w, _ in nested_elements(op, j, B, 2, bound)),
+                                  lambda w: mu(op, w)):
+            report["mu_naturality"]["checked"] += 1
+            hits = index.get((u, w), ())
+            if len(hits) != 1:
+                report["mu_naturality"]["failures"].append(
+                    {"map": fmap, "pair": (u, w),
+                     "lifts": [repr(v) for v in hits]})
 
     report["ok"] = not (report["squares"]["failures"] or
                         report["eta_naturality"]["failures"] or
@@ -536,45 +516,27 @@ def check_preserves_cover(op, F, bound):
     C, D = F.dom, F.cod
     directions = []
     if is_target_cover(F)[0]:
-        directions.append(("target", C.tgt, D.tgt, C.src, D.src))
+        directions.append(("target", dcat_tgt))
     if is_source_cover(F)[0]:
-        directions.append(("source", C.src, D.src, C.tgt, D.tgt))
+        directions.append(("source", dcat_src))
     if not directions:
         raise StructuralError("functor is neither a source nor a target cover")
-    for name, c_end, d_end, _, _ in directions:
+    DF0 = lambda X: map_elem(op, F.obj_map.__getitem__, X)
+    DF1 = lambda E: map_elem(op, F.mor_map.__getitem__, E)
+    for name, end in directions:
         sec = report[name]
         for n in range(min(bound, op.max_level) + 1):
-            L = op.level(n)
-            for X in elements_of(op, 0, C.objects, n):
-                fx = map_elem(op, lambda x: F.obj_map[x], X)
-                for E2 in elements_of(op, 1, D.morphisms, n):
-                    end_level = L.tgt if name == "target" else L.src
-                    if canonicalize(op, 0, n, end_level[E2.d],
-                                    tuple(d_end[f] for f in E2.xs)) != fx:
-                        continue
-                    sec["checked"] += 1
-                    lifts = set()
-                    for s in perms(n):
-                        m = op.act(1, n, s, E2.d)
-                        if end_level[m] != X.d:
-                            continue
-                        labels = s.permuted(E2.xs)
-                        lifted = []
-                        for x, f2 in zip(X.xs, labels):
-                            cands = [h for h in C.morphisms
-                                     if c_end[h] == x and F.mor_map[h] == f2]
-                            if len(cands) != 1:
-                                lifted = None
-                                break
-                            lifted.append(cands[0])
-                        if lifted is not None:
-                            E = canonicalize(op, 1, n, m, tuple(lifted))
-                            if map_elem(op, lambda h: F.mor_map[h], E) == E2 and \
-                               canonicalize(op, 0, n, end_level[E.d],
-                                            tuple(c_end[h] for h in E.xs)) == X:
-                                lifts.add(E)
-                    if len(lifts) != 1:
-                        sec["failures"].append({"object": repr(X), "over": repr(E2),
-                                                "lifts": len(lifts)})
+            # D F is a cover when each (X, E2) with end(E2) = D F(X) has
+            # exactly one E over it: end(E) = X and D F(E) = E2
+            lifts = fibres(elements_of(op, 1, C.morphisms, n),
+                           lambda E: (end(op, C, E), DF1(E)))
+            for X, E2 in fibre_product(elements_of(op, 0, C.objects, n), DF0,
+                                       elements_of(op, 1, D.morphisms, n),
+                                       lambda E2: end(op, D, E2)):
+                sec["checked"] += 1
+                k = len(lifts.get((X, E2), ()))
+                if k != 1:
+                    sec["failures"].append({"object": repr(X), "over": repr(E2),
+                                            "lifts": k})
     report["ok"] = not (report["target"]["failures"] or report["source"]["failures"])
     return report

@@ -241,6 +241,27 @@ def test_cli_underlying_invalid_algebra(tmp_path):
     assert "dump" not in rep
 
 
+def test_cli_malformed_tables_exit_1(tmp_path):
+    # a multicategory short of one action entry, an algebra whose carrier is
+    # short of one source: each is a failed check, not an internal error
+    from test_dmulticat import without_one_action_entry
+    M, victim = without_one_action_entry(barratt_eccles(3))
+    jsonio.save(jsonio.encode_multicat(M), tmp_path / "m.json")
+    code, rep = run(["validate", "multicat", str(tmp_path / "m.json")], tmp_path)
+    assert code == 1
+    assert rep["checks"][0]["witnesses"] == [
+        ["source action: action domain mismatch", [["t", 2], repr(victim[1])]]]
+
+    doc = jsonio.encode_algebra(z2_discrete_algebra(barratt_eccles(3)), 2)
+    dropped = doc["carrier"]["src"].pop(0)
+    jsonio.save(doc, tmp_path / "a.json")
+    code, rep = run(["validate", "algebra", str(tmp_path / "a.json"),
+                     "--bound", "2"], tmp_path)
+    assert code == 1
+    assert [c["name"] for c in rep["checks"]] == ["carrier category laws"]
+    assert ["endpoint outside objects", dropped[0]] in rep["checks"][0]["witnesses"]
+
+
 def test_cli_check_adjunction(tmp_path):
     code, rep = run(["check-adjunction", "terminal_symmetric", "z2_discrete",
                      "--bound", "2"], tmp_path)

@@ -123,6 +123,23 @@ def test_action_lookup_outside_domain_is_loud():
         M.act("s1", stray)
 
 
+def without_one_action_entry(op):
+    """terminal_multicat(op, cap=2) less one non-identity ("t", 2) action entry."""
+    M = terminal_multicat(op, cap=2)
+    L = op.level(2)
+    victim = next((f, d) for f, d in M.source_action
+                  if f == ("t", 2) and L.src[d.d] != L.tgt[d.d])
+    action = {k: v for k, v in M.source_action.items() if k != victim}
+    return replace(M, source_action=action), victim
+
+
+def test_missing_action_entry_is_reported_not_raised():
+    M, victim = without_one_action_entry(barratt_eccles(3))
+    rep = validate_multicat(M)
+    assert not rep["ok"]
+    assert ("source action: action domain mismatch", victim) in rep["failures"]
+
+
 def test_corrupted_equivariance_is_rejected():
     cm = pairing_classical()
     bad = dict(cm.comp)

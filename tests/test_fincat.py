@@ -71,6 +71,30 @@ def test_wrong_unit_names_the_object():
     assert any(kind == "right unit fails" and w == ("s", "*") for kind, w in rep["failures"])
 
 
+def test_missing_endpoint_is_reported_not_raised():
+    C = sym2_monoid()
+    del C.src["s"]
+    rep = validate_category(C)
+    assert not rep["ok"]
+    assert rep["failures"] == [("endpoint outside objects", "s")]
+
+
+def test_composite_witnesses_follow_the_pair_order():
+    # three composites with a wrong target: the witnesses come in the order
+    # of the composable pairs, whatever the hash seed
+    mors = ("ia", "ib", "f", "g", "h")
+    src = {"ia": "a", "ib": "b", "f": "a", "g": "a", "h": "a"}
+    tgt = {"ia": "a", "ib": "b", "f": "b", "g": "b", "h": "b"}
+    comp = {("ia", "ia"): "ia", ("ib", "ib"): "ib"}
+    for m in ("f", "g", "h"):
+        comp[(m, "ia")], comp[("ib", m)] = "ib", m
+    C = category(("a", "b"), mors, src, tgt, {"a": "ia", "b": "ib"}, comp)
+    rep = validate_category(C)
+    assert [w for kind, w in rep["failures"]
+            if kind == "composite has wrong endpoints"] == \
+        [("f", "ia"), ("g", "ia"), ("h", "ia")]
+
+
 def test_chaotic_sym2_valid_with_8_composable_pairs():
     rep = validate_category(chaotic_sym(2))
     assert rep["ok"]

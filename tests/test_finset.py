@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from gmcat.errors import FreenessError, StructuralError
 from gmcat.finset import (
     FinFn, GroupAction, Perm, UnionFind, block_perm, block_sum, canon_key,
-    coequalizer, diagonal_action, finset, fn, identity_perm, is_coequalizer,
+    coequalizer, diagonal_action, fibre_product, fibres, finset, fn,
+    identity_perm, is_coequalizer,
     is_equivariant, is_pullback, orbit_canonicalize, orbit_pullback_report,
     orbit_quotient, perms, pullback, verify_free,
 )
@@ -228,3 +229,46 @@ def test_diagonal_action_freeness_inherits():
     P = [(x, y) for x in A.carrier for y in A.carrier]
     act = diagonal_action(A, A, P)
     assert verify_free(act)
+
+
+# -- fibres and the fibre product ----------------------------------------------
+
+small_ints = st.lists(st.integers(0, 6), max_size=8)
+small_maps = st.dictionaries(st.integers(0, 6), st.integers(0, 3))
+
+
+def counted(table):
+    calls = []
+
+    def key(x):
+        calls.append(x)
+        return table.get(x, -1)
+    return key, calls
+
+
+@given(small_ints, small_ints, small_maps, small_maps)
+def test_fibre_product_is_the_nested_filter(A, B, ftab, gtab):
+    f, f_calls = counted(ftab)
+    g, g_calls = counted(gtab)
+    got = list(fibre_product(A, f, B, g))
+    want = [(a, b) for a in A for b in B
+            if ftab.get(a, -1) == gtab.get(b, -1)]
+    assert got == want
+    assert f_calls == A and g_calls == B
+
+
+def test_fibre_product_is_lazy_in_its_first_factor():
+    def A():
+        yield 1
+        raise AssertionError("read past the first pair")
+    assert next(fibre_product(A(), lambda a: a, [0, 1], lambda b: b)) == (1, 1)
+
+
+@given(small_ints, small_maps)
+def test_fibres_keep_the_input_order(xs, tab):
+    key, calls = counted(tab)
+    groups = fibres(xs, key)
+    assert calls == xs
+    assert list(groups) == list(dict.fromkeys(tab.get(x, -1) for x in xs))
+    for k, grp in groups.items():
+        assert grp == [x for x in xs if tab.get(x, -1) == k]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmcat.fincat
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              commutative_operad)
 from gmcat.errors import BoundExceeded, FreenessError, StructuralError
@@ -13,8 +14,8 @@ from gmcat.fincat import (CatFunctor, Presheaf, c0_presheaf, discrete_category,
 from gmcat.finset import Perm, perms
 from gmcat.opmonad import (I_D, S_D, T_D, all_elements, canonicalize,
                            check_cartesian, check_preserves_cover, chi,
-                           dcat_compose, elements_of, eta, gamma_D, map_elem,
-                           melem, monad_category, monad_functor,
+                           dcat_compose, dcat_tgt, elements_of, eta, gamma_D,
+                           map_elem, melem, monad_category, monad_functor,
                            monad_presheaf, mu, nested_elements, theta,
                            validate_monad_category, validate_monad_laws)
 
@@ -233,15 +234,38 @@ def test_monad_functor_and_cover_preservation():
     assert is_target_cover(DF)[0]
 
 
-def test_cover_preservation_rejects_noncover():
+def collapse_sym2():
+    """The two-element monoid collapsed onto the point: a functor, no cover."""
     from test_fincat import sym2_monoid
     C = sym2_monoid()
     P = discrete_category(["*"])
-    collapse = CatFunctor(C, P, {o: "*" for o in C.objects},
-                          {f: P.ident["*"] for f in C.morphisms})
+    return CatFunctor(C, P, {o: "*" for o in C.objects},
+                      {f: P.ident["*"] for f in C.morphisms})
+
+
+def test_cover_preservation_rejects_noncover():
+    collapse = collapse_sym2()
     assert validate_functor(collapse)["ok"]
     with pytest.raises(StructuralError):
         check_preserves_cover(BE, collapse, 2)
+
+
+def test_cover_preservation_counts_every_lift(monkeypatch):
+    # fault injection: the collapse passes as a target cover, so the failure
+    # branch runs; each failure must count every element over its pair
+    F = collapse_sym2()
+    monkeypatch.setattr(gmcat.fincat, "is_target_cover", lambda F: (True, None))
+    rep = check_preserves_cover(BE, F, 2)
+    assert not rep["ok"] and rep["source"]["checked"] == 0
+    over = {}
+    for n in range(3):
+        for E in elements_of(BE, 1, F.dom.morphisms, n):
+            key = (repr(dcat_tgt(BE, F.dom, E)),
+                   repr(map_elem(BE, F.mor_map.get, E)))
+            over[key] = over.get(key, 0) + 1
+    fails = rep["target"]["failures"]
+    assert [f["lifts"] for f in fails] == [over[(f["object"], f["over"])]
+                                           for f in fails] == [2, 4, 4]
 
 
 def test_monad_presheaf_from_objects_presheaf():
