@@ -14,12 +14,13 @@ from itertools import product
 
 from .dalgebra import (DAlgebra, underlying, underlying_act,
                        underlying_compose, underlying_ident, xi_fill)
-from .dmulticat import act_slots, enumerate_M2
+from .dmulticat import act_slots, enumerate_M2, fillings
 from .errors import BoundExceeded, StructuralError
 from .fincat import category
 from .finset import UnionFind, canon_key, fibre_product, fibres
 from .opmonad import (I_D, S_D, T_D, align_sigma, all_elements, canonicalize,
-                      chi, elements_of, eta, gamma_D, map_elem, mu, mu_raw)
+                      chi, elements_of, elements_within, eta, gamma_D,
+                      map_elem, mu, mu_raw)
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ class LazyDAlgebra:
     M: object
     quotient: bool
     name: str = ""
-    # multimorphism lists by length, as (phi, flattened source) rows grouped
-    # by (target, flattened arity): the rows that can land in one hom-set
+    # multimorphism lists by target, as (phi, flattened source) rows grouped
+    # by flattened arity: the rows that can land in one hom-set
     phi_rows: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
     # object-level data by arity, indexed (by (source, target), by target)
@@ -140,14 +141,12 @@ class LazyDAlgebra:
     def _phis(self, a, b):
         """The multimorphism lists with target b whose flattened sources have
         a's arity, with those sources (skipping flattenings past truncation)."""
-        if b.n not in self.phi_rows:
+        if b not in self.phi_rows:
             op, M = self.operad, self.M
-            rows = ((phi, flat_source(op, M, phi))
-                    for phi in elements_of(op, 0, M.morphisms, b.n)
-                    if sum(M.src[g].n for g in phi.xs) <= op.max_level)
-            self.phi_rows[b.n] = fibres(
-                rows, lambda r: (list_target(op, M, r[0]), r[1].n))
-        return self.phi_rows[b.n].get((b, a.n), ())
+            self.phi_rows[b] = fibres(
+                ((phi, flat_source(op, M, phi))
+                 for phi in fillings(M, b, op.max_level)), lambda r: r[1].n)
+        return self.phi_rows[b].get(a.n, ())
 
     def _sigmas(self, n):
         if n not in self.sigma_index:
@@ -170,8 +169,6 @@ class LazyDAlgebra:
         for phi, _ in self._phis(a, b):
             slots = [self._sigmas(s.n)[1].get(s, ())
                      for s in (M.src[g] for g in phi.xs)]
-            if any(not c for c in slots):
-                continue
             for taus in product(*slots):
                 attached, absorbed = act_slots(M, phi, taus)
                 for s in self._sigmas(a.n)[0].get((a, S_D(op, absorbed)), ()):
@@ -303,10 +300,9 @@ def descent_report(M, bound=2):
     members = tuple(h for a in objs for b in objs
                     for cls in lz.hom(a, b) for h in cls.members)
     acted = 0
-    for E in all_elements(op, 1, members, 2):
-        if sum(hat_source(op, h).n for h in E.xs) > bound or \
-           sum(hat_target(op, M, h).n for h in E.xs) > bound:
-            continue
+    for E in elements_within(
+            op, 1, members, 2,
+            lambda h: (hat_source(op, h).n, hat_target(op, M, h).n), bound):
         acted += 1
         if lz.class_of(hat_xi1(op, M, E)) != lz.xi1(
                 map_elem(op, lz.class_of, E)):
@@ -476,10 +472,8 @@ def counit_report(A, bound=2):
             failures.append(("composition not preserved", (f, g)))
     mors = tuple(eps)
     checked = 0
-    for E in all_elements(op, 1, mors, 2):
-        if sum(LU.src(c).n for c in E.xs) > bound or \
-           sum(LU.tgt(c).n for c in E.xs) > bound:
-            continue
+    for E in elements_within(op, 1, mors, 2,
+                             lambda c: (LU.src(c).n, LU.tgt(c).n), bound):
         try:
             lhs = LU.xi1(E)
             rhs = A.xi1(map_elem(op, eps.get, E))

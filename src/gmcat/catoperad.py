@@ -18,7 +18,8 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import BoundExceeded, StructuralError
-from .finset import Perm, block_perm, block_sum, perms
+from .finset import (Perm, block_perm, block_sum, fibre_product, fibres, perms,
+                     product_within)
 from .fincat import category, validate_category
 
 
@@ -99,8 +100,8 @@ def _chaotic_level(n):
     mors = [(a, b) for a in objs for b in objs]
     return category(objs, mors, {m: m[0] for m in mors}, {m: m[1] for m in mors},
                     {o: (o, o) for o in objs},
-                    {((b, c), (a, b2)): (a, c)
-                     for (b, c) in mors for (a, b2) in mors if b2 == b})
+                    {((b, c), (a, b)): (a, c) for (b, c), (a, _) in
+                     fibre_product(mors, lambda m: m[0], mors, lambda m: m[1])})
 
 
 def _discrete_level(n):
@@ -198,32 +199,22 @@ def operad_tables(op):
                  for s in perms(n) for x in op.elements(j, n)}
     comp_table = {}
     for j in (0, 1):
-        for k in range(op.max_level + 1):
-            for profile in _profiles(k, op.max_level, op.max_level):
-                pools = [tuple((m, y) for y in op.elements(j, m)) for m in profile]
-                for x in op.elements(j, k):
-                    for inners in product(*pools):
-                        comp_table[(j, k, x, inners)] = op.compose(j, k, x, inners)
+        for x in op.elements(j, 0):
+            comp_table[(j, 0, x, ())] = op.compose(j, 0, x, ())
+        # every family of arity k >= 1 whose inner arities sum within the truncation
+        for k, x, inners in composable_families(op, j, 2 * op.max_level):
+            comp_table[(j, k, x, inners)] = op.compose(j, k, x, inners)
     return act_table, comp_table
 
 
 # ---------------------------------------------------------------------------
 # validation
 
-def _profiles(slots, budget, cap):
-    """All tuples of `slots` arities with sum <= budget, each <= cap."""
-    if slots == 0:
-        yield ()
-        return
-    for first in range(min(budget, cap) + 1):
-        for rest in _profiles(slots - 1, budget - first, cap):
-            yield (first,) + rest
-
-
 def composable_families(op, j, total_arity):
     """(k, a, inners) with k + sum(inner arities) <= total_arity."""
     for k in range(1, min(op.max_level, total_arity) + 1):
-        for profile in _profiles(k, min(total_arity - k, op.max_level), op.max_level):
+        for profile, _ in product_within([range(op.max_level + 1)] * k, lambda m: (m,),
+                                         min(total_arity - k, op.max_level)):
             pools = [tuple((n, x) for x in op.elements(j, n)) for n in profile]
             for a in op.elements(j, k):
                 for inners in product(*pools):
@@ -328,15 +319,10 @@ def validate_operad(op, total_arity=None):
 
             # associativity against one further layer
             leftover = bound - k - total
-            pools = []
-            for n, _ in inners:
-                pools.append(tuple(_inner_families(op, j, n, leftover)))
-            for cs in product(*pools):
+            pools = [tuple(_inner_families(op, j, n, leftover)) for n, _ in inners]
+            for cs, _ in product_within(pools, lambda block: (sum(m for m, _ in block),),
+                                        min(leftover, op.max_level)):
                 flat = tuple(c for block in cs for c in block)
-                if sum(m for m, _ in flat) > op.max_level:
-                    continue
-                if sum(m for m, _ in flat) > leftover:
-                    continue
                 counts["assoc"] += 1
                 lhs = op.compose(j, total, gab, flat)
                 collapsed = tuple(
@@ -353,21 +339,21 @@ def validate_operad(op, total_arity=None):
                          tuple((n, op.id_mor(n, x)) for n, x in inners))
         if ids != op.id_mor(sum(sizes), op.compose(0, k, a, inners)):
             failures.append(("composition breaks identities", (k, a, inners)))
+    into = [fibres(op.level(n).morphisms, op.level(n).tgt.__getitem__)
+            for n in range(op.max_level + 1)]
     for k, a, inners in composable_families(op, 1, bound):
         counts["functor"] += 1
         Lk = op.level(k)
         sizes = tuple(n for n, _ in inners)
-        for a2 in (m for m in Lk.morphisms if Lk.tgt[m] == Lk.src[a]):
-            pair_pools = [tuple(m for m in op.level(n).morphisms
-                                if op.level(n).tgt[m] == op.level(n).src[x])
-                          for n, x in inners]
+        L_tot = op.level(sum(sizes))
+        rhs_top = op.compose(1, k, a, inners)
+        pair_pools = [into[n].get(op.level(n).src[x], ()) for n, x in inners]
+        for a2 in into[k].get(Lk.src[a], ()):
             for seconds in product(*pair_pools):
                 lhs = op.compose(1, k, Lk.comp[(a, a2)],
                                  tuple((n, op.level(n).comp[(x, y)])
                                        for (n, x), y in zip(inners, seconds)))
-                rhs_top = op.compose(1, k, a, inners)
                 rhs_bot = op.compose(1, k, a2, tuple(zip(sizes, seconds)))
-                L_tot = op.level(sum(sizes))
                 if lhs != L_tot.comp.get((rhs_top, rhs_bot)):
                     failures.append(("composition breaks composites",
                                      (k, a, a2, inners, seconds)))
@@ -378,7 +364,8 @@ def validate_operad(op, total_arity=None):
 
 def _inner_families(op, j, n, budget):
     """Profiles of inner elements filling the n slots of one block, total arity <= budget."""
-    for profile in _profiles(n, min(budget, op.max_level), op.max_level):
+    for profile, _ in product_within([range(op.max_level + 1)] * n, lambda m: (m,),
+                                     min(budget, op.max_level)):
         pools = [tuple((m, x) for x in op.elements(j, m)) for m in profile]
         for combo in product(*pools):
             yield combo

@@ -5,7 +5,9 @@ sources; the operad acts on sources through a presheaf action psi1 over the
 category {D0 M0, D1 M0}, and composition gamma takes a morphism together
 with an object-monad element of morphisms filling its source slots. All
 enumeration is bounded by the largest source arity appearing in the data,
-so finite inputs need no user-facing truncation.
+so finite inputs need no user-facing truncation. The constructor refuses a
+non-free operad: freeness makes the monad cartesian, and makes the fillings
+of a source [d; x1..xn] the [d; g1..gn] with tgt(gi) = xi, read by fibre.
 
 A classical source list (x1..xn) is encoded as [b; x1..xn] with b the base
 point of level n, its least object (`_level_unit_obj`; the identity
@@ -20,10 +22,11 @@ from itertools import product
 
 from .errors import StructuralError
 from .fincat import Presheaf, transport_presheaf, validate_presheaf
-from .finset import block_perm, canon_key, fibre_product, fibres, perms
-from .opmonad import (T_D, align_sigma, all_elements, canonicalize,
-                      elements_of, eta, map_elem, melem, monad_set_category,
-                      mu, mu_raw)
+from .finset import (block_perm, canon_key, fibre_product, fibres, perms,
+                     product_within)
+from .opmonad import (MonadElem, T_D, _require_free, align_sigma,
+                      all_elements, canonicalize, eta, map_elem, melem,
+                      monad_set_category, mu, mu_raw)
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,20 @@ class DMulticat:
     free_algebras: dict = field(default_factory=dict, init=False,
                                 compare=False, repr=False)
 
+    def __post_init__(self):
+        _require_free(self.operad, "a generalized multicategory")
+
     def arity(self, f):
         return self.src[f].n
 
     @cached_property
     def cap(self):
         return max((e.n for e in self.src.values()), default=0)
+
+    @cached_property
+    def into(self):
+        """The morphisms grouped by target, in the order of `morphisms`."""
+        return fibres(self.morphisms, self.tgt.get)
 
     def act(self, f, delta):
         key = (f, delta)
@@ -62,41 +73,32 @@ class DMulticat:
         return self.composition[key]
 
 
+def fillings(M, s, budget):
+    """The Phi with D0 tgt(Phi) = s and flattened arity at most budget, in
+    elements_of order. s.d is least in its orbit and reached only by the
+    identity, so these are the [s.d; g1..gn] with tgt(gi) = xi."""
+    for gs, _ in product_within([M.into.get(x, ()) for x in s.xs],
+                                lambda g: (M.src[g].n,), budget):
+        yield MonadElem(0, s.n, s.d, gs)
+
+
 def enumerate_M2(M):
     """Composable pairs: (f, Phi) with src(f) = D0 tgt(Phi), flatten within cap."""
-    op, out = M.operad, []
-    for f in M.morphisms:
-        s = M.src[f]
-        for Phi in elements_of(op, 0, M.morphisms, s.n):
-            if map_elem(op, M.tgt.get, Phi) != s:
-                continue
-            if sum(M.src[g].n for g in Phi.xs) <= M.cap:
-                out.append((f, Phi))
-    return tuple(out)
+    return tuple((f, Phi) for f in M.morphisms
+                 for Phi in fillings(M, M.src[f], M.cap))
 
 
 def enumerate_M3(M):
     """Composable triples: (pair, Psi) with Psi an object-monad element of
     pairs whose first components recover the pair's filling."""
-    op, out = M.operad, []
-    m2 = enumerate_M2(M)
+    op, m2 = M.operad, enumerate_M2(M)
     by_first = fibres(m2, lambda w: w[0])
-    for f, Phi in m2:
-        slots = [by_first.get(g, ()) for g in Phi.xs]
-        if any(not s for s in slots):
-            continue
-        for combo in product(*slots):
-            total = sum(mu(op, map_elem(op, M.src.get, W[1])).n for W in combo)
-            if total > M.cap:
-                continue
-            Psi = canonicalize(op, 0, Phi.n, Phi.d, combo)
-            out.append(((f, Phi), Psi))
-    seen, uniq = set(), []
-    for w in out:
-        if w not in seen:
-            seen.add(w)
-            uniq.append(w)
-    return tuple(uniq)
+    flat = lambda W: (sum(M.src[g].n for g in W[1].xs),)
+    # Phi.d is least in its orbit, so no two combos canonicalize alike
+    return tuple(((f, Phi), canonicalize(op, 0, Phi.n, Phi.d, combo))
+                 for f, Phi in m2
+                 for combo, _ in product_within(
+                     [by_first.get(g, ()) for g in Phi.xs], flat, M.cap))
 
 
 def gamma_T(M, w):
@@ -278,9 +280,8 @@ def validate_classical(cm, symmetric):
     into = fibres(cm.morphisms, cm.tgt.__getitem__)
 
     def fillings(f):
-        for combo in product(*(into.get(x, ()) for x in cm.src[f])):
-            if sum(len(cm.src[g]) for g in combo) <= cap:
-                yield combo
+        return [combo for combo, _ in product_within(
+            [into.get(x, ()) for x in cm.src[f]], lambda g: (len(cm.src[g]),), cap)]
 
     for f in cm.morphisms:
         for combo in fillings(f):
@@ -299,11 +300,10 @@ def validate_classical(cm, symmetric):
             failures.append(("left unit fails", f))
 
     for (f, combo), h in list(cm.comp.items()):
-        inner = [list(fillings(g)) for g in combo]
-        for pick in product(*inner):
+        inner = [fillings(g) for g in combo]
+        for pick, _ in product_within(
+                inner, lambda fill: (sum(len(cm.src[g2]) for g2 in fill),), cap):
             flat = tuple(g2 for fill in pick for g2 in fill)
-            if sum(len(cm.src[g2]) for g2 in flat) > cap:
-                continue
             one = cm.comp.get((h, flat))
             stepwise = tuple(cm.comp.get((g, fill)) for g, fill in zip(combo, pick))
             two = cm.comp.get((f, stepwise)) if all(s is not None for s in stepwise) else None
@@ -331,6 +331,8 @@ def _encode(cm, op, symmetric):
         raise StructuralError("arity exceeds the operad truncation")
     src = {f: melem(op, 0, _level_unit_obj(op, len(cm.src[f])), cm.src[f])
            for f in cm.morphisms}
+    M_half = DMulticat(op, tuple(cm.objects), tuple(cm.morphisms),
+                       dict(cm.tgt), src, dict(cm.ident), {}, {})
     action = {}
     for f, delta in source_action_domain(op, cm.morphisms, src, cm.objects, cap):
         r = _left_coset_perm(op, delta, src[f])
@@ -340,16 +342,10 @@ def _encode(cm, op, symmetric):
             if not r.is_identity:
                 raise StructuralError("non-identity action morphism over a discrete operad")
             action[(f, delta)] = f
-    composition = {}
-    M_half = DMulticat(op, tuple(cm.objects), tuple(cm.morphisms),
-                       dict(cm.tgt), src, dict(cm.ident), action, {})
-    for f, Phi in enumerate_M2(M_half):
-        sigma = _align_to_identity(op, Phi)
-        fillers = sigma.permuted(Phi.xs)
-        if tuple(cm.tgt[g] for g in fillers) != cm.src[f]:
-            raise StructuralError("filling misaligned with literal sources")
-        composition[(f, Phi)] = cm.comp[(f, fillers)]
-    return replace(M_half, composition=composition)
+    # each src(f) is [level unit object; literal sources], so a filling
+    # lists its fillers in the literal order
+    composition = {(f, Phi): cm.comp[(f, Phi.xs)] for f, Phi in enumerate_M2(M_half)}
+    return replace(M_half, source_action=action, composition=composition)
 
 
 def source_action_domain(op, morphisms, src, objects, cap):
@@ -363,15 +359,6 @@ def _level_unit_obj(op, n):
     """The base point of level n: its least object (the identity arrangement
     for the permutation operads)."""
     return min(op.elements(0, n), key=canon_key)
-
-
-def _align_to_identity(op, e):
-    """The permutation carrying e's canonical d-part to the level unit object."""
-    target = _level_unit_obj(op, e.n)
-    s = align_sigma(op, 0, e.n, e.d, target)
-    if s is None:
-        raise StructuralError("element does not align with the unit arrangement")
-    return s
 
 
 def _left_coset_perm(op, delta, src_elem):
@@ -408,9 +395,9 @@ def terminal_multicat(op, cap=None):
            for n in range(cap + 1)}
     tgt = {f: "*" for f in morphisms}
     ident = {"*": ("t", 1)}
+    M_half = DMulticat(op, objects, morphisms, tgt, src, ident, {}, {})
     action = {(f, delta): f
               for f, delta in source_action_domain(op, morphisms, src, objects, cap)}
-    M_half = DMulticat(op, objects, morphisms, tgt, src, ident, action, {})
     composition = {(f, Phi): ("t", mu(op, map_elem(op, src.get, Phi)).n)
                    for f, Phi in enumerate_M2(M_half)}
-    return replace(M_half, composition=composition)
+    return replace(M_half, source_action=action, composition=composition)

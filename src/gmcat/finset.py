@@ -1,14 +1,16 @@
 """Finite sets, functions, permutations, and group actions.
 
-Everything downstream leans on four things defined here: a total canonical
+Everything downstream leans on five things defined here: a total canonical
 order on labels (`canon_key`), block permutations/sums, free-action orbit
-canonicalization, and the fibre product: every "which of these lie over the
-same point" question goes through `fibres` and `fibre_product`.
+canonicalization, the fibre product (`fibres`, `fibre_product`) behind every
+"which of these lie over the same point" question, and the weight-bounded
+product (`product_within`) behind every "enumerate, then drop" loop.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itperms
+from operator import add
 
 from .errors import FreenessError, StructuralError
 
@@ -52,6 +54,20 @@ def fibre_product(A, f, B, g):
     for a in A:
         for b in over.get(f(a), ()):
             yield a, b
+
+
+def product_within(slots, weight, budget):
+    """The (xs, sums) for the xs in itertools.product(*slots) whose weight
+    tuples, summed componentwise, are all at most budget, in product order.
+    Weights are non-negative, so a prefix over budget is dropped as it is
+    built; weight runs once per slot entry. The empty product has no
+    weights: it is ((), ())."""
+    rows = [((), ())]
+    for slot in slots:
+        weighed = [(x, weight(x)) for x in slot]
+        rows = [(xs + (x,), sums) for xs, acc in rows for x, w in weighed
+                if max(sums := tuple(map(add, acc, w)) if acc else w) <= budget]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ minimizing translate of d is unique, which makes canonical forms cheap and
 alignment (finding the translate matching a given d-part) well defined.
 Alignment-based operations (gamma_D, chi, category composition in DC)
 demand freeness and refuse to run otherwise; plain monad structure
-(eta, mu, map_elem) works for any operad.
+(eta, mu, map_elem) works for any operad. Multicategories require a free
+operad when they are built, so the free constructions build their elements
+directly: with d least in its orbit, [d; xs] is canonical for every xs.
 
 The memos live on the operad. Orbit data is memoized per element:
 `op.orbits[(j, n, d)]` is ({d.sigma: sigma}, least d.sigma, every sigma
@@ -24,7 +26,8 @@ from itertools import product
 
 from .errors import BoundExceeded, FreenessError, StructuralError
 from .fincat import CatFunctor, Presheaf, category
-from .finset import canon_key, fibre_product, fibres, perms, sort_labels
+from .finset import (canon_key, fibre_product, fibres, perms, product_within,
+                     sort_labels)
 
 
 @dataclass(frozen=True)
@@ -186,13 +189,17 @@ def dcat_compose(op, C, E, E2):
                             lambda a, b: C.comp[(a, b)])
 
 
+def _least_translates(op, j, n):
+    """The least member of every level-n orbit, sorted."""
+    return sort_labels({_orbit(op, j, n, d)[1] for d in op.elements(j, n)})
+
+
 def elements_of(op, j, labels, n):
     """All canonical elements of arity n over the given labels, sorted."""
     labels = tuple(labels)
     if op.is_free:
-        reps = sort_labels({_orbit(op, j, n, d)[1] for d in op.elements(j, n)})
-        return tuple(MonadElem(j, n, d, xs)
-                     for d in reps for xs in product(labels, repeat=n))
+        return tuple(MonadElem(j, n, d, xs) for d in _least_translates(op, j, n)
+                     for xs in product(labels, repeat=n))
     seen = {canonicalize(op, j, n, d, xs)
             for d in op.elements(j, n) for xs in product(labels, repeat=n)}
     return tuple(sorted(seen, key=canon_key))
@@ -202,6 +209,19 @@ def all_elements(op, j, labels, bound):
     out = []
     for n in range(min(bound, op.max_level) + 1):
         out.extend(elements_of(op, j, labels, n))
+    return tuple(out)
+
+
+def elements_within(op, j, labels, bound, weight, budget):
+    """all_elements(op, j, labels, bound) restricted to the elements whose
+    label weights sum within budget (finset.product_within), in the same
+    order; free operads only."""
+    _require_free(op, "weight-bounded enumeration")
+    out = []
+    for n in range(min(bound, op.max_level) + 1):
+        rows = product_within([labels] * n, weight, budget)
+        out.extend(MonadElem(j, n, d, xs)
+                   for d in _least_translates(op, j, n) for xs, _ in rows)
     return tuple(out)
 
 
@@ -221,28 +241,12 @@ def nested_elements(op, j, labels, layers, budget):
         out = tuple((e, (e.n,)) for e in all_elements(op, j, labels, cap))
         op.nested[memo_key] = out
         return out
-    inner = nested_elements(op, j, labels, layers - 1, budget)
-    depth = layers - 1
-
-    def combos(k):
-        # componentwise-bounded k-tuples of inner elements, pruned as built
-        def rec(i, acc, sums):
-            if i == k:
-                yield tuple(acc), sums
-                return
-            for e, w in inner:
-                ns = tuple(s + wt for s, wt in zip(sums, w))
-                if any(s > cap for s in ns):
-                    continue
-                acc.append(e)
-                yield from rec(i + 1, acc, ns)
-                acc.pop()
-        yield from rec(0, [], (0,) * depth)
-
+    inner = dict(nested_elements(op, j, labels, layers - 1, budget))
     out = []
     for k in range(cap + 1):
-        reps = tuple({e.d for e in elements_of(op, j, ("x",), k)})
-        for xs, ws in combos(k):
+        reps = _least_translates(op, j, k)
+        for xs, ws in product_within([tuple(inner)] * k, inner.__getitem__, cap):
+            ws = ws or (0,) * (layers - 1)  # the empty product has no weights
             for d in reps:
                 out.append((canonicalize(op, j, k, d, xs), (k,) + ws))
     # canonicalization may merge tuples drawn in different orders

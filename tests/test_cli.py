@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import gmcat.cli
+import gmcat.dmulticat
 from gmcat import jsonio
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              operad_tables, tabulated_operad, validate_operad)
@@ -163,6 +164,27 @@ def test_cli_commutative_not_free(tmp_path):
     fail = [c for c in rep["checks"] if c["status"] == "fail"]
     assert fail[0]["name"] == "sigma freeness"
     assert "fixed_point" in fail[0]["witnesses"][0]
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "multicat", "terminal"],
+    ["free", "terminal", "--hom", "2", "2"],
+    ["check-adjunction", "terminal", "z2"],
+    ["validate", "multicat", "xor.json"],
+])
+def test_cli_multicat_over_commutative_exits_2(command, tmp_path, capsys,
+                                               monkeypatch):
+    # refused where the multicategory is built, before any enumeration
+    def never(*args):
+        raise AssertionError("enumerated a multicategory over a non-free operad")
+    monkeypatch.setattr(gmcat.dmulticat, "enumerate_M2", never)
+    monkeypatch.setattr(gmcat.dmulticat, "source_action_domain", never)
+    jsonio.save(jsonio.encode_classical(xor_classical(), True), tmp_path / "xor.json")
+    monkeypatch.chdir(tmp_path)
+    code, rep = run([*command, "--operad", "commutative", "--truncate", "3"],
+                    tmp_path)
+    assert code == 2 and rep is None
+    assert "needs a sigma-free operad" in capsys.readouterr().err
 
 
 def test_cli_corrupted_gamma_file(tmp_path):

@@ -2,20 +2,26 @@
 
 import pytest
 from dataclasses import replace
+from itertools import product
 
-from gmcat.adjoint import check_triangles, counit_report, unit_report
-from gmcat.catoperad import (associativity_operad, barratt_eccles,
-                             operad_tables, tabulated_operad, validate_operad)
-from gmcat.dalgebra import free_algebra, validate_algebra, z2_discrete_algebra
-from gmcat.errors import StructuralError
+from gmcat.adjoint import (L, check_triangles, counit_report, flat_source,
+                           list_target, unit_report)
+from gmcat.catoperad import (_inner_families, associativity_operad,
+                             barratt_eccles, commutative_operad,
+                             composable_families, operad_tables,
+                             tabulated_operad, validate_operad)
+from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
+                            z2_discrete_algebra)
+from gmcat.errors import FreenessError, StructuralError
 from gmcat.fincat import terminal_category, validate_presheaf
-from gmcat.finset import Perm, perms
+from gmcat.finset import Perm, fibres, perms
 from gmcat.dmulticat import (ClassicalMulticat, DMulticat, enumerate_M2,
                              enumerate_M3, from_nonsymmetric, from_symmetric,
                              gamma_S, gamma_T, over_point_form,
                              terminal_multicat, validate_classical,
                              validate_multicat)
-from gmcat.opmonad import T_D, elements_of, eta, map_elem, melem, mu
+from gmcat.opmonad import (T_D, all_elements, canonicalize, elements_of,
+                           elements_within, eta, map_elem, melem, mu)
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -237,3 +243,124 @@ def test_tabulated_operad_encodes_like_its_builtin(builtin, encode):
     want = reports(builtin)
     assert all(r["ok"] for r in want)
     assert reports(table) == want
+
+
+def test_multicategory_over_a_non_free_operad_cannot_be_built():
+    COMM = commutative_operad(3)
+    with pytest.raises(FreenessError, match="needs a sigma-free operad"):
+        DMulticat(COMM, ("*",), (), {}, {}, {}, {}, {})
+    with pytest.raises(FreenessError, match="needs a sigma-free operad"):
+        terminal_multicat(COMM)
+
+
+# -- the filter forms that the fibre reads replaced, kept as references --------
+
+def filtered_M2(M):
+    """Every object-monad element over all morphisms, kept when over src(f)."""
+    op, out = M.operad, []
+    for f in M.morphisms:
+        s = M.src[f]
+        for Phi in elements_of(op, 0, M.morphisms, s.n):
+            if map_elem(op, M.tgt.get, Phi) == s and \
+               sum(M.src[g].n for g in Phi.xs) <= M.cap:
+                out.append((f, Phi))
+    return out
+
+
+def filtered_M3(M):
+    """Every combo of pairs over a filling, kept within cap, deduplicated."""
+    op, out = M.operad, []
+    m2 = filtered_M2(M)
+    for f, Phi in m2:
+        slots = [[w for w in m2 if w[0] == g] for g in Phi.xs]
+        for combo in product(*slots):
+            total = sum(mu(op, map_elem(op, M.src.get, W[1])).n for W in combo)
+            if total <= M.cap:
+                out.append(((f, Phi), canonicalize(op, 0, Phi.n, Phi.d, combo)))
+    return list(dict.fromkeys(out))
+
+
+def filtered_phi_rows(lz, n):
+    """The length-n rows, grouped by (target, flattened arity)."""
+    op, M = lz.operad, lz.M
+    rows = ((phi, flat_source(op, M, phi))
+            for phi in elements_of(op, 0, M.morphisms, n)
+            if sum(M.src[g].n for g in phi.xs) <= op.max_level)
+    return fibres(rows, lambda r: (list_target(op, M, r[0]), r[1].n))
+
+
+def filtered_action_elements(op, labels, src_n, tgt_n, bound):
+    """The binary-bounded action elements of counit_report, by filter."""
+    return [E for E in all_elements(op, 1, labels, 2)
+            if sum(src_n(c) for c in E.xs) <= bound and
+            sum(tgt_n(c) for c in E.xs) <= bound]
+
+
+def recursive_profiles(slots, budget, cap):
+    """All tuples of `slots` arities with sum <= budget, each <= cap."""
+    if slots == 0:
+        yield ()
+        return
+    for first in range(min(budget, cap) + 1):
+        for rest in recursive_profiles(slots - 1, budget - first, cap):
+            yield (first,) + rest
+
+
+DIFFERENTIAL = {
+    "terminal BE(4)": lambda: terminal_multicat(BE),
+    "terminal ASS(4)": lambda: terminal_multicat(ASS),
+    "sum_classical(3) over BE(4)": lambda: from_symmetric(sum_classical(3), op=BE),
+    "underlying(z2, 3)": lambda: underlying(z2_discrete_algebra(BE), 3),
+    "underlying(free(ASS, terminal, 2), 2)": lambda: underlying(
+        free_algebra(ASS, terminal_category(), 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_fibre_reads_equal_the_filtered_enumerations(name):
+    M = DIFFERENTIAL[name]()
+    assert list(enumerate_M2(M)) == filtered_M2(M)
+    assert list(enumerate_M3(M)) == filtered_M3(M)
+    lz = L(M)
+    objs = lz.objects_upto(min(M.cap, 3))
+    for n in range(min(M.cap, 3) + 1):
+        want = filtered_phi_rows(lz, n)
+        for b in (b for b in objs if b.n == n):
+            for a in objs:
+                assert list(lz._phis(a, b)) == want.get((b, a.n), []), (a, b)
+
+
+@pytest.mark.parametrize("A, bound", [
+    (z2_discrete_algebra(BE), 3),
+    (free_algebra(ASS, terminal_category(), 2), 2),
+])
+def test_bounded_action_elements_equal_the_filter(A, bound):
+    LU = L(underlying(A, bound))
+    objs = LU.objects_upto(bound)
+    classes = tuple(c for a in objs for b in objs for c in LU.hom(a, b))
+    src_n, tgt_n = (lambda c: LU.src(c).n), (lambda c: LU.tgt(c).n)
+    got = elements_within(A.operad, 1, classes, 2,
+                          lambda c: (src_n(c), tgt_n(c)), bound)
+    assert list(got) == filtered_action_elements(A.operad, classes, src_n,
+                                                 tgt_n, bound)
+
+
+@pytest.mark.parametrize("op", [barratt_eccles(3), ASS])
+def test_families_equal_the_recursive_profiles(op):
+    cap = op.max_level
+    for j in (0, 1):
+        for total in range(cap + 2):
+            want = [(k, a, inners)
+                    for k in range(1, min(cap, total) + 1)
+                    for profile in recursive_profiles(k, min(total - k, cap), cap)
+                    for a in op.elements(j, k)
+                    for inners in product(*[[(n, x) for x in op.elements(j, n)]
+                                            for n in profile])]
+            assert list(composable_families(op, j, total)) == want
+        for n in range(cap + 1):
+            for budget in range(-1, cap + 2):
+                want = [combo
+                        for profile in recursive_profiles(n, min(budget, cap), cap)
+                        for combo in product(*[[(m, x) for x in op.elements(j, m)]
+                                               for m in profile])]
+                assert list(_inner_families(op, j, n, budget)) == want

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from gmcat.finset import (
     coequalizer, diagonal_action, fibre_product, fibres, finset, fn,
     identity_perm, is_coequalizer,
     is_equivariant, is_pullback, orbit_canonicalize, orbit_pullback_report,
-    orbit_quotient, perms, pullback, verify_free,
+    orbit_quotient, perms, product_within, pullback, verify_free,
 )
 
 SWAP = Perm((2, 1))
@@ -272,3 +274,31 @@ def test_fibres_keep_the_input_order(xs, tab):
     assert list(groups) == list(dict.fromkeys(tab.get(x, -1) for x in xs))
     for k, grp in groups.items():
         assert grp == [x for x in xs if tab.get(x, -1) == k]
+
+
+small_slots = st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=4)
+small_weights = st.dictionaries(st.integers(0, 6),
+                                st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+
+@given(small_slots, small_weights, st.integers(0, 6))
+def test_product_within_is_the_filtered_product(slots, wtab, budget):
+    calls = []
+
+    def weight(x):
+        calls.append(x)
+        return wtab.get(x, (1, 0))
+    want = []
+    for xs in product(*slots):
+        sums = tuple(map(sum, zip(*(wtab.get(x, (1, 0)) for x in xs))))
+        if all(s <= budget for s in sums):
+            want.append((xs, sums))
+    assert list(product_within(slots, weight, budget)) == want
+    assert len(calls) <= sum(map(len, slots))
+
+
+def test_product_within_edge_cases():
+    one = lambda x: (x,)
+    assert list(product_within([], one, 0)) == [((), ())]
+    assert list(product_within([[1, 2], []], one, 5)) == []
+    assert list(product_within([[0, 1], [1, 0]], one, 0)) == [((0, 0), (0,))]
