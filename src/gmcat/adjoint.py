@@ -23,10 +23,27 @@ from .opmonad import (I_D, S_D, T_D, align_sigma, all_elements, canonicalize,
                       map_elem, mu, mu_raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class HatMorphism:
+    """A provisional morphism; hashed once and compared as MonadElem is."""
+
     phi: object    # object-level element over multimorphisms
     sigma: object  # morphism-level element over objects
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.phi, self.sigma)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not HatMorphism:
+            return NotImplemented
+        return (self._hash == other._hash and self.phi == other.phi
+                and self.sigma == other.sigma)
 
     def _canon_key(self):
         return (9, self.phi._canon_key(), self.sigma._canon_key())

@@ -176,17 +176,17 @@ def underlying(A, bound=3):
     tgt = {w: C.tgt[w[0]] for w in morphisms}
     src = {w: w[1] for w in morphisms}
     ident = {x: underlying_ident(A, x) for x in objects}
+    half = DMulticat(op, objects, morphisms, tgt, src, ident, {}, {})
     action = {(w, delta): underlying_act(A, w, delta)
               for w, delta in source_action_domain(op, morphisms, src, objects, bound)}
-
-    half = DMulticat(op, objects, morphisms, tgt, src, ident, action, {})
     composition = {}
     for w2 in enumerate_M2(half):
         try:
             composition[w2] = underlying_compose(A, *w2)
         except BoundExceeded:
             pass  # composite leaves a truncated carrier; total for total algebras
-    A.underlying[bound] = replace(half, composition=composition)
+    A.underlying[bound] = replace(half, source_action=action,
+                                  composition=composition)
     return A.underlying[bound]
 
 

@@ -8,6 +8,7 @@ eps(x.f) = src(f).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FreenessError, StructuralError
 from .finset import (FinFn, GroupAction, canon_key, fibre_product, fibres, finset,
@@ -121,6 +122,12 @@ class CatFunctor:
     obj_map: dict
     mor_map: dict
 
+    @cached_property
+    def target_lifts(self):
+        """The morphisms of dom grouped by (target, image), in dom's order."""
+        C = self.dom
+        return fibres(C.morphisms, lambda h: (C.tgt[h], self.mor_map[h]))
+
 
 def identity_functor(C):
     return CatFunctor(C, C, {o: o for o in C.objects}, {f: f for f in C.morphisms})
@@ -171,11 +178,10 @@ def is_source_cover(F):
 
 def target_lift(F, x, f):
     """The unique morphism over f with target x (assumes target cover)."""
-    C = F.dom
-    for h in C.morphisms:
-        if C.tgt[h] == x and F.mor_map[h] == f:
-            return h
-    raise StructuralError(f"no target lift of {f!r} at {x!r}")
+    lifts = F.target_lifts.get((x, f))
+    if not lifts:
+        raise StructuralError(f"no target lift of {f!r} at {x!r}")
+    return lifts[0]
 
 
 def nerve_square_is_pullback(F, n):

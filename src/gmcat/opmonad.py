@@ -18,10 +18,17 @@ action has exactly one such sigma; otherwise canonicalize takes the least
 relabelling over all of them, so one canonical form serves every operad.
 `op.elems[(j, d, xs)]` is the canonical element and `op.nested` holds
 nested_elements results. Every MonadElem is such a canonical element.
+
+A MonadElem hashes once, when it is built, to hash((j, n, d, xs)): the
+value a dataclass would compute on every lookup, so dicts and sets iterate
+alike in every process. Equality is identity first, then the cached
+hashes, then the fields. Nothing interns elements (the free paths build
+them directly), so equal elements may be distinct objects, and an element
+of a builtin operad equals the one of its tabulated copy.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import BoundExceeded, FreenessError, StructuralError
@@ -30,7 +37,7 @@ from .finset import (canon_key, fibre_product, fibres, perms, product_within,
                      sort_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MonadElem:
     """Canonical orbit representative [d; xs] at level n (j=0 objects, j=1 morphisms)."""
 
@@ -38,6 +45,21 @@ class MonadElem:
     n: int
     d: object
     xs: tuple
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.j, self.n, self.d, self.xs)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not MonadElem:
+            return NotImplemented
+        return (self._hash == other._hash and self.j == other.j
+                and self.n == other.n and self.d == other.d and self.xs == other.xs)
 
     def _canon_key(self):
         return (7, self.j, self.n, canon_key(self.d), canon_key(self.xs))

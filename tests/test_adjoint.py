@@ -2,17 +2,17 @@
 
 import gc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import pytest
 
 import gmcat.adjoint as adjoint
-from gmcat.adjoint import (L, check_triangles, coeq_equiv, counit_hat,
-                           counit_object, counit_report, descent_report,
-                           hat_L, hat_unit_report, make_hat, to_algebra,
-                           unit_hat, unit_report, validate_coeq_fork,
-                           witness_hat_unit_failure)
+from gmcat.adjoint import (L, HatMorphism, check_triangles, coeq_equiv,
+                           counit_hat, counit_object, counit_report,
+                           descent_report, hat_L, hat_unit_report, make_hat,
+                           to_algebra, unit_hat, unit_report,
+                           validate_coeq_fork, witness_hat_unit_failure)
 from gmcat.catoperad import associativity_operad, barratt_eccles
 from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
                             xi_fill, z2_discrete_algebra)
@@ -283,3 +283,37 @@ def test_underlying_is_memoized_on_its_algebra():
     del A
     gc.collect()
     assert alive() is None
+
+
+@pytest.mark.parametrize("M", [MB, MA], ids=["BE", "ASS"])
+def test_hat_morphism_hash_and_equality(M):
+    op = M.operad
+    twin = hat_L(replace(M))  # its own phi_rows and sigma_index
+    hats = 0
+    for a in elements_of(op, 0, M.objects, 2):
+        for b in elements_of(op, 0, M.objects, 2):
+            ours, theirs = hat_L(M).hom_hat(a, b), twin.hom_hat(a, b)
+            assert ours == theirs
+            for h, k in zip(ours, theirs):
+                hats += 1
+                assert hash(h) == hash((h.phi, h.sigma)) == hash(k)
+                assert h is not k and h == k
+    assert hats > 0
+    # both legs of every relation instance land among the hom-set's members
+    a = b = elements_of(op, 0, M.objects, 2)[0]
+    members = set(hat_L(M).hom_hat(a, b))
+    for lhs, rhs in hat_L(M).relation_instances(a, b):
+        assert lhs in members and rhs in members
+
+
+def test_hat_morphism_collision_and_read_only():
+    a = elements_of(BE, 0, MB.objects, 2)[0]
+    h, k = hat_L(MB).hom_hat(a, a)[:2]
+    assert h != k
+    planted = HatMorphism(k.phi, k.sigma)
+    object.__setattr__(planted, "_hash", hash(h))
+    assert planted != h and len({h, planted}) == 2
+    for name in ("phi", "sigma", "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(h, name, None)
+    assert repr(h) == f"Hat({h.phi!r}, {h.sigma!r})"

@@ -1,7 +1,11 @@
 """JSON round trips and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -346,6 +350,27 @@ def test_cli_reports_are_deterministic(tmp_path):
                  "--bound", "2", "--seed", "7"], tmp_path, "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert r1 == r2
+
+
+@pytest.mark.parametrize("command", [
+    ["check-adjunction", "terminal_symmetric", "z2", "--bound", "2"],
+    ["free", "terminal_symmetric", "--hom", "2", "2"],
+])
+def test_cli_reports_do_not_depend_on_the_hash_seed(command, tmp_path):
+    # fresh processes, so a hash that varies between processes (an id-based
+    # one, say) would reorder some set and change the report's bytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    reports = []
+    for seed in ("0", "1", "7"):
+        env = {k: v for k, v in os.environ.items() if k != "GMCAT_BOUND"}
+        env.update(PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        out = tmp_path / f"seed{seed}.json"
+        done = subprocess.run([sys.executable, "-m", "gmcat", *command,
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_cli_internal_error_exits_4(monkeypatch, capsys):

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmcat.catoperad import associativity_operad, barratt_eccles
+import gmcat.dalgebra
+from gmcat.catoperad import (associativity_operad, barratt_eccles,
+                             commutative_operad)
 from gmcat.dalgebra import (DAlgebra, free_algebra, kappa, kappa_report,
                             terminal_algebra, underlying, validate_algebra,
                             z2_discrete_algebra)
 from gmcat.dmulticat import enumerate_M2, validate_multicat
+from gmcat.errors import FreenessError
 from gmcat.fincat import terminal_category
 from gmcat.opmonad import eta, melem, mu
 
@@ -146,3 +149,12 @@ def test_unit_laws_of_action():
     A = z2_discrete_algebra(BE)
     assert A.xi0(eta(BE, 0, 1)) == 1
     assert A.xi1(eta(BE, 1, ("id", 0))) == ("id", 0)
+
+
+def test_underlying_over_a_non_free_operad_is_refused_before_enumerating(
+        monkeypatch):
+    def never(*args):
+        raise AssertionError("enumerated a source action over a non-free operad")
+    monkeypatch.setattr(gmcat.dalgebra, "source_action_domain", never)
+    with pytest.raises(FreenessError, match="needs a sigma-free operad"):
+        underlying(z2_discrete_algebra(commutative_operad(3)), 2)

@@ -190,6 +190,20 @@ def test_cover_recovered_from_its_objects_presheaf():
         assert F.mor_map[lift] == proj.mor_map[m]
 
 
+def test_target_lift_is_the_first_lift_in_morphism_order():
+    # chaotic Sym(2) onto the one-arrow category: two lifts at each object
+    C, T = chaotic_sym(2), terminal_category()
+    F = CatFunctor(C, T, {o: "*" for o in C.objects},
+                   {m: "id*" for m in C.morphisms})
+    for x in C.objects:
+        assert target_lift(F, x, "id*") == \
+            next(h for h in C.morphisms if C.tgt[h] == x)
+    with pytest.raises(StructuralError, match="no target lift"):
+        target_lift(F, E, "nope")
+    with pytest.raises(StructuralError, match="no target lift"):
+        target_lift(F, "nowhere", "id*")
+
+
 # -- presheaves and transport --------------------------------------------------
 
 def test_structural_presheaves_validate():

@@ -1,20 +1,25 @@
 """Orbit elements, monad laws, the induced category structure, theta/chi."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmcat.fincat
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
-                             commutative_operad)
+                             commutative_operad, operad_tables,
+                             tabulated_operad)
+from gmcat.dmulticat import fillings, terminal_multicat
 from gmcat.errors import BoundExceeded, FreenessError, StructuralError
 from gmcat.fincat import (CatFunctor, Presheaf, c0_presheaf, discrete_category,
                           grothendieck, is_target_cover, validate_category,
                           validate_functor, validate_presheaf)
 from gmcat.finset import Perm, perms
-from gmcat.opmonad import (I_D, S_D, T_D, all_elements, canonicalize,
-                           check_cartesian, check_preserves_cover, chi,
-                           dcat_compose, dcat_tgt, elements_of, eta, gamma_D,
+from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
+                           canonicalize, check_cartesian,
+                           check_preserves_cover, chi, dcat_compose, dcat_tgt,
+                           elements_of, elements_within, eta, gamma_D,
                            map_elem, melem, monad_category, monad_functor,
                            monad_presheaf, mu, nested_elements, theta,
                            validate_monad_category, validate_monad_laws)
@@ -313,3 +318,72 @@ def test_nested_weights_respect_budget():
     for e, w in nested_elements(BE, 1, ("x", "y"), 2, 2):
         assert all(c <= 2 for c in w)
         assert mu(BE, e).n == w[-1]
+
+
+# -- element hashing and equality --------------------------------------------
+
+def _built_elements(op):
+    """Elements from every constructor path: canonicalize, eta, the free
+    path of elements_of, elements_within, fillings, mu and map_elem."""
+    labels = ("x", "y")
+    out = [eta(op, j, "x") for j in (0, 1)]
+    for j in (0, 1):
+        out += elements_of(op, j, labels, 2)
+        out += elements_within(op, j, labels, 2, lambda x: (1,), 2)
+        out += [canonicalize(op, j, 3, op.act(j, 3, s, e.d), s.permuted(e.xs))
+                for e in elements_of(op, j, labels, 3) for s in perms(3)[:2]]
+        out += [map_elem(op, str.upper, e) for e in elements_of(op, j, labels, 2)]
+        out += [mu(op, e) for e, _ in nested_elements(op, j, labels, 2, 3)]
+    M = terminal_multicat(op, cap=3)
+    out += [Phi for f in M.morphisms for Phi in fillings(M, M.src[f], 3)]
+    return out
+
+
+@pytest.mark.parametrize("op", [BE, ASS], ids=["BE", "ASS"])
+def test_element_hash_is_the_field_tuple_hash(op):
+    elems = _built_elements(op)
+    assert len(elems) > 100
+    for e in elems:
+        assert hash(e) == hash((e.j, e.n, e.d, e.xs))
+        assert e == e
+
+
+@pytest.mark.parametrize("make", [barratt_eccles, associativity_operad])
+def test_separately_built_elements_are_equal(make):
+    # a second copy of the operad has its own memos, so nothing is shared
+    op, twin = make(4), make(4)
+    for e, f in zip(_built_elements(op), _built_elements(twin), strict=True):
+        assert e is not f
+        assert e == f and hash(e) == hash(f)
+    assert canonicalize(op, 0, 2, (2, 1), ("x", "y")) != \
+        canonicalize(op, 0, 2, (1, 2), ("x", "y"))
+
+
+def test_builtin_and_tabulated_elements_are_equal():
+    be = barratt_eccles(3)
+    tab = tabulated_operad("barratt_eccles", 3, be.levels, be.unit,
+                           *operad_tables(be))
+    for j in (0, 1):
+        for e in all_elements(be, j, ("x", "y"), 3):
+            t = canonicalize(tab, j, e.n, e.d, e.xs)
+            assert t == e and hash(t) == hash(e)
+            assert {e: 1}[t] == 1
+
+
+def test_a_hash_collision_still_compares_fields():
+    e, f = elements_of(BE, 0, ("x", "y"), 2)[:2]
+    assert e != f
+    planted = MonadElem(f.j, f.n, f.d, f.xs)
+    object.__setattr__(planted, "_hash", hash(e))
+    assert hash(planted) == hash(e)
+    assert planted != e and e != planted
+    assert len({e: 0, planted: 1}) == 2
+
+
+def test_elements_are_read_only():
+    e = canonicalize(BE, 1, 2, ((1, 2), (2, 1)), ("x", "y"))
+    for name, value in (("j", 0), ("n", 3), ("d", ()), ("xs", ()), ("_hash", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, value)
+    assert repr(e) == "D1[((1, 2), (2, 1)); 'x','y']"
+    assert hash(e) == hash((1, 2, ((1, 2), (2, 1)), ("x", "y")))
