@@ -226,26 +226,39 @@ def pullback(f, g):
 
 
 class UnionFind:
+    """Disjoint sets over hashable items; each root is the canonically least
+    member of its class."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
+        self.keys = {}  # canon_key of each item that has been a root in a merge
 
     def find(self, x):
-        r = x
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[x] != r:
-            self.parent[x], x = r, self.parent[x]
+        # one lookup takes x, which may be an equal copy, to a stored item;
+        # from there every parent is a stored item, compared by identity
+        r = p = self.parent[x]
+        while (q := self.parent[r]) is not r:
+            r = q
+        if p is not r:
+            self.parent[x] = r
+            while (q := self.parent[p]) is not r:
+                self.parent[p], p = r, q
         return r
+
+    def _key(self, r):
+        k = self.keys.get(r)
+        if k is None:
+            k = self.keys[r] = canon_key(r)
+        return k
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the canonically smaller representative as root
-            if canon_key(rb) < canon_key(ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-            return True
-        return False
+        if ra is rb:
+            return False
+        if self._key(rb) < self._key(ra):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
 
     def classes(self):
         return {r: sort_labels(v) for r, v in fibres(self.parent, self.find).items()}

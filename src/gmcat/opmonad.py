@@ -217,7 +217,9 @@ def _least_translates(op, j, n):
 
 
 def elements_of(op, j, labels, n):
-    """All canonical elements of arity n over the given labels, sorted."""
+    """All canonical elements of arity n over the given labels. The free path
+    emits [d; xs] for d least (sorted) and xs in product order, so it is in
+    canon_key order by construction when labels are; the other path sorts."""
     labels = tuple(labels)
     if op.is_free:
         return tuple(MonadElem(j, n, d, xs) for d in _least_translates(op, j, n)
@@ -251,7 +253,12 @@ def nested_elements(op, j, labels, layers, budget):
     """Iterated elements with every flattening stage of arity <= budget.
 
     Returns (elem, weights) pairs where weights[t] is the arity of the t-th
-    flattening (weights[0] = top arity, last = leaf count).
+    flattening (weights[0] = top arity, last = leaf count). Layer 1 is
+    all_elements; every layer above it is in canon_key order. Over a free
+    operad that order is the order of construction: k ascending, d least in
+    its orbit (sorted), then the inner elements in product order over the
+    sorted layer below. [d; xs] with d least is canonical, so nothing is
+    canonicalized, deduplicated or sorted afterwards.
     """
     labels = tuple(labels)
     memo_key = (j, labels, layers, budget)
@@ -264,21 +271,20 @@ def nested_elements(op, j, labels, layers, budget):
         op.nested[memo_key] = out
         return out
     inner = dict(nested_elements(op, j, labels, layers - 1, budget))
+    free = op.is_free
+    # layers >= 2 of a free operad come out sorted; the label layer may not
+    ordered = sort_labels(inner) if free and layers == 2 else tuple(inner)
     out = []
     for k in range(cap + 1):
-        reps = _least_translates(op, j, k)
-        for xs, ws in product_within([tuple(inner)] * k, inner.__getitem__, cap):
-            ws = ws or (0,) * (layers - 1)  # the empty product has no weights
-            for d in reps:
-                out.append((canonicalize(op, j, k, d, xs), (k,) + ws))
-    # canonicalization may merge tuples drawn in different orders
-    seen, uniq = set(), []
-    for e, w in out:
-        if e not in seen:
-            seen.add(e)
-            uniq.append((e, w))
-    result = tuple(sorted(uniq, key=lambda ew: canon_key(ew[0])))
-    op.nested[memo_key] = result
+        rows = product_within([ordered] * k, inner.__getitem__, cap)
+        for d in _least_translates(op, j, k):
+            for xs, ws in rows:
+                e = MonadElem(j, k, d, xs) if free else canonicalize(op, j, k, d, xs)
+                # the empty product has no weights
+                out.append((e, (k,) + (ws or (0,) * (layers - 1))))
+    if not free:  # canonicalize merges permuted tuples, whose weights agree
+        out = sorted(dict(out).items(), key=lambda ew: canon_key(ew[0]))
+    result = op.nested[memo_key] = tuple(out)
     return result
 
 
@@ -498,6 +504,14 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         B = tuple(f"z{i}" for i in range(nb))
         functions.append((A, B, {a: rng.choice(B) for a in A}))
 
+    flat = {}  # mu of each nested element, flattened once per call
+
+    def mu_once(v):
+        hit = flat.get(v)
+        if hit is None:
+            hit = flat[v] = mu(op, v)
+        return hit
+
     for A, B, fmap in functions:
         fl = lambda a: fmap[a]
         DA = all_elements(op, j, A, bound)
@@ -512,11 +526,11 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
                     {"map": fmap, "pair": (x, b), "lifts": len(hits)})
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
         index = fibres((v for v, _ in nested_elements(op, j, A, 2, bound)),
-                       lambda v: (mu(op, v),
+                       lambda v: (mu_once(v),
                                   map_elem(op, lambda e: map_elem(op, fl, e), v)))
         for u, w in fibre_product(DA, lambda u: map_elem(op, fl, u),
                                   (w for w, _ in nested_elements(op, j, B, 2, bound)),
-                                  lambda w: mu(op, w)):
+                                  mu_once):
             report["mu_naturality"]["checked"] += 1
             hits = index.get((u, w), ())
             if len(hits) != 1:

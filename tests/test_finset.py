@@ -9,7 +9,7 @@ from gmcat.finset import (
     coequalizer, diagonal_action, fibre_product, fibres, finset, fn,
     identity_perm, is_coequalizer,
     is_equivariant, is_pullback, orbit_canonicalize, orbit_pullback_report,
-    orbit_quotient, perms, product_within, pullback, verify_free,
+    orbit_quotient, perms, product_within, pullback, sort_labels, verify_free,
 )
 
 SWAP = Perm((2, 1))
@@ -153,6 +153,62 @@ def test_union_find_minimal_roots():
     uf.union(9, 2)
     assert uf.find(9) == 2
     assert set(uf.classes()) == {1, 2}
+
+
+class _ReferenceUnionFind:
+    """The field-comparing union-find: walks parents with != and compares
+    the canon_key of both roots on every merge."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        r = x
+        while self.parent[r] != r:
+            r = self.parent[r]
+        while self.parent[x] != r:
+            self.parent[x], x = r, self.parent[x]
+        return r
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if canon_key(rb) < canon_key(ra):
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+            return True
+        return False
+
+    def classes(self):
+        return {r: sort_labels(v) for r, v in fibres(self.parent, self.find).items()}
+
+
+_uf_items = st.one_of(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=12, unique=True),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")),
+             min_size=1, max_size=12, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uf_items.flatmap(lambda items: st.tuples(
+    st.just(items), st.permutations(items),
+    st.lists(st.tuples(st.sampled_from(items), st.sampled_from(items)),
+             max_size=20))))
+def test_union_find_matches_reference(case):
+    items, order, pairs = case
+    # callers pass equal copies, not the stored objects
+    copy = (lambda x: tuple(list(x))) if isinstance(items[0], tuple) else int
+    uf, ref = UnionFind(order), _ReferenceUnionFind(order)
+    stored = {id(x) for x in order}
+    for a, b in pairs:
+        assert uf.union(copy(a), copy(b)) == ref.union(a, b)
+        roots = [uf.find(copy(x)) for x in items]
+        assert roots == [ref.find(x) for x in items]
+        assert all(id(r) in stored for r in roots)
+    assert uf.classes() == ref.classes()
+    assert list(uf.classes()) == list(ref.classes())
+    for root, members in uf.classes().items():
+        assert root == min(members, key=canon_key)
 
 
 # -- group actions ----------------------------------------------------------

@@ -1,5 +1,9 @@
 """Orbit elements, monad laws, the induced category structure, theta/chi."""
 
+import hashlib
+import json
+import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmcat.fincat
+import gmcat.opmonad
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              commutative_operad, operad_tables,
                              tabulated_operad)
@@ -15,7 +20,7 @@ from gmcat.errors import BoundExceeded, FreenessError, StructuralError
 from gmcat.fincat import (CatFunctor, Presheaf, c0_presheaf, discrete_category,
                           grothendieck, is_target_cover, validate_category,
                           validate_functor, validate_presheaf)
-from gmcat.finset import Perm, perms
+from gmcat.finset import Perm, canon_key, fibre_product, fibres, perms, product_within
 from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            canonicalize, check_cartesian,
                            check_preserves_cover, chi, dcat_compose, dcat_tgt,
@@ -23,6 +28,7 @@ from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            map_elem, melem, monad_category, monad_functor,
                            monad_presheaf, mu, nested_elements, theta,
                            validate_monad_category, validate_monad_laws)
+from gmcat.opmonad import _least_translates, _random_sets
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -318,6 +324,126 @@ def test_nested_weights_respect_budget():
     for e, w in nested_elements(BE, 1, ("x", "y"), 2, 2):
         assert all(c <= 2 for c in w)
         assert mu(BE, e).n == w[-1]
+
+
+def _reference_nested(op, j, labels, layers, budget):
+    """nested_elements by canonicalize, then dedupe, then a canon_key sort."""
+    cap = min(budget, op.max_level)
+    if layers == 1:
+        return tuple((e, (e.n,)) for e in all_elements(op, j, labels, cap))
+    inner = dict(_reference_nested(op, j, labels, layers - 1, budget))
+    out = []
+    for k in range(cap + 1):
+        reps = _least_translates(op, j, k)
+        for xs, ws in product_within([tuple(inner)] * k, inner.__getitem__, cap):
+            ws = ws or (0,) * (layers - 1)
+            for d in reps:
+                out.append((canonicalize(op, j, k, d, xs), (k,) + ws))
+    seen, uniq = set(), []
+    for e, w in out:
+        if e not in seen:
+            seen.add(e)
+            uniq.append((e, w))
+    return tuple(sorted(uniq, key=lambda ew: canon_key(ew[0])))
+
+
+# Layer 3 runs over one and two labels: three labels make thousands of
+# elements, and BE's morphism monad has 76 649 at two labels, so it runs
+# over one label only.
+_ORDER_CASES = [pytest.param(make, j, labels, layers,
+                             id=f"{make.__name__}-{j}-{''.join(labels)}-{layers}")
+                for make in (barratt_eccles, associativity_operad)
+                for j in (0, 1)
+                for labels in (("x",), ("x0", "x1"), ("x0", "x1", "x2"), ("x1", "x0"))
+                for layers in (2, 3)
+                if layers == 2 or len(labels) == 1
+                or len(labels) == 2 and (make is associativity_operad or j == 0)]
+
+
+@pytest.mark.parametrize("make,j,labels,layers", _ORDER_CASES)
+def test_free_nested_elements_are_built_in_canonical_order(make, j, labels, layers):
+    got = nested_elements(make(4), j, labels, layers, 3)
+    want = _reference_nested(make(4), j, labels, layers, 3)
+    assert len(got) == len(want) > 0
+    for (e, w), (f, v) in zip(got, want):
+        assert (e.j, e.n, e.d, e.xs, w) == (f.j, f.n, f.d, f.xs, v)
+
+
+@pytest.mark.parametrize("labels", [("x", "y"), ("y", "x")])
+def test_non_free_nested_elements_keep_the_sorted_path(labels):
+    COMM3 = commutative_operad(3)
+    got = nested_elements(COMM3, 0, labels, 2, 3)
+    assert got == _reference_nested(commutative_operad(3), 0, labels, 2, 3)
+    keys = [canon_key(e) for e, _ in got]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def _reference_mu_naturality(op, j, seed, squares, bound=3):
+    """check_cartesian's mu-naturality section on the same seeded draws,
+    flattening every nested element again for each function."""
+    rng = random.Random(seed)
+    done = 0
+    while done < squares:
+        A, B, _, f, g = _random_sets(rng)
+        done += len(tuple(fibre_product(A, f.__getitem__, B, g.__getitem__))) <= 10
+    functions = [(("x", "y"), ("z",), {"x": "z", "y": "z"})]
+    for _ in range(12):
+        na, nb = rng.randint(1, 3), rng.randint(1, 3)
+        A = tuple(f"x{i}" for i in range(na))
+        B = tuple(f"z{i}" for i in range(nb))
+        functions.append((A, B, {a: rng.choice(B) for a in A}))
+    sec = {"checked": 0, "failures": []}
+    for A, B, fmap in functions:
+        fl = fmap.__getitem__
+        index = fibres((v for v, _ in nested_elements(op, j, A, 2, bound)),
+                       lambda v: (mu(op, v),
+                                  map_elem(op, lambda e: map_elem(op, fl, e), v)))
+        for u, w in fibre_product(all_elements(op, j, A, bound),
+                                  lambda u: map_elem(op, fl, u),
+                                  (w for w, _ in nested_elements(op, j, B, 2, bound)),
+                                  lambda w: mu(op, w)):
+            sec["checked"] += 1
+            hits = index.get((u, w), ())
+            if len(hits) != 1:
+                sec["failures"].append({"map": fmap, "pair": (u, w),
+                                        "lifts": [repr(v) for v in hits]})
+    return sec
+
+
+def test_cartesian_check_flattens_each_nested_element_once(monkeypatch):
+    op = barratt_eccles(4)
+    calls, read = Counter(), set()
+    real_mu, real_nested = gmcat.opmonad.mu, gmcat.opmonad.nested_elements
+
+    def counting_mu(op, e):
+        calls[e] += 1
+        return real_mu(op, e)
+
+    def recording_nested(*args):
+        out = real_nested(*args)
+        read.update(e for e, _ in out)
+        return out
+
+    monkeypatch.setattr(gmcat.opmonad, "mu", counting_mu)
+    monkeypatch.setattr(gmcat.opmonad, "nested_elements", recording_nested)
+    rep = check_cartesian(op, 1, seed=2027, squares=5)
+    assert calls and max(calls.values()) == 1
+    assert set(calls) <= read
+    monkeypatch.undo()
+    assert rep["ok"]
+    assert rep["mu_naturality"] == _reference_mu_naturality(
+        barratt_eccles(4), 1, seed=2027, squares=5)
+    # the report of the per-function flattening, byte for byte
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True, default=repr).encode())
+    assert digest.hexdigest() == \
+        "95304aa474e6833345c8b7233f4af4ae739e592cbfce152aca891a5f74e0371e"
+
+
+def test_cartesian_failures_match_the_per_function_flattening():
+    rep = check_cartesian(commutative_operad(4), 0, seed=2027, squares=5)
+    assert rep["mu_naturality"]["failures"]
+    assert rep["mu_naturality"] == _reference_mu_naturality(
+        commutative_operad(4), 0, seed=2027, squares=5)
 
 
 # -- element hashing and equality --------------------------------------------
