@@ -196,9 +196,10 @@ class LazyDAlgebra:
         if (a, b) not in self.closures:
             uf = UnionFind(self.hom_hat(a, b))
             for lhs, rhs in self.relation_instances(a, b):
-                if lhs not in uf.parent or rhs not in uf.parent:
-                    raise StructuralError("relation leg left its hom-set")
-                uf.union(lhs, rhs)
+                try:  # a leg outside the hom-set fails its one lookup, before any merge
+                    uf.union(lhs, rhs)
+                except KeyError:
+                    raise StructuralError("relation leg left its hom-set") from None
             classes, lookup = [], {}
             for members in uf.classes().values():
                 cls = LMorphism(members[0], members)

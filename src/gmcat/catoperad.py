@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import BoundExceeded, StructuralError
-from .finset import (Perm, block_perm, block_sum, fibre_product, fibres, perms,
+from .finset import (Perm, block_perm, fibre_product, fibres, perms,
                      product_within)
 from .fincat import category, validate_category
 
@@ -241,6 +241,9 @@ def freeness_report(op):
     return {"ok": not witnesses, "witnesses": witnesses}
 
 
+_MISS = object()  # a memo miss; None can be a stored value
+
+
 def validate_operad(op, total_arity=None):
     """Category, action, unit, associativity, functoriality, and equivariance checks.
 
@@ -248,10 +251,32 @@ def validate_operad(op, total_arity=None):
     truncation level), total arity being the sum over every element in the
     family as described in the module docstring. Unit laws run over every
     element of every level regardless.
+
+    Each call keeps its own memo of op.act and op.compose, keyed by the exact
+    arguments (a permutation by its images), and reads the group law from one
+    row of morphism images per permutation; none outlives the call, like the
+    flattened elements of opmonad.check_cartesian. Failures, witnesses and
+    their order, and any error the operad raises, are those of evaluating
+    every instance in turn.
     """
     bound = op.max_level if total_arity is None else total_arity
     failures = []
     counts = {"families": 0, "e1": 0, "e2": 0, "assoc": 0, "functor": 0}
+    acts, comps = {}, {}
+
+    def act(j, n, images, x):
+        key = (j, n, images, x)
+        y = acts.get(key, _MISS)
+        if y is _MISS:  # a call that raises is not stored
+            y = acts[key] = op.act(j, n, Perm(images), x)
+        return y
+
+    def compose(j, k, x, inners):
+        key = (j, k, x, inners)
+        y = comps.get(key, _MISS)
+        if y is _MISS:
+            y = comps[key] = op.compose(j, k, x, inners)
+        return y
 
     for n in range(op.max_level + 1):
         rep = validate_category(op.level(n))
@@ -261,22 +286,33 @@ def validate_operad(op, total_arity=None):
     # actions act by automorphism functors and satisfy the group law
     for n in range(op.max_level + 1):
         L = op.level(n)
-        for s in perms(n):
+        sym = [p.images for p in perms(n)]
+        rows = {}  # s -> [f.s for f in L.morphisms]
+        for s in sym:
             for o in L.objects:
-                i_img = op.act(1, n, s, L.ident[o])
-                if i_img != L.ident.get(op.act(0, n, s, o)):
-                    failures.append(("action breaks identities", (n, s.images, o)))
+                i_img = act(1, n, s, L.ident[o])
+                if i_img != L.ident.get(act(0, n, s, o)):
+                    failures.append(("action breaks identities", (n, s, o)))
+            row = rows[s] = []
             for f in L.morphisms:
-                sf = op.act(1, n, s, f)
-                if L.src.get(sf) != op.act(0, n, s, L.src[f]) or \
-                   L.tgt.get(sf) != op.act(0, n, s, L.tgt[f]):
-                    failures.append(("action breaks endpoints", (n, s.images, f)))
-        for s in perms(n):
-            for t in perms(n):
-                st = s.compose(t)  # right action: x.(s o t) = (x.s).t
+                sf = act(1, n, s, f)
+                row.append(sf)
+                if L.src.get(sf) != act(0, n, s, L.src[f]) or \
+                   L.tgt.get(sf) != act(0, n, s, L.tgt[f]):
+                    failures.append(("action breaks endpoints", (n, s, f)))
+        # (x.s).t is read from t's row at the place of x.s, unless x.s left the level
+        place = {f: i for i, f in enumerate(L.morphisms)}
+        places = {s: [place[g] for g in row] if all(g in place for g in row) else None
+                  for s, row in rows.items()}
+        for s in sym:
+            for t in sym:
+                st = _mul(s, t)  # right action: x.(s o t) = (x.s).t
+                at, ps = rows[t], places[s]
+                if ps is not None and rows[st] == [at[i] for i in ps]:
+                    continue
                 for f in L.morphisms:
-                    if op.act(1, n, st, f) != op.act(1, n, t, op.act(1, n, s, f)):
-                        failures.append(("action law fails", (n, s.images, t.images, f)))
+                    if act(1, n, st, f) != act(1, n, t, act(1, n, s, f)):
+                        failures.append(("action law fails", (n, s, t, f)))
                         break
 
     # unit laws on every element of every level
@@ -284,9 +320,9 @@ def validate_operad(op, total_arity=None):
         for j in (0, 1):
             one = op.unit if j == 0 else op.unit_mor
             for x in op.elements(j, n):
-                if op.compose(j, 1, one, ((n, x),)) != x:
+                if compose(j, 1, one, ((n, x),)) != x:
                     failures.append(("left unit fails", (n, j, x)))
-                if op.compose(j, n, x, tuple((1, one) for _ in range(n))) != x:
+                if compose(j, n, x, tuple((1, one) for _ in range(n))) != x:
                     failures.append(("right unit fails", (n, j, x)))
 
     for j in (0, 1):
@@ -294,25 +330,25 @@ def validate_operad(op, total_arity=None):
             counts["families"] += 1
             sizes = tuple(n for n, _ in inners)
             total = sum(sizes)
-            gab = op.compose(j, k, a, inners)
+            gab = compose(j, k, a, inners)
 
             # equivariance in the outer slot
             for s in perms(k):
                 counts["e1"] += 1
-                a_s = op.act(j, k, s, a)
+                a_s = act(j, k, s.images, a)
                 inners_s = s.permuted(inners)
-                lhs = op.compose(j, k, a_s, inners_s)
-                rhs = op.act(j, total, block_perm(s, s.permuted(sizes)), gab)
+                lhs = compose(j, k, a_s, inners_s)
+                rhs = act(j, total, _block_perm_images(s.images, s.permuted(sizes)), gab)
                 if lhs != rhs:
                     failures.append(("equivariance (outer) fails", (k, j, a, inners, s.images)))
 
             # equivariance in the inner slots
             for taus in product(*[perms(n) for n in sizes]):
                 counts["e2"] += 1
-                inners_t = tuple((n, op.act(j, n, t, x))
+                inners_t = tuple((n, act(j, n, t.images, x))
                                  for (n, x), t in zip(inners, taus))
-                lhs = op.compose(j, k, a, inners_t)
-                rhs = op.act(j, total, block_sum(taus), gab)
+                lhs = compose(j, k, a, inners_t)
+                rhs = act(j, total, _block_sum_images(tuple(t.images for t in taus)), gab)
                 if lhs != rhs:
                     failures.append(("equivariance (inner) fails",
                                      (k, j, a, inners, tuple(t.images for t in taus))))
@@ -324,20 +360,20 @@ def validate_operad(op, total_arity=None):
                                         min(leftover, op.max_level)):
                 flat = tuple(c for block in cs for c in block)
                 counts["assoc"] += 1
-                lhs = op.compose(j, total, gab, flat)
+                lhs = compose(j, total, gab, flat)
                 collapsed = tuple(
-                    (sum(m for m, _ in block), op.compose(j, n, x, block))
+                    (sum(m for m, _ in block), compose(j, n, x, block))
                     for (n, x), block in zip(inners, cs))
-                rhs = op.compose(j, k, a, collapsed)
+                rhs = compose(j, k, a, collapsed)
                 if lhs != rhs:
                     failures.append(("associativity fails", (k, j, a, inners, cs)))
 
     # composition is a functor level-wise
     for k, a, inners in composable_families(op, 0, bound):
         sizes = tuple(n for n, _ in inners)
-        ids = op.compose(1, k, op.id_mor(k, a),
-                         tuple((n, op.id_mor(n, x)) for n, x in inners))
-        if ids != op.id_mor(sum(sizes), op.compose(0, k, a, inners)):
+        ids = compose(1, k, op.id_mor(k, a),
+                      tuple((n, op.id_mor(n, x)) for n, x in inners))
+        if ids != op.id_mor(sum(sizes), compose(0, k, a, inners)):
             failures.append(("composition breaks identities", (k, a, inners)))
     into = [fibres(op.level(n).morphisms, op.level(n).tgt.__getitem__)
             for n in range(op.max_level + 1)]
@@ -346,14 +382,14 @@ def validate_operad(op, total_arity=None):
         Lk = op.level(k)
         sizes = tuple(n for n, _ in inners)
         L_tot = op.level(sum(sizes))
-        rhs_top = op.compose(1, k, a, inners)
+        rhs_top = compose(1, k, a, inners)
         pair_pools = [into[n].get(op.level(n).src[x], ()) for n, x in inners]
         for a2 in into[k].get(Lk.src[a], ()):
             for seconds in product(*pair_pools):
-                lhs = op.compose(1, k, Lk.comp[(a, a2)],
-                                 tuple((n, op.level(n).comp[(x, y)])
-                                       for (n, x), y in zip(inners, seconds)))
-                rhs_bot = op.compose(1, k, a2, tuple(zip(sizes, seconds)))
+                lhs = compose(1, k, Lk.comp[(a, a2)],
+                              tuple((n, op.level(n).comp[(x, y)])
+                                    for (n, x), y in zip(inners, seconds)))
+                rhs_bot = compose(1, k, a2, tuple(zip(sizes, seconds)))
                 if lhs != L_tot.comp.get((rhs_top, rhs_bot)):
                     failures.append(("composition breaks composites",
                                      (k, a, a2, inners, seconds)))

@@ -163,8 +163,8 @@ def test_criterion_1_operad_suite():
     assert not rep["comm_free"]["ok"]
     assert "fixed_point" in rep["comm_free"]["witnesses"][0]
     elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0
-    print(f"\n[criterion 1] operad suite: PASS ({elapsed:.1f}s < 10s)")
+    assert elapsed < 5.0
+    print(f"\n[criterion 1] operad suite: PASS ({elapsed:.1f}s < 5s)")
 
 
 def test_criterion_2_cartesian_suite():

@@ -317,3 +317,17 @@ def test_hat_morphism_collision_and_read_only():
         with pytest.raises(FrozenInstanceError):
             setattr(h, name, None)
     assert repr(h) == f"Hat({h.phi!r}, {h.sigma!r})"
+
+
+@pytest.mark.parametrize("stray_first", [True, False], ids=["lhs", "rhs"])
+def test_relation_leg_outside_its_hom_set_is_refused(monkeypatch, stray_first):
+    M = terminal_multicat(associativity_operad(3))  # its own L(M) and closures
+    lz = L(M)
+    a = elements_of(M.operad, 0, M.objects, 2)[0]
+    c = elements_of(M.operad, 0, M.objects, 1)[0]
+    home, stray = lz.hom_hat(a, a)[0], lz.hom_hat(c, a)[0]
+    legs = (stray, home) if stray_first else (home, stray)
+    monkeypatch.setattr(lz, "relation_instances", lambda *ab: iter([legs]))
+    with pytest.raises(StructuralError, match="^relation leg left its hom-set$"):
+        lz.hom(a, a)
+    assert (a, a) not in lz.closures

@@ -9,7 +9,8 @@ from gmcat.fincat import (
     target_lift, terminal_category, transport_presheaf, validate_category,
     validate_cat_action, validate_functor, validate_presheaf,
 )
-from gmcat.finset import Perm, perms
+from gmcat.catoperad import associativity_operad, barratt_eccles
+from gmcat.finset import Perm, canon_key, fibre_product, perms
 
 E, S = (1, 2), (2, 1)  # Sym(2) as image tuples
 
@@ -312,3 +313,79 @@ def test_quotient_of_cover_is_cover():
 def test_discrete_category_builder():
     D = discrete_category(["u", "v"])
     assert validate_category(D)["ok"] and len(D.morphisms) == 2
+
+
+# -- associativity rows against the plain triple loop ---------------------------
+
+def plain_validate_category(C):
+    """validate_category with one comp lookup per use: the reference."""
+    failures = []
+    for f in C.morphisms:
+        if C.src.get(f) not in C.objects or C.tgt.get(f) not in C.objects:
+            failures.append(("endpoint outside objects", f))
+    for o in C.objects:
+        i = C.ident.get(o)
+        if i is None or C.src.get(i) != o or C.tgt.get(i) != o:
+            failures.append(("bad identity", o))
+    if failures:  # the checks below pair morphisms through these tables
+        return {"ok": False, "failures": failures,
+                "objects": len(C.objects), "morphisms": len(C.morphisms)}
+    ordered = C.composable_pairs()
+    pairs = set(ordered)
+    if set(C.comp) != pairs:
+        for w in sorted(set(C.comp) ^ pairs, key=canon_key):
+            failures.append(("composition table domain mismatch", w))
+    mors = set(C.morphisms)
+    for f, g in ordered:  # in pair order, so the witnesses do not depend on hashing
+        if (f, g) not in C.comp:
+            continue
+        h = C.comp[(f, g)]
+        if h not in mors or C.src.get(h) != C.src[g] or C.tgt.get(h) != C.tgt[f]:
+            failures.append(("composite has wrong endpoints", (f, g)))
+    for f in C.morphisms:
+        a, b = C.src[f], C.tgt[f]
+        if C.comp.get((f, C.ident[a])) != f:
+            failures.append(("right unit fails", (f, a)))
+        if C.comp.get((C.ident[b], f)) != f:
+            failures.append(("left unit fails", (f, b)))
+    # lazy: the triples of a level-4 category run to hundreds of thousands
+    with_fg = ((f, g, C.comp.get((f, g))) for f, g in ordered)
+    for (f, g, fg), h in fibre_product(with_fg, lambda p: C.src[p[1]],
+                                       C.morphisms, C.tgt.__getitem__):
+        if C.comp.get((fg, h)) != C.comp.get((f, C.comp.get((g, h)))):
+            failures.append(("associativity fails", (f, g, h)))
+    return {"ok": not failures, "failures": failures,
+            "objects": len(C.objects), "morphisms": len(C.morphisms),
+            "composable_pairs": len(pairs)}
+
+
+LEVELS = [("BE3", barratt_eccles(3), 2), ("BE3", barratt_eccles(3), 3),
+          ("BE4", barratt_eccles(4), 3), ("ASS3", associativity_operad(3), 3)]
+
+
+@pytest.mark.parametrize("name,op,n", LEVELS, ids=[f"{name}-{n}" for name, _, n in LEVELS])
+def test_category_rows_match_the_plain_loop(name, op, n):
+    L = op.level(n)
+    assert validate_category(L) == plain_validate_category(L)
+    pairs = sorted(L.comp, key=canon_key)
+    for pair in (pairs[1], pairs[len(pairs) // 2]):
+        mors = L.morphisms
+        comp = {**L.comp, pair: mors[(mors.index(L.comp[pair]) + 1) % len(mors)]}
+        C = category(L.objects, mors, L.src, L.tgt, L.ident, comp)
+        rep = validate_category(C)
+        assert not rep["ok"] and rep == plain_validate_category(C)
+
+
+def test_composites_with_the_right_endpoints_can_break_associativity():
+    # one object, so every composite has the right endpoints; e is a unit and
+    # a, b multiply by a table in which (a.a).b = b.b = a but a.(a.b) = a.a = b
+    mors = ("e", "a", "b")
+    comp = {("e", m): m for m in mors} | {(m, "e"): m for m in mors}
+    comp |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "a"}
+    C = category(("*",), mors, dict.fromkeys(mors, "*"), dict.fromkeys(mors, "*"),
+                 {"*": "e"}, comp)
+    rep = validate_category(C)
+    assert rep == plain_validate_category(C)
+    assert rep["failures"] == [("associativity fails", w) for w in
+                               [("a", "a", "b"), ("a", "b", "b"), ("b", "a", "a"),
+                                ("b", "b", "a")]]
