@@ -486,7 +486,7 @@ def counit_report(A, bound=2):
             continue
         if h not in eps:
             bounded += 1
-        elif eps[h] != A.carrier.comp[(eps[f], eps[g])]:
+        elif eps[h] != A.carrier.comp.get((eps[f], eps[g])):  # None: not composable
             failures.append(("composition not preserved", (f, g)))
     mors = tuple(eps)
     checked = 0

@@ -14,7 +14,7 @@ families of total arity up to the bound (default: the truncation level).
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import product
 
 from .errors import BoundExceeded, StructuralError
@@ -241,9 +241,6 @@ def freeness_report(op):
     return {"ok": not witnesses, "witnesses": witnesses}
 
 
-_MISS = object()  # a memo miss; None can be a stored value
-
-
 def validate_operad(op, total_arity=None):
     """Category, action, unit, associativity, functoriality, and equivariance checks.
 
@@ -252,31 +249,19 @@ def validate_operad(op, total_arity=None):
     family as described in the module docstring. Unit laws run over every
     element of every level regardless.
 
-    Each call keeps its own memo of op.act and op.compose, keyed by the exact
-    arguments (a permutation by its images), and reads the group law from one
-    row of morphism images per permutation; none outlives the call, like the
-    flattened elements of opmonad.check_cartesian. Failures, witnesses and
-    their order, and any error the operad raises, are those of evaluating
-    every instance in turn.
+    Each call wraps op.act and op.compose in a functools.cache of its own,
+    keyed by the exact arguments (a permutation by its images), and reads the
+    group law from one row of morphism images per permutation; none outlives
+    the call, like the flattened elements of opmonad.check_cartesian. A call
+    that raises is not cached, so failures, witnesses and their order, and
+    any error the operad raises, are those of evaluating every instance in
+    turn.
     """
     bound = op.max_level if total_arity is None else total_arity
     failures = []
     counts = {"families": 0, "e1": 0, "e2": 0, "assoc": 0, "functor": 0}
-    acts, comps = {}, {}
-
-    def act(j, n, images, x):
-        key = (j, n, images, x)
-        y = acts.get(key, _MISS)
-        if y is _MISS:  # a call that raises is not stored
-            y = acts[key] = op.act(j, n, Perm(images), x)
-        return y
-
-    def compose(j, k, x, inners):
-        key = (j, k, x, inners)
-        y = comps.get(key, _MISS)
-        if y is _MISS:
-            y = comps[key] = op.compose(j, k, x, inners)
-        return y
+    act = cache(lambda j, n, images, x: op.act(j, n, Perm(images), x))
+    compose = cache(op.compose)
 
     for n in range(op.max_level + 1):
         rep = validate_category(op.level(n))

@@ -151,9 +151,10 @@ def validate_functor(F):
     for o in C.objects:
         if F.obj_map.get(o) not in D.objects:
             failures.append(("object image missing", o))
+    mors = set(D.morphisms)
     for f in C.morphisms:
         g = F.mor_map.get(f)
-        if g not in set(D.morphisms):
+        if g not in mors:
             failures.append(("morphism image missing", f))
             continue
         if D.src[g] != F.obj_map[C.src[f]] or D.tgt[g] != F.obj_map[C.tgt[f]]:
@@ -245,8 +246,9 @@ def validate_presheaf(P):
         for w in sorted(set(P.act) ^ want, key=canon_key):
             failures.append(("action domain mismatch", w))
         return {"ok": False, "failures": failures}
+    carrier = set(P.carrier)
     for (x, f), y in P.act.items():
-        if y not in set(P.carrier):
+        if y not in carrier:
             failures.append(("action leaves carrier", (x, f)))
         elif P.eps[y] != C.src[f]:
             failures.append(("eps of x.f is not src(f)", (x, f)))

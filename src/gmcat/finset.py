@@ -5,6 +5,9 @@ order on labels (`canon_key`), block permutations/sums, free-action orbit
 canonicalization, the fibre product (`fibres`, `fibre_product`) behind every
 "which of these lie over the same point" question, and the weight-bounded
 product (`product_within`) behind every "enumerate, then drop" loop.
+
+Labels are the same exactly when they are `==`, as in every dict and set, so
+`1` and `True` are one label; `canon_key` only orders them.
 """
 
 from dataclasses import dataclass
@@ -169,12 +172,12 @@ def block_sum(parts):
 
 @dataclass(frozen=True)
 class FinSet:
-    """Finite set of labels kept in canonical sorted order."""
+    """Finite set of labels kept in canonical sorted order; no two are ==."""
 
     elems: tuple
 
     def __post_init__(self):
-        if len(set(map(canon_key, self.elems))) != len(self.elems):
+        if len(set(self.elems)) != len(self.elems):
             raise StructuralError("duplicate labels in FinSet")
 
     def __contains__(self, x):
@@ -218,8 +221,7 @@ def pullback(f, g):
     """Pullback of the cospan f: A -> Z <- B :g, with literal-pair labels."""
     if f.tgt != g.tgt:
         raise StructuralError("pullback: cospan codomains differ")
-    P = finset(fibre_product(f.src, lambda a: canon_key(f(a)),
-                             g.src, lambda b: canon_key(g(b))))
+    P = finset(fibre_product(f.src, f, g.src, g))
     p1 = fn(P, f.src, lambda w: w[0])
     p2 = fn(P, g.src, lambda w: w[1])
     return P, p1, p2
@@ -281,12 +283,11 @@ def coequalizer(f, g):
 def is_pullback(P, p1, p2, f, g):
     """Exhaustive universal-property check; returns (ok, witness)."""
     for w in P:
-        if canon_key(f(p1(w))) != canon_key(g(p2(w))):
+        if f(p1(w)) != g(p2(w)):
             return False, ("square does not commute", w)
-    index = fibres(P, lambda w: (canon_key(p1(w)), canon_key(p2(w))))
-    for a, b in fibre_product(f.src, lambda a: canon_key(f(a)),
-                              g.src, lambda b: canon_key(g(b))):
-        hits = index.get((canon_key(a), canon_key(b)), [])
+    index = fibres(P, lambda w: (p1(w), p2(w)))
+    for a, b in fibre_product(f.src, f, g.src, g):
+        hits = index.get((a, b), [])
         if len(hits) != 1:
             return False, ("lift not unique" if hits else "lift missing", (a, b))
     for ws in index.values():
@@ -298,14 +299,14 @@ def is_pullback(P, p1, p2, f, g):
 def is_coequalizer(Q, q, f, g):
     """Check q coequalizes (f,g) and its fibers are exactly the generated classes."""
     for a in f.src:
-        if canon_key(q(f(a))) != canon_key(q(g(a))):
+        if q(f(a)) != q(g(a)):
             return False, ("fork does not commute", a)
     uf = UnionFind(f.tgt.elems)
     for a in f.src:
         uf.union(f(a), g(a))
-    want = {frozenset(map(canon_key, v)) for v in uf.classes().values()}
-    fibers = fibres(f.tgt, lambda b: canon_key(q(b)))
-    if {frozenset(map(canon_key, v)) for v in fibers.values()} != want:
+    want = set(map(frozenset, uf.classes().values()))
+    fibers = fibres(f.tgt, q)
+    if set(map(frozenset, fibers.values())) != want:
         return False, ("fibers differ from generated congruence", None)
     if len(fibers) != len(Q):
         return False, ("quotient map not surjective", None)
@@ -352,17 +353,16 @@ class GroupAction:
                     failures.append(f"group not closed under {s}, {t}")
                     break
         for x in self.carrier:
-            if ident is not None and canon_key(self.act(ident, x)) != canon_key(x):
+            if ident is not None and self.act(ident, x) != x:
                 failures.append(f"identity moves {x!r}")
         for s in self.group:
             for t in self.group:
                 for x in self.carrier:
-                    if canon_key(self.act(s.compose(t), x)) != canon_key(self.act(s, self.act(t, x))):
+                    if self.act(s.compose(t), x) != self.act(s, self.act(t, x)):
                         failures.append(f"action law fails at ({s}, {t}, {x!r})")
                         break
         for s in self.group:
-            seen = {canon_key(self.act(s, x)) for x in self.carrier}
-            if len(seen) != len(self.carrier):
+            if len({self.act(s, x) for x in self.carrier}) != len(self.carrier):
                 failures.append(f"{s} does not act bijectively")
         return {"ok": not failures, "failures": failures}
 
@@ -372,7 +372,7 @@ class GroupAction:
             if s.is_identity:
                 continue
             for x in self.carrier:
-                if canon_key(self.act(s, x)) == canon_key(x):
+                if self.act(s, x) == x:
                     return (s, x)
         return None
 
@@ -403,7 +403,7 @@ def orbit_quotient(action):
 def is_equivariant(f, act_a, act_b):
     for s in act_a.group:
         for x in act_a.carrier:
-            if canon_key(f(act_a.act(s, x))) != canon_key(act_b.act(s, f(x))):
+            if f(act_a.act(s, x)) != act_b.act(s, f(x)):
                 return False
     return True
 
@@ -431,26 +431,24 @@ def orbit_pullback_report(f, g, act_a, act_b, act_z):
     fbar = fn(QA, QZ, lambda a: qz(f(a)))
     gbar = fn(QB, QZ, lambda b: qz(g(b)))
     for a in act_a.carrier:
-        if canon_key(fbar(qa(a))) != canon_key(qz(f(a))):
+        if fbar(qa(a)) != qz(f(a)):
             rep["ok"] = False
             rep["failures"].append(("quotient of f not well-defined", a))
             return rep
     for b in act_b.carrier:
-        if canon_key(gbar(qb(b))) != canon_key(qz(g(b))):
+        if gbar(qb(b)) != qz(g(b)):
             rep["ok"] = False
             rep["failures"].append(("quotient of g not well-defined", b))
             return rep
     PQ, r1, r2 = pullback(fbar, gbar)
     # comparison map [ (a,b) ] -> ([a],[b]) must be a bijection
-    image = fibres(QP, lambda w: canon_key((qa(w[0]), qb(w[1]))))
-    for k, ws in image.items():
+    image = fibres(QP, lambda w: (qa(w[0]), qb(w[1])))
+    for ws in image.values():
         if len(ws) > 1:
             rep["ok"] = False
             rep["failures"].append(("comparison map not injective", ws))
-    want = {canon_key((u, v)) for (u, v) in PQ}
-    got = set(image)
-    if got != want:
+    if image.keys() != set(PQ):
         rep["ok"] = False
-        missing = [uv for uv in PQ if canon_key(uv) not in got]
+        missing = [uv for uv in PQ if uv not in image]
         rep["failures"].append(("comparison map not surjective", missing))
     return rep

@@ -331,3 +331,111 @@ def test_relation_leg_outside_its_hom_set_is_refused(monkeypatch, stray_first):
     with pytest.raises(StructuralError, match="^relation leg left its hom-set$"):
         lz.hom(a, a)
     assert (a, a) not in lz.closures
+
+
+# ---------------------------------------------------------------------------
+# counit and triangle branches, reached by patched algebra procedures
+
+BE3 = barratt_eccles(3)
+
+
+def counit_classes(A):
+    """L(U A) at bound 2, as counit_report reads it, and its classes in hom order."""
+    LU = L(underlying(A, 2))
+    objs = LU.objects_upto(2)
+    return LU, [cls for a in objs for b in objs for cls in LU.hom(a, b)]
+
+
+def other_identity(A, f):
+    """The identity of the other object of the discrete two-object carrier."""
+    return next(g for g in A.carrier.morphisms if g != f)
+
+
+def patch_counit(monkeypatch, A, members, value):
+    inner = adjoint.counit_hat
+    monkeypatch.setattr(adjoint, "counit_hat", lambda B, m: value(inner(B, m))
+                        if B is A and m in members else inner(B, m))
+
+
+def test_counit_not_constant_on_a_class(monkeypatch):
+    A = z2_discrete_algebra(BE3)
+    _, classes = counit_classes(A)
+    cls = next(c for c in classes if len(c.members) > 1)
+    patch_counit(monkeypatch, A, {cls.members[1]}, lambda f: other_identity(A, f))
+    assert counit_report(A, bound=2)["failures"] == [("not constant on a class", cls)]
+
+
+def test_counit_endpoint_mismatch(monkeypatch):
+    A = z2_discrete_algebra(BE3)
+    _, classes = counit_classes(A)
+    cls = classes[-1]
+    patch_counit(monkeypatch, A, set(cls.members), lambda f: other_identity(A, f))
+    failures = counit_report(A, bound=2)["failures"]
+    assert [f for f in failures if f[0] == "endpoint mismatch"] == \
+        [("endpoint mismatch", cls)]
+    # its composites with the other classes are not composable in the
+    # carrier: a failure, not a crash
+    assert {f[0] for f in failures} == {"endpoint mismatch", "action not preserved",
+                                        "composition not preserved"}
+
+
+def test_counit_identity_not_preserved(monkeypatch):
+    # send the identity class of an object to a non-identity automorphism
+    # of its image in the free algebra's carrier
+    A = free_algebra(BE3, terminal_category(), 2)
+    C = A.carrier
+    LU, _ = counit_classes(A)
+    a, auto = next((a, f) for a in LU.objects_upto(2) for f in C.morphisms
+                   if C.src[f] == C.tgt[f] == counit_object(A, a)
+                   and f != C.ident[counit_object(A, a)])
+    patch_counit(monkeypatch, A, set(LU.ident(a).members), lambda f: auto)
+    failures = counit_report(A, bound=2)["failures"]
+    assert [f for f in failures if f[0] == "identity not preserved"] == \
+        [("identity not preserved", a)]
+    assert not [f for f in failures if f[0] == "endpoint mismatch"]
+
+
+def test_counit_composition_not_preserved(monkeypatch):
+    A = z2_discrete_algebra(BE3)
+    LU, classes = counit_classes(A)
+    f, g = next((f, g) for f in classes for g in classes
+                if LU.src(f) == LU.tgt(g))
+    eps = counit_hat(A, LU.compose(f, g).rep)
+    stray = next(c for c in classes if counit_hat(A, c.rep) != eps)
+    inner = LU.compose
+    monkeypatch.setattr(LU, "compose", lambda x, y: stray if (x, y) == (f, g)
+                        else inner(x, y))
+    assert counit_report(A, bound=2)["failures"] == \
+        [("composition not preserved", (f, g))]
+
+
+def test_triangle_round_trip_moves_a_multimorphism(monkeypatch):
+    A = z2_discrete_algebra(BE3)
+    UA = underlying(A, 2)
+    w = UA.morphisms[0]
+    rep = L(UA).class_of(unit_hat(BE3, UA, w)).rep
+    patch_counit(monkeypatch, A, {rep}, lambda f: other_identity(A, f))
+    got = check_triangles(terminal_multicat(BE3), A, bound=2)
+    assert got["triangle_U"] == [("round trip moves a multimorphism", w,
+                                  (other_identity(A, w[0]), w[1]))]
+    assert got["triangle_L"] == [] and got["bounded"] == 0
+
+
+@pytest.mark.parametrize("loop", ["U", "L"])
+def test_triangle_bound_exceeded_is_counted_as_bounded(monkeypatch, loop):
+    # the first counit evaluation of the chosen loop leaves the truncation
+    M, A = terminal_multicat(BE3), z2_discrete_algebra(BE3)
+    clean = check_triangles(M, A, bound=2)
+    assert clean["ok"] and clean["bounded"] == 0
+    target = A if loop == "U" else L(M)
+    inner, calls = adjoint.counit_hat, []
+
+    def counit(B, hat):
+        if B is target and not calls:
+            calls.append(hat)
+            raise BoundExceeded("planted")
+        return inner(B, hat)
+    monkeypatch.setattr(adjoint, "counit_hat", counit)
+    got = check_triangles(M, A, bound=2)
+    assert len(calls) == 1
+    assert got == {**clean, "bounded": 1}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -329,6 +330,45 @@ def test_cli_classical_multicat_file(tmp_path):
     assert code == 0
     assert [c["name"] for c in rep["checks"]] == \
         ["classical multicategory axioms", "multicategory axioms"]
+
+
+def test_cli_classical_multicat_file_failing_its_axioms(tmp_path):
+    # the classical check fails, so no multicategory is built or validated
+    cm = xor_classical()
+    path = tmp_path / "xor.json"
+    jsonio.save(jsonio.encode_classical(
+        replace(cm, ident={**cm.ident, 1: ("m", (0,))}), True), path)
+    code, rep = run(["validate", "multicat", str(path), "--truncate", "2",
+                     "--bound", "2"], tmp_path)
+    assert code == 1
+    assert [c["name"] for c in rep["checks"]] == ["classical multicategory axioms"]
+    assert rep["checks"][0]["witnesses"][0] == ["bad identity", 1]
+
+
+def test_cli_validate_terminal_algebra(tmp_path):
+    code, rep = run(["validate", "algebra", "terminal", "--bound", "2"], tmp_path)
+    assert code == 0
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == \
+        [("carrier category laws", "pass"), ("algebra laws", "pass")]
+
+
+@pytest.mark.parametrize("target, hom, message", [
+    ("terminal_symmetric", [], "free needs --hom SRC TGT"),
+    ("terminal_symmetric", ["two", "2"],
+     "hom spec 'two' is neither an arity nor a JSON list"),
+    ("terminal_symmetric", ["2", '{"n": 2}'], "must be a JSON list"),
+    ("terminal_symmetric", ['["*", "x"]', "1"],
+     "'x' is not an object of the multicategory"),
+    ("xor.json", ["2", "2"], "arity shorthand needs a single-object multicategory"),
+], ids=["no-hom", "not-a-spec", "not-a-list", "not-an-object", "shorthand"])
+def test_cli_free_unusable_hom_exits_2(target, hom, message, tmp_path, capsys,
+                                       monkeypatch):
+    jsonio.save(jsonio.encode_classical(xor_classical(), True), tmp_path / "xor.json")
+    monkeypatch.chdir(tmp_path)
+    code, rep = run(["free", target, "--truncate", "2", "--bound", "2",
+                     *(["--hom", *hom] if hom else [])], tmp_path)
+    assert code == 2 and rep is None
+    assert message in capsys.readouterr().err
 
 
 def test_cli_config_invariant(capsys):

@@ -15,9 +15,9 @@ from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
 from gmcat.errors import FreenessError, StructuralError
 from gmcat.fincat import terminal_category, validate_presheaf
 from gmcat.finset import Perm, fibres, perms
-from gmcat.dmulticat import (ClassicalMulticat, DMulticat, enumerate_M2,
-                             enumerate_M3, from_nonsymmetric, from_symmetric,
-                             gamma_S, gamma_T, over_point_form,
+from gmcat.dmulticat import (ClassicalMulticat, DMulticat, _coherence_triples,
+                             enumerate_M2, enumerate_M3, from_nonsymmetric,
+                             from_symmetric, gamma_S, gamma_T, over_point_form,
                              terminal_multicat, validate_classical,
                              validate_multicat)
 from gmcat.opmonad import (T_D, all_elements, canonicalize, elements_of,
@@ -107,6 +107,20 @@ def test_sum_encoding_is_valid():
     rep = validate_multicat(M)
     assert rep["ok"], rep["failures"][:3]
     assert rep["coherence_checked"] > 0
+
+
+def test_coherence_sample_below_the_exhaustive_count():
+    # over its budget the interchange check samples `budget` instances, the
+    # same ones for one seed, each among the exhaustive instances
+    M = from_symmetric(sum_classical(3), op=BE)
+    full = _coherence_triples(M, 2000, seed=0)
+    assert len(full) == 79
+    sampled = _coherence_triples(M, 20, seed=7)
+    assert len(sampled) == 20 and set(sampled) <= set(full)
+    assert _coherence_triples(M, 20, seed=7) == sampled
+    rep = validate_multicat(M, coherence_budget=20, seed=7)
+    assert rep["ok"] and rep["coherence_checked"] == 20
+    assert validate_multicat(M, coherence_budget=20, seed=7) == rep
 
 
 def test_pairing_encoding_and_nontrivial_action():

@@ -87,6 +87,37 @@ def test_canon_key_orders_mixed_labels():
     assert sorted(xs, key=canon_key) == [1, 2, "a", "b", ("a", 1)]
 
 
+# labels are the same exactly when they are ==, as in every dict and set;
+# canon_key still orders 1 before True, but no longer tells them apart
+
+def test_equal_labels_are_one_label():
+    with pytest.raises(StructuralError, match="duplicate labels"):
+        finset([1, True])
+    assert canon_key(1) != canon_key(True)
+
+
+def test_pullback_matches_equal_labels():
+    Z = finset([1])
+    f = FinFn(finset(["a"]), Z, {"a": 1})
+    g = FinFn(finset(["b"]), Z, {"b": True})
+    P, p1, p2 = pullback(f, g)
+    assert P.elems == (("a", "b"),)
+    assert is_pullback(P, p1, p2, f, g) == (True, None)
+    h = FinFn(f.src, Z, {"a": True})
+    Q, q = coequalizer(f, h)
+    assert Q.elems == (1,) and is_coequalizer(Q, q, f, h) == (True, None)
+
+
+def test_group_action_reads_equal_labels_as_one():
+    # the swap sends 1 to True, that is to 1 itself
+    table = {(s, x): x for s in perms(2) for x in (1, 2)}
+    table[(SWAP, 1)] = True
+    assert GroupAction(perms(2), (1, 2), table).validate() == {"ok": True, "failures": []}
+    with pytest.raises(FreenessError) as err:
+        GroupAction(perms(2), (1, 2), table, free=True)
+    assert err.value.witness == (SWAP, 1)
+
+
 def test_pullback_frozen_example():
     A = finset(["a", "b"])
     Z = finset([0, 1])

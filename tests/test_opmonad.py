@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -119,6 +120,80 @@ def test_category_object_laws():
     assert validate_monad_category(BE, ("x", "y"), 2)["ok"]
     assert validate_monad_category(ASS, ("a", "b"), 2)["ok"]
     assert validate_monad_category(BE, ("x",), 3)["ok"]
+
+
+CATEGORY_CASES = [(BE, ("x", "y"), 2, 3844, 184), (ASS, ("a", "b"), 2, 625, 25),
+                  (BE, ("x",), 3, 104329, 5883)]
+
+
+def plain_functoriality(op, labels, bound):
+    """The nested pairs that compose, tried one by one, and the law on each."""
+    nested2 = [e for e, _ in nested_elements(op, 1, labels, 2, bound)]
+    pairs, failures = [], []
+    for E in nested2:
+        for E2 in nested2:
+            try:
+                comp = gmcat.opmonad._aligned_compose(
+                    op, E, E2, lambda e: S_D(op, e), lambda e: T_D(op, e),
+                    lambda a, b: gamma_D(op, a, b))
+            except StructuralError:
+                continue
+            pairs.append((E, E2))
+            if mu(op, comp) != gamma_D(op, mu(op, E), mu(op, E2)):
+                failures.append(("mu breaks gamma_D", (E, E2)))
+    return len(nested2) ** 2, pairs, failures
+
+
+def spy_functoriality(monkeypatch, wrong=False):
+    """Record the nested pairs validate_monad_category composes itself; with
+    `wrong`, each such composite, and each of plain_functoriality's, is
+    replaced by its left factor."""
+    inner, seen = gmcat.opmonad._aligned_compose, []
+    callers = (validate_monad_category.__code__, plain_functoriality.__code__)
+
+    def spy(op, E, E2, *maps):
+        comp = inner(op, E, E2, *maps)
+        caller = sys._getframe(1).f_code
+        if caller is validate_monad_category.__code__:
+            seen.append((E, E2))
+        return E if wrong and caller in callers else comp
+    monkeypatch.setattr(gmcat.opmonad, "_aligned_compose", spy)
+    return seen
+
+
+@pytest.mark.parametrize("op, labels, bound, tries, composable", CATEGORY_CASES,
+                         ids=["BE-xy-2", "ASS-ab-2", "BE-x-3"])
+def test_functoriality_reads_the_composable_pairs(monkeypatch, op, labels, bound,
+                                                  tries, composable):
+    # the pairs whose endpoints meet are exactly those the try-each-pair loop
+    # composes, in the same order
+    seen = spy_functoriality(monkeypatch)
+    assert validate_monad_category(op, labels, bound)["ok"]
+    n, pairs, _ = plain_functoriality(op, labels, bound)
+    assert (n, len(pairs)) == (tries, composable)
+    assert seen == pairs
+
+
+def test_functoriality_failures_match_the_pairwise_loop(monkeypatch):
+    seen = spy_functoriality(monkeypatch, wrong=True)
+    failures = validate_monad_category(BE, ("x", "y"), 2)["failures"]
+    _, pairs, want = plain_functoriality(BE, ("x", "y"), 2)
+    assert seen == pairs and want
+    assert [f for f in failures if f[0] == "mu breaks gamma_D"] == want
+
+
+def test_structural_error_inside_the_functoriality_law_propagates(monkeypatch):
+    # a broken structure map inside the nested composite is an error, not a
+    # pair that does not compose
+    inner = gmcat.opmonad._aligned_compose
+
+    def broken(op, E, E2, *maps):
+        if sys._getframe(1).f_code is validate_monad_category.__code__:
+            raise StructuralError("planted")
+        return inner(op, E, E2, *maps)
+    monkeypatch.setattr(gmcat.opmonad, "_aligned_compose", broken)
+    with pytest.raises(StructuralError, match="planted"):
+        validate_monad_category(BE, ("x", "y"), 2)
 
 
 def test_identity_elements():
