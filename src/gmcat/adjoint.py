@@ -456,7 +456,7 @@ def counit_report(A, bound=2):
     LU = L(U)
     objs = LU.objects_upto(bound)
     failures, classes_seen, bounded = [], 0, 0
-    eps = {}
+    eps, broken = {}, set()  # broken: classes that already failed constancy
     for a in objs:
         for b in objs:
             for cls in LU.hom(a, b):
@@ -468,12 +468,16 @@ def counit_report(A, bound=2):
                     continue
                 if len(values) != 1:
                     failures.append(("not constant on a class", cls))
+                    broken.add(cls)
                     continue
                 eps[cls] = values.pop()
                 if A.carrier.src[eps[cls]] != counit_object(A, a) or \
                    A.carrier.tgt[eps[cls]] != counit_object(A, b):
                     failures.append(("endpoint mismatch", cls))
+    # a result on a broken class is neither checked nor bounded
     for a in objs:
+        if LU.ident(a) in broken:
+            continue
         if LU.ident(a) not in eps:
             bounded += 1
         elif eps[LU.ident(a)] != A.carrier.ident[counit_object(A, a)]:
@@ -483,6 +487,8 @@ def counit_report(A, bound=2):
             h = LU.compose(f, g)
         except BoundExceeded:
             bounded += 1
+            continue
+        if h in broken:
             continue
         if h not in eps:
             bounded += 1
@@ -497,6 +503,8 @@ def counit_report(A, bound=2):
             rhs = A.xi1(map_elem(op, eps.get, E))
         except BoundExceeded:
             bounded += 1
+            continue
+        if lhs in broken:
             continue
         if lhs not in eps:
             bounded += 1

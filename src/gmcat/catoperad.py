@@ -56,6 +56,7 @@ class CatOperad:
     elems: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     nested: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    composites: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def level(self, n):
         if not 0 <= n <= self.max_level:

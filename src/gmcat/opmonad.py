@@ -16,8 +16,9 @@ The memos live on the operad. Orbit data is memoized per element:
 that reaches it), built when d is first canonicalized or aligned. A free
 action has exactly one such sigma; otherwise canonicalize takes the least
 relabelling over all of them, so one canonical form serves every operad.
-`op.elems[(j, d, xs)]` is the canonical element and `op.nested` holds
-nested_elements results. Every MonadElem is such a canonical element.
+`op.elems[(j, d, xs)]` is the canonical element, `op.nested` holds
+nested_elements results and `op.composites` the composite of each shape
+that mu_raw flattens. Every MonadElem is such a canonical element.
 
 A MonadElem hashes once, when it is built, to hash((j, n, d, xs)): the
 value a dataclass would compute on every lookup, so dicts and sets iterate
@@ -31,6 +32,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from operator import itemgetter
 
 from .errors import BoundExceeded, FreenessError, StructuralError
 from .fincat import CatFunctor, Presheaf, category
@@ -123,8 +125,13 @@ def eta(op, j, x):
 
 
 def mu_raw(op, j, k, d, inners):
-    """One flattening step on an explicit representative; returns (n, d, xs)."""
-    composed = op.compose(j, k, d, tuple((e.n, e.d) for e in inners))
+    """One flattening step on an explicit representative; returns (n, d, xs).
+    The composite depends on the operad data only, so it is read from
+    op.composites, keyed by the shape (j, k, d, ((n_i, d_i), ...))."""
+    shape = (j, k, d, tuple((e.n, e.d) for e in inners))
+    composed = op.composites.get(shape)
+    if composed is None:
+        composed = op.composites[shape] = op.compose(*shape)
     xs = tuple(x for e in inners for x in e.xs)
     return sum(e.n for e in inners), composed, xs
 
@@ -138,7 +145,7 @@ def mu(op, e):
 
 
 def map_elem(op, f, e):
-    return canonicalize(op, e.j, e.n, e.d, tuple(f(x) for x in e.xs))
+    return canonicalize(op, e.j, e.n, e.d, tuple(map(f, e.xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +465,15 @@ def _random_sets(rng):
     return A, B, Z, f, g
 
 
-def _square_preserved(op, j, A, B, f, g, P, bound):
-    """D of the pullback square P of f and g is again a pullback: unique joint lifts."""
+def _square_preserved(op, j, DA, DB, f, g, P, bound):
+    """D of the pullback square P of f and g is again a pullback: unique joint
+    lifts. DA and DB are the elements over the domains of f and g."""
+    first, second = itemgetter(0), itemgetter(1)
     index = fibres(all_elements(op, j, P, bound),
-                   lambda w: (map_elem(op, lambda p: p[0], w),
-                              map_elem(op, lambda p: p[1], w)))
+                   lambda w: (map_elem(op, first, w), map_elem(op, second, w)))
     failures = []
-    for u, v in fibre_product(all_elements(op, j, A, bound),
-                              lambda u: map_elem(op, f.__getitem__, u),
-                              all_elements(op, j, B, bound),
-                              lambda v: map_elem(op, g.__getitem__, v)):
+    for u, v in fibre_product(DA, lambda u: map_elem(op, f.__getitem__, u),
+                              DB, lambda v: map_elem(op, g.__getitem__, v)):
         k = len(index.get((u, v), ()))
         if k != 1:
             failures.append(("missing lift" if k == 0 else "ambiguous lift", (u, v)))
@@ -478,12 +484,21 @@ def _square_preserved(op, j, A, B, f, g, P, bound):
 
 
 def check_cartesian(op, j, seed=0, squares=100, bound=3):
-    """Sampled pullback preservation plus fiberwise eta/mu naturality squares."""
+    """Sampled pullback preservation plus fiberwise eta/mu naturality squares.
+
+    Each call builds, and drops on return, three functools.cache memos:
+    DX, the truncated D_j X of each label tuple X as canonical (op.elems)
+    objects, so every square and naturality map over X reads one list and
+    its lookups meet the very keys map_elem returns; mu_once, the flattening
+    of each nested element; and per naturality map f, Df, the image D f(u)
+    of each element u, shared by the eta and mu keys and by D D f."""
     rng = random.Random(seed)
     report = {"operad": op.name, "j": j, "seed": seed, "ok": True,
               "squares": {"checked": 0, "failures": []},
               "eta_naturality": {"checked": 0, "failures": []},
               "mu_naturality": {"checked": 0, "failures": []}}
+    DX = cache(lambda labels: tuple(canonicalize(op, j, e.n, e.d, e.xs)
+                                    for e in all_elements(op, j, labels, bound)))
 
     done = 0
     while done < squares:
@@ -491,7 +506,7 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         P = tuple(fibre_product(A, f.__getitem__, B, g.__getitem__))
         if len(P) > 10:
             continue  # keep the enumeration tractable; seeded, so still deterministic
-        fails = _square_preserved(op, j, A, B, f, g, P, bound)
+        fails = _square_preserved(op, j, DX(A), DX(B), f, g, P, bound)
         report["squares"]["checked"] += 1
         done += 1
         if fails:
@@ -509,12 +524,12 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
     mu_once = cache(lambda v: mu(op, v))  # each nested element flattened once per call
 
     for A, B, fmap in functions:
-        fl = lambda a: fmap[a]
-        DA = all_elements(op, j, A, bound)
+        fl = fmap.__getitem__
+        Df = cache(lambda u: map_elem(op, fl, u))
+        DA = DX(A)
         # eta square: pairs (x in D A, b in B) with D f(x) = eta(b) lift uniquely to A
         eta_index = fibres(A, lambda a: (eta(op, j, a), fmap[a]))
-        for x, b in fibre_product(DA, lambda x: map_elem(op, fl, x),
-                                  B, lambda b: eta(op, j, b)):
+        for x, b in fibre_product(DA, Df, B, lambda b: eta(op, j, b)):
             hits = eta_index.get((x, b), ())
             report["eta_naturality"]["checked"] += 1
             if len(hits) != 1:
@@ -522,9 +537,8 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
                     {"map": fmap, "pair": (x, b), "lifts": len(hits)})
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
         index = fibres((v for v, _ in nested_elements(op, j, A, 2, bound)),
-                       lambda v: (mu_once(v),
-                                  map_elem(op, lambda e: map_elem(op, fl, e), v)))
-        for u, w in fibre_product(DA, lambda u: map_elem(op, fl, u),
+                       lambda v: (mu_once(v), map_elem(op, Df, v)))
+        for u, w in fibre_product(DA, Df,
                                   (w for w, _ in nested_elements(op, j, B, 2, bound)),
                                   mu_once):
             report["mu_naturality"]["checked"] += 1

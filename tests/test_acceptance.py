@@ -180,8 +180,8 @@ def test_criterion_2_cartesian_suite():
     neg = rep["comm_negative"]
     assert not neg["ok"] and neg["mu_naturality"]["failures"]
     elapsed = time.perf_counter() - t0
-    assert elapsed < 20.0
-    print(f"\n[criterion 2] cartesian suite: PASS ({elapsed:.1f}s < 20s, "
+    assert elapsed < 10.0
+    print(f"\n[criterion 2] cartesian suite: PASS ({elapsed:.1f}s < 10s, "
           f"{len(neg['mu_naturality']['failures'])} negative witnesses)")
 
 

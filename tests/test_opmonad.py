@@ -453,22 +453,79 @@ def test_non_free_nested_elements_keep_the_sorted_path(labels):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
-def _reference_mu_naturality(op, j, seed, squares, bound=3):
-    """check_cartesian's mu-naturality section on the same seeded draws,
-    flattening every nested element again for each function."""
+def _draws(seed, squares):
+    """check_cartesian's seeded draws: the accepted squares, then the
+    naturality functions."""
     rng = random.Random(seed)
-    done = 0
-    while done < squares:
-        A, B, _, f, g = _random_sets(rng)
-        done += len(tuple(fibre_product(A, f.__getitem__, B, g.__getitem__))) <= 10
+    drawn = []
+    while len(drawn) < squares:
+        A, B, Z, f, g = _random_sets(rng)
+        P = tuple(fibre_product(A, f.__getitem__, B, g.__getitem__))
+        if len(P) <= 10:
+            drawn.append((A, B, Z, f, g, P))
     functions = [(("x", "y"), ("z",), {"x": "z", "y": "z"})]
     for _ in range(12):
         na, nb = rng.randint(1, 3), rng.randint(1, 3)
         A = tuple(f"x{i}" for i in range(na))
         B = tuple(f"z{i}" for i in range(nb))
         functions.append((A, B, {a: rng.choice(B) for a in A}))
+    return drawn, functions
+
+
+def _reference_square_preserved(op, j, A, B, f, g, P, bound):
+    """One square, rebuilding every element list and mapping through lambdas."""
+    index = fibres(all_elements(op, j, P, bound),
+                   lambda w: (map_elem(op, lambda p: p[0], w),
+                              map_elem(op, lambda p: p[1], w)))
+    failures = []
+    for u, v in fibre_product(all_elements(op, j, A, bound),
+                              lambda u: map_elem(op, f.__getitem__, u),
+                              all_elements(op, j, B, bound),
+                              lambda v: map_elem(op, g.__getitem__, v)):
+        k = len(index.get((u, v), ()))
+        if k != 1:
+            failures.append(("missing lift" if k == 0 else "ambiguous lift", (u, v)))
+    for (u, v), ws in index.items():
+        if len(ws) > 1:
+            failures.append(("projections not jointly injective", (u, v)))
+    return failures
+
+
+def _reference_squares(op, j, seed, squares, bound=3):
+    """check_cartesian's squares section, one square at a time."""
     sec = {"checked": 0, "failures": []}
-    for A, B, fmap in functions:
+    for A, B, Z, f, g, P in _draws(seed, squares)[0]:
+        fails = _reference_square_preserved(op, j, A, B, f, g, P, bound)
+        sec["checked"] += 1
+        if fails:
+            sec["failures"].append({"sets": (A, B, Z), "maps": (f, g),
+                                    "witnesses": fails[:3]})
+    return sec
+
+
+def _reference_eta_naturality(op, j, seed, squares, bound=3):
+    """check_cartesian's eta-naturality section, mapping every element again
+    for each function."""
+    sec = {"checked": 0, "failures": []}
+    for A, B, fmap in _draws(seed, squares)[1]:
+        fl = lambda a: fmap[a]
+        eta_index = fibres(A, lambda a: (eta(op, j, a), fmap[a]))
+        for x, b in fibre_product(all_elements(op, j, A, bound),
+                                  lambda x: map_elem(op, fl, x),
+                                  B, lambda b: eta(op, j, b)):
+            hits = eta_index.get((x, b), ())
+            sec["checked"] += 1
+            if len(hits) != 1:
+                sec["failures"].append({"map": fmap, "pair": (x, b),
+                                        "lifts": len(hits)})
+    return sec
+
+
+def _reference_mu_naturality(op, j, seed, squares, bound=3):
+    """check_cartesian's mu-naturality section on the same seeded draws,
+    flattening every nested element again for each function."""
+    sec = {"checked": 0, "failures": []}
+    for A, B, fmap in _draws(seed, squares)[1]:
         fl = fmap.__getitem__
         index = fibres((v for v, _ in nested_elements(op, j, A, 2, bound)),
                        lambda v: (mu(op, v),
@@ -485,10 +542,25 @@ def _reference_mu_naturality(op, j, seed, squares, bound=3):
     return sec
 
 
+@pytest.mark.parametrize("make,j", [(barratt_eccles, 0), (barratt_eccles, 1),
+                                    (associativity_operad, 0),
+                                    (associativity_operad, 1),
+                                    (commutative_operad, 0)],
+                         ids=["BE-0", "BE-1", "ASS-0", "ASS-1", "COMM-0"])
+def test_cartesian_squares_and_eta_match_the_per_square_loops(make, j):
+    rep = check_cartesian(make(4), j, seed=2027, squares=20)
+    assert rep["squares"] == _reference_squares(make(4), j, seed=2027, squares=20)
+    assert rep["eta_naturality"] == _reference_eta_naturality(
+        make(4), j, seed=2027, squares=20)
+    assert rep["squares"]["checked"] == 20 and rep["eta_naturality"]["checked"] > 0
+    assert bool(rep["squares"]["failures"]) == (make is commutative_operad)
+
+
 def test_cartesian_check_flattens_each_nested_element_once(monkeypatch):
     op = barratt_eccles(4)
-    calls, read = Counter(), set()
+    calls, read, images = Counter(), set(), Counter()
     real_mu, real_nested = gmcat.opmonad.mu, gmcat.opmonad.nested_elements
+    real_map = gmcat.opmonad.map_elem
 
     def counting_mu(op, e):
         calls[e] += 1
@@ -499,11 +571,20 @@ def test_cartesian_check_flattens_each_nested_element_once(monkeypatch):
         read.update(e for e, _ in out)
         return out
 
+    def counting_map(op, f, e):
+        # D f of a layer-1 element under a naturality map (labels x0, x1, ...)
+        fmap = getattr(f, "__self__", None)
+        if isinstance(fmap, dict) and min(fmap).startswith("x"):
+            images[id(fmap), e] += 1
+        return real_map(op, f, e)
+
     monkeypatch.setattr(gmcat.opmonad, "mu", counting_mu)
     monkeypatch.setattr(gmcat.opmonad, "nested_elements", recording_nested)
+    monkeypatch.setattr(gmcat.opmonad, "map_elem", counting_map)
     rep = check_cartesian(op, 1, seed=2027, squares=5)
     assert calls and max(calls.values()) == 1
     assert set(calls) <= read
+    assert images and max(images.values()) == 1
     monkeypatch.undo()
     assert rep["ok"]
     assert rep["mu_naturality"] == _reference_mu_naturality(
@@ -519,6 +600,54 @@ def test_cartesian_failures_match_the_per_function_flattening():
     assert rep["mu_naturality"]["failures"]
     assert rep["mu_naturality"] == _reference_mu_naturality(
         commutative_operad(4), 0, seed=2027, squares=5)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("make", [barratt_eccles, associativity_operad])
+def test_tabulated_operad_is_cartesian_like_its_builtin(make, j):
+    op = make(3)
+    tab = tabulated_operad(f"{op.name}_table", 3, op.levels, op.unit,
+                           *operad_tables(op))
+    want = check_cartesian(op, j, seed=2026 + j, squares=10)
+    got = check_cartesian(tab, j, seed=2026 + j, squares=10)
+    assert (want.pop("operad"), got.pop("operad")) == (op.name, tab.name)
+    assert got == want and got["ok"]
+    # mu read its composites through the memo over the table lookups
+    assert tab.composites
+
+
+def test_composites_are_memoized_per_shape_and_failures_are_not():
+    op = barratt_eccles(4)
+
+    def shape(e):
+        return (e.j, e.n, e.d, tuple((x.n, x.d) for x in e.xs))
+
+    elems = [e for labels in (("x", "y"), ("u", "v"))  # same shapes, other labels
+             for e, _ in nested_elements(op, 1, labels, 2, 3)]
+    bad = shape(elems[-1])
+    calls, inner = Counter(), op._compose
+
+    def compose(*args):
+        calls[args] += 1
+        if args == bad:
+            raise StructuralError("composition table missing")
+        return inner(*args)
+    op._compose = compose
+    for e in elems:
+        if shape(e) == bad:
+            with pytest.raises(StructuralError):
+                mu(op, e)
+        else:
+            mu(op, e)
+    # a failing composite is recomputed for every element, and not stored
+    assert calls.pop(bad) == sum(shape(e) == bad for e in elems) > 1
+    assert calls and set(calls.values()) == {1}
+    assert set(op.composites) == set(calls)
+    e3 = elements_of(op, 0, ("x",), 3)[0]
+    for _ in range(2):
+        with pytest.raises(BoundExceeded):
+            mu(op, canonicalize(op, 0, 2, (1, 2), (e3, e3)))
+    assert set(op.composites) == set(calls)
 
 
 # -- element hashing and equality --------------------------------------------
