@@ -18,7 +18,7 @@ from functools import cache, cached_property, lru_cache
 from itertools import product
 
 from .errors import BoundExceeded, StructuralError
-from .finset import (Perm, block_perm, fibre_product, fibres, perms,
+from .finset import (Perm, block_perm, block_sum, fibre_product, fibres, perms,
                      product_within)
 from .fincat import category, validate_category
 
@@ -37,11 +37,7 @@ def _block_perm_images(a, sizes):
 
 @lru_cache(maxsize=None)
 def _block_sum_images(parts):
-    images, off = [], 0
-    for p in parts:
-        images.extend(off + j for j in p)
-        off += len(p)
-    return tuple(images)
+    return block_sum([Perm(p) for p in parts]).images
 
 
 @dataclass
@@ -392,23 +388,3 @@ def _inner_families(op, j, n, budget):
         for combo in product(*pools):
             yield combo
 
-
-def simplicial_degree_operad(op, degree):
-    """The set-operad of nerve degree 0 (objects) or 1 (morphisms), as discrete levels."""
-    if degree not in (0, 1):
-        raise StructuralError("only simplicial degrees 0 and 1 are materialized")
-
-    def lvl(n):
-        xs = op.elements(degree, n)
-        return category(xs, xs, {x: x for x in xs}, {x: x for x in xs},
-                        {x: x for x in xs}, {(x, x): x for x in xs})
-
-    def act(j, n, sigma, x):
-        return op.act(degree, n, sigma, x)
-
-    def compose(j, k, x, inners):
-        return op.compose(degree, k, x, inners)
-
-    unit = op.unit if degree == 0 else op.unit_mor
-    return CatOperad(f"{op.name}/nerve{degree}", op.max_level,
-                     tuple(lvl(n) for n in range(op.max_level + 1)), unit, act, compose)

@@ -149,9 +149,20 @@ def over_point_form(M):
 def validate_multicat(M, coherence_budget=2000, seed=0):
     """Every axiom of the structure, in bounded exhaustive form."""
     op = M.operad
-    failures = []
     if M.cap > op.max_level:
         raise StructuralError("morphism arity exceeds the operad truncation")
+    objs, mors = set(M.objects), set(M.morphisms)
+    failures = [("endpoint outside objects", f) for f in M.morphisms
+                if f not in M.src or M.tgt.get(f) not in objs]
+    failures += [("identity not a morphism", x) for x in M.objects
+                 if M.ident.get(x) not in mors]
+    failures += [("source action outside morphisms", key)
+                 for key, g in M.source_action.items()
+                 if key[0] not in mors or g not in mors]
+    failures += [("composite outside morphisms", key)
+                 for key, g in M.composition.items() if g not in mors]
+    if failures:  # the checks below look these labels up in the tables
+        return {"ok": False, "failures": failures}
 
     for x in M.objects:
         i = M.ident[x]
@@ -189,6 +200,8 @@ def validate_multicat(M, coherence_budget=2000, seed=0):
         if M.arity(f) <= M.cap and M.composition.get(unit_pair) != f:
             failures.append(("left unit fails", f))
 
+    if want - have:  # associativity composes every composable pair
+        return {"ok": False, "failures": failures, "m2": len(m2)}
     m3 = enumerate_M3(M)
     for w in m3:
         a, b = gamma_T(M, w), gamma_S(M, w)
@@ -258,19 +271,36 @@ class ClassicalMulticat:
 
 
 def validate_classical(cm, symmetric):
-    failures = []
+    objs, mors = set(cm.objects), set(cm.morphisms)
+    failures = [("endpoint outside objects", f) for f in cm.morphisms
+                if f not in cm.src or cm.tgt.get(f) not in objs
+                or not objs.issuperset(cm.src[f])]
+    if failures:  # every check below reads these endpoints
+        return {"ok": False, "failures": failures}
     cap = max((len(cm.src[f]) for f in cm.morphisms), default=0)
     for x in cm.objects:
         i = cm.ident.get(x)
-        if i is None or cm.src[i] != (x,) or cm.tgt[i] != x:
+        if i not in mors or cm.src[i] != (x,) or cm.tgt[i] != x:
             failures.append(("bad identity", x))
+    for (f, combo), h in cm.comp.items():
+        if f not in mors or len(combo) != len(cm.src[f]) or any(
+                g not in mors or cm.tgt[g] != x for g, x in zip(combo, cm.src[f])):
+            failures.append(("composition defined outside composable pairs", (f, combo)))
+        elif h not in mors:
+            failures.append(("composite outside morphisms", (f, combo)))
+    if symmetric:
+        for f in cm.morphisms:
+            for s in perms(len(cm.src[f])):
+                g = cm.act.get((f, s.images))
+                if g not in mors or cm.src[g] != s.permuted(cm.src[f]) \
+                        or cm.tgt[g] != cm.tgt[f]:
+                    failures.append(("action missing or moves endpoints", (f, s.images)))
+    if failures:  # the law checks below look these entries up
+        return {"ok": False, "failures": failures, "cap": cap}
+
     if symmetric:
         for f in cm.morphisms:
             n = len(cm.src[f])
-            for s in perms(n):
-                g = cm.act.get((f, s.images))
-                if g is None or cm.src[g] != s.permuted(cm.src[f]) or cm.tgt[g] != cm.tgt[f]:
-                    failures.append(("action missing or moves endpoints", (f, s.images)))
             for s in perms(n):
                 for t in perms(n):
                     lhs = cm.act.get((cm.act.get((f, s.images)), t.images))

@@ -1,4 +1,4 @@
-"""Finite categories, functors, presheaves, covers, and quotients.
+"""Finite categories, functors, presheaves, and covers.
 
 Covers here are the discrete-fibration style functors used throughout: a
 target cover lifts each base morphism uniquely through a chosen target
@@ -8,11 +8,9 @@ eps(x.f) = src(f).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .errors import FreenessError, StructuralError
-from .finset import (FinFn, GroupAction, canon_key, fibre_product, fibres, finset,
-                     identity_perm, sort_labels)
+from .errors import StructuralError
+from .finset import canon_key, fibre_product, fibres, sort_labels
 
 
 @dataclass
@@ -23,9 +21,6 @@ class FinCategory:
     tgt: dict
     ident: dict
     comp: dict  # (f, g) -> f.g, defined exactly when src[f] == tgt[g]
-
-    def hom(self, a, b):
-        return tuple(f for f in self.morphisms if self.src[f] == a and self.tgt[f] == b)
 
     def composable_pairs(self):
         return tuple(fibre_product(self.morphisms, self.src.__getitem__,
@@ -105,44 +100,11 @@ def validate_category(C):
 
 
 @dataclass
-class NerveLevel:
-    """Composable n-strings; tgt is the target of the whole string, src its source."""
-
-    n: int
-    simplices: tuple
-    src: dict
-    tgt: dict
-
-
-def nerve_level(C, n):
-    if n == 0:
-        return NerveLevel(0, tuple(C.objects), {o: o for o in C.objects},
-                          {o: o for o in C.objects})
-    chains = [(f,) for f in C.morphisms]
-    for _ in range(n - 1):
-        chains = [ch + (g,) for ch, g in fibre_product(
-            chains, lambda ch: C.src[ch[-1]], C.morphisms, C.tgt.__getitem__)]
-    return NerveLevel(n, tuple(chains),
-                      {ch: C.src[ch[-1]] for ch in chains},
-                      {ch: C.tgt[ch[0]] for ch in chains})
-
-
-@dataclass
 class CatFunctor:
     dom: FinCategory
     cod: FinCategory
     obj_map: dict
     mor_map: dict
-
-    @cached_property
-    def target_lifts(self):
-        """The morphisms of dom grouped by (target, image), in dom's order."""
-        C = self.dom
-        return fibres(C.morphisms, lambda h: (C.tgt[h], self.mor_map[h]))
-
-
-def identity_functor(C):
-    return CatFunctor(C, C, {o: o for o in C.objects}, {f: f for f in C.morphisms})
 
 
 def validate_functor(F):
@@ -189,39 +151,6 @@ def is_source_cover(F):
     return _is_cover(F, F.dom.src, F.cod.src)
 
 
-def target_lift(F, x, f):
-    """The unique morphism over f with target x (assumes target cover)."""
-    lifts = F.target_lifts.get((x, f))
-    if not lifts:
-        raise StructuralError(f"no target lift of {f!r} at {x!r}")
-    return lifts[0]
-
-
-def nerve_square_is_pullback(F, n):
-    """The (nerve_level n, target) square of a target cover is a pullback."""
-    from .finset import is_pullback
-    C, D = F.dom, F.cod
-    NC, ND = nerve_level(C, n), nerve_level(D, n)
-    chains_c = finset(NC.simplices)
-    chains_d = finset(ND.simplices)
-    objs_c = finset(C.objects)
-    objs_d = finset(D.objects)
-
-    def push(ch):
-        if n == 0:
-            return F.obj_map[ch]
-        return tuple(F.mor_map[f] for f in ch)
-
-    pairs = finset([(NC.tgt[ch], push(ch)) for ch in NC.simplices])
-    if len(pairs) != len(chains_c):
-        return False, "comparison map not injective"
-    p1 = FinFn(pairs, objs_c, {w: w[0] for w in pairs})
-    p2 = FinFn(pairs, chains_d, {w: w[1] for w in pairs})
-    f = FinFn(objs_c, objs_d, dict(F.obj_map))
-    g = FinFn(chains_d, objs_d, {ch: ND.tgt[ch] for ch in ND.simplices})
-    return is_pullback(pairs, p1, p2, f, g)
-
-
 # ---------------------------------------------------------------------------
 # presheaves
 
@@ -241,6 +170,8 @@ def validate_presheaf(P):
     for x in P.carrier:
         if P.eps.get(x) not in C.objects:
             failures.append(("eps value outside objects", x))
+    if failures:  # the action's domain is read through eps
+        return {"ok": False, "failures": failures}
     want = set(fibre_product(P.carrier, P.eps.__getitem__, C.morphisms, C.tgt.__getitem__))
     if set(P.act) != want:
         for w in sorted(set(P.act) ^ want, key=canon_key):
@@ -252,6 +183,8 @@ def validate_presheaf(P):
             failures.append(("action leaves carrier", (x, f)))
         elif P.eps[y] != C.src[f]:
             failures.append(("eps of x.f is not src(f)", (x, f)))
+    if failures:  # the unit and associativity checks act on every x.f
+        return {"ok": False, "failures": failures}
     for x in P.carrier:
         if P.act[(x, C.ident[P.eps[x]])] != x:
             failures.append(("unit action fails", x))
@@ -273,32 +206,6 @@ def c1_presheaf(C):
     """C's own morphisms acted on by composing at the source."""
     act = {p: C.comp[p] for p in C.composable_pairs()}
     return Presheaf(C, tuple(C.morphisms), {x: C.src[x] for x in C.morphisms}, act)
-
-
-def objects_presheaf(F):
-    """Objects of a target cover's domain as a presheaf over the base."""
-    ok, w = is_target_cover(F)
-    if not ok:
-        raise StructuralError(f"objects_presheaf needs a target cover: {w}")
-    C, D = F.dom, F.cod
-    eps = {x: F.obj_map[x] for x in C.objects}
-    act = {(x, f): C.src[target_lift(F, x, f)]
-           for x, f in fibre_product(C.objects, eps.__getitem__,
-                                     D.morphisms, D.tgt.__getitem__)}
-    return Presheaf(D, tuple(C.objects), eps, act)
-
-
-def morphisms_presheaf(F):
-    """Morphisms of a target cover's domain, acted on by lift-then-compose."""
-    ok, w = is_target_cover(F)
-    if not ok:
-        raise StructuralError(f"morphisms_presheaf needs a target cover: {w}")
-    C, D = F.dom, F.cod
-    eps = {h: F.obj_map[C.src[h]] for h in C.morphisms}
-    act = {(h, f): C.comp[(h, target_lift(F, C.src[h], f))]
-           for h, f in fibre_product(C.morphisms, eps.__getitem__,
-                                     D.morphisms, D.tgt.__getitem__)}
-    return Presheaf(D, tuple(C.morphisms), eps, act)
 
 
 def grothendieck(P):
@@ -347,122 +254,3 @@ def transport_presheaf(F, P, eps_factor):
     if not rep["ok"]:
         raise StructuralError(f"transported action not a presheaf: {rep['failures'][0]}")
     return out
-
-
-def project_presheaf(F, P):
-    """Push a presheaf on the covering category down along a target cover."""
-    ok, w = is_target_cover(F)
-    if not ok:
-        raise StructuralError(f"projection needs a target cover: {w}")
-    C, D = F.dom, F.cod
-    eps = {x: F.obj_map[P.eps[x]] for x in P.carrier}
-    act = {(x, f): P.act[(x, target_lift(F, P.eps[x], f))]
-           for x, f in fibre_product(P.carrier, eps.__getitem__,
-                                     D.morphisms, D.tgt.__getitem__)}
-    return Presheaf(D, tuple(P.carrier), eps, act)
-
-
-# ---------------------------------------------------------------------------
-# quotients by functorial group actions
-
-@dataclass
-class CatAction:
-    """A finite group acting on a category, one automorphism functor per element."""
-
-    base: FinCategory
-    group: tuple
-    functors: dict  # Perm -> CatFunctor
-
-
-def validate_cat_action(A):
-    failures = []
-    ident = identity_perm(A.group[0].n)
-    for s in A.group:
-        F = A.functors.get(s)
-        if F is None:
-            failures.append(("missing functor", s))
-            continue
-        rep = validate_functor(F)
-        if not rep["ok"]:
-            failures.append(("element does not act by a functor", (s, rep["failures"][0])))
-    if not failures:
-        Fi = A.functors[ident]
-        if any(Fi.obj_map[o] != o for o in A.base.objects) or \
-           any(Fi.mor_map[f] != f for f in A.base.morphisms):
-            failures.append(("identity element acts nontrivially", ident))
-        for s in A.group:
-            for t in A.group:
-                st = s.compose(t)
-                for o in A.base.objects:
-                    if A.functors[st].obj_map[o] != A.functors[s].obj_map[A.functors[t].obj_map[o]]:
-                        failures.append(("action law fails on objects", (s, t, o)))
-                        break
-                for f in A.base.morphisms:
-                    if A.functors[st].mor_map[f] != A.functors[s].mor_map[A.functors[t].mor_map[f]]:
-                        failures.append(("action law fails on morphisms", (s, t, f)))
-                        break
-    return {"ok": not failures, "failures": failures}
-
-
-def _as_group_actions(A):
-    obj_table = {(s, o): A.functors[s].obj_map[o] for s in A.group for o in A.base.objects}
-    mor_table = {(s, f): A.functors[s].mor_map[f] for s in A.group for f in A.base.morphisms}
-    return (GroupAction(A.group, tuple(A.base.objects), obj_table),
-            GroupAction(A.group, tuple(A.base.morphisms), mor_table))
-
-
-def quotient_category(C, A):
-    """Quotient by a free functorial group action; orbit classes keep min-member labels."""
-    rep = validate_cat_action(A)
-    if not rep["ok"]:
-        raise StructuralError(f"invalid category action: {rep['failures'][0]}")
-    act_obj, act_mor = _as_group_actions(A)
-    for act, what in ((act_obj, "objects"), (act_mor, "morphisms")):
-        w = act.freeness_witness()
-        if w is not None:
-            raise FreenessError(
-                f"quotient needs a free action on {what}: {w[0]!r} fixes {w[1]!r}", witness=w)
-
-    obj_label = {o: min(act_obj.orbit(o), key=canon_key) for o in C.objects}
-    mor_label = {f: min(act_mor.orbit(f), key=canon_key) for f in C.morphisms}
-    objects = sort_labels(set(obj_label.values()))
-    morphisms = sort_labels(set(mor_label.values()))
-    src, tgt = {}, {}
-    for f in C.morphisms:
-        for table, val in ((src, obj_label[C.src[f]]), (tgt, obj_label[C.tgt[f]])):
-            if table.setdefault(mor_label[f], val) != val:
-                raise StructuralError(f"endpoints do not descend at {f!r}")
-    ident = {obj_label[o]: mor_label[C.ident[o]] for o in C.objects}
-    comp = {}
-    for f, g in fibre_product(C.morphisms, lambda f: src[mor_label[f]],
-                              C.morphisms, lambda g: tgt[mor_label[g]]):
-        aligned = [gg for gg in act_mor.orbit(g) if C.tgt[gg] == C.src[f]]
-        vals = {mor_label[C.comp[(f, gg)]] for gg in aligned}
-        if len(vals) != 1:
-            raise StructuralError(f"composition does not descend at ({f!r}, {g!r})")
-        key = (mor_label[f], mor_label[g])
-        v = vals.pop()
-        if comp.setdefault(key, v) != v:
-            raise StructuralError(f"composition does not descend at {key}")
-    Q = category(objects, morphisms, src, tgt, ident, comp)
-    rep = validate_category(Q)
-    if not rep["ok"]:
-        raise StructuralError(f"quotient not a category: {rep['failures'][0]}")
-    proj = CatFunctor(C, Q, obj_label, mor_label)
-    return Q, proj
-
-
-def quotient_functor(F, A_dom, A_cod):
-    """Induced functor between quotients of a functor's domain and codomain."""
-    Qd, pd = quotient_category(F.dom, A_dom)
-    Qc, pc = quotient_category(F.cod, A_cod)
-    obj_map, mor_map = {}, {}
-    for o in F.dom.objects:
-        v = pc.obj_map[F.obj_map[o]]
-        if obj_map.setdefault(pd.obj_map[o], v) != v:
-            raise StructuralError(f"functor does not descend on objects at {o!r}")
-    for f in F.dom.morphisms:
-        v = pc.mor_map[F.mor_map[f]]
-        if mor_map.setdefault(pd.mor_map[f], v) != v:
-            raise StructuralError(f"functor does not descend on morphisms at {f!r}")
-    return CatFunctor(Qd, Qc, obj_map, mor_map)

@@ -1,10 +1,10 @@
 """Finite sets, functions, permutations, and group actions.
 
-Everything downstream leans on five things defined here: a total canonical
-order on labels (`canon_key`), block permutations/sums, free-action orbit
-canonicalization, the fibre product (`fibres`, `fibre_product`) behind every
-"which of these lie over the same point" question, and the weight-bounded
-product (`product_within`) behind every "enumerate, then drop" loop.
+Everything downstream leans on four things defined here: a total canonical
+order on labels (`canon_key`), block permutations/sums, the fibre product
+(`fibres`, `fibre_product`) behind every "which of these lie over the same
+point" question, and the weight-bounded product (`product_within`) behind
+every "enumerate, then drop" loop.
 
 Labels are the same exactly when they are `==`, as in every dict and set, so
 `1` and `True` are one label; `canon_key` only orders them.
@@ -111,13 +111,6 @@ class Perm:
     def permuted(self, xs):
         """Tuple whose i-th entry is xs[sigma(i)-1]; this is the inverse-placement action."""
         return tuple(xs[j - 1] for j in self.images)
-
-    def placed(self, xs):
-        """Tuple with xs[i-1] placed at position sigma(i); inverse of permuted."""
-        out = [None] * self.n
-        for i, j in enumerate(self.images, start=1):
-            out[j - 1] = xs[i - 1]
-        return tuple(out)
 
     def _canon_key(self):
         return (6, self.n, self.images)
@@ -266,20 +259,6 @@ class UnionFind:
         return {r: sort_labels(v) for r, v in fibres(self.parent, self.find).items()}
 
 
-def coequalizer(f, g):
-    """Coequalizer of f, g: A -> B; classes are labeled by their minimal member."""
-    if f.src != g.src or f.tgt != g.tgt:
-        raise StructuralError("coequalizer: parallel pair required")
-    uf = UnionFind(f.tgt.elems)
-    for a in f.src:
-        uf.union(f(a), g(a))
-    cls = uf.classes()
-    label = {x: min(members, key=canon_key) for root, members in cls.items() for x in members}
-    Q = finset(set(label.values()))
-    q = fn(f.tgt, Q, lambda b: label[b])
-    return Q, q
-
-
 def is_pullback(P, p1, p2, f, g):
     """Exhaustive universal-property check; returns (ok, witness)."""
     for w in P:
@@ -293,23 +272,6 @@ def is_pullback(P, p1, p2, f, g):
     for ws in index.values():
         if len(ws) > 1:
             return False, ("projections not jointly injective", ws)
-    return True, None
-
-
-def is_coequalizer(Q, q, f, g):
-    """Check q coequalizes (f,g) and its fibers are exactly the generated classes."""
-    for a in f.src:
-        if q(f(a)) != q(g(a)):
-            return False, ("fork does not commute", a)
-    uf = UnionFind(f.tgt.elems)
-    for a in f.src:
-        uf.union(f(a), g(a))
-    want = set(map(frozenset, uf.classes().values()))
-    fibers = fibres(f.tgt, q)
-    if set(map(frozenset, fibers.values())) != want:
-        return False, ("fibers differ from generated congruence", None)
-    if len(fibers) != len(Q):
-        return False, ("quotient map not surjective", None)
     return True, None
 
 
@@ -378,18 +340,6 @@ class GroupAction:
 
     def orbit(self, x):
         return sort_labels({self.act(s, x) for s in self.group})
-
-
-def verify_free(action):
-    return action.freeness_witness() is None
-
-
-def orbit_canonicalize(action, x):
-    """Minimal member of the orbit of x; demands a free action."""
-    w = action.freeness_witness()
-    if w is not None:
-        raise FreenessError(f"orbit_canonicalize needs a free action; {w[0]!r} fixes {w[1]!r}", witness=w)
-    return min(action.orbit(x), key=canon_key)
 
 
 def orbit_quotient(action):

@@ -16,7 +16,7 @@ from .catoperad import BUILTIN_OPERADS, operad_tables, tabulated_operad
 from .dalgebra import DAlgebra
 from .dmulticat import ClassicalMulticat, DMulticat
 from .errors import BoundExceeded, StructuralError
-from .fincat import Presheaf, category
+from .fincat import category
 from .opmonad import MonadElem, all_elements, melem
 
 
@@ -54,7 +54,7 @@ def decode_elem(op, doc):
 
 
 # ---------------------------------------------------------------------------
-# categories and presheaves
+# categories
 
 def encode_category(C):
     return {"kind": "category",
@@ -76,24 +76,6 @@ def decode_category(doc, op=None):
         {lab(f): lab(a) for f, a in doc["tgt"]},
         {lab(a): lab(f) for a, f in doc["ident"]},
         {(lab(f), lab(g)): lab(h) for f, g, h in doc["comp"]})
-
-
-def encode_presheaf(P):
-    return {"kind": "presheaf",
-            "base": encode_category(P.base),
-            "carrier": [dump_label(x) for x in P.carrier],
-            "eps": _entries(P.eps),
-            "act": [[dump_label(x), dump_label(f), dump_label(y)]
-                    for (x, f), y in sorted(P.act.items(), key=repr)]}
-
-
-def decode_presheaf(doc):
-    return Presheaf(
-        decode_category(doc["base"]),
-        tuple(load_label(x) for x in doc["carrier"]),
-        {load_label(x): load_label(a) for x, a in doc["eps"]},
-        {(load_label(x), load_label(f)): load_label(y)
-         for x, f, y in doc["act"]})
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +233,6 @@ def decode_algebra(doc):
 
 # ---------------------------------------------------------------------------
 # file plumbing
-
-_DECODERS = {"category": decode_category,
-             "presheaf": decode_presheaf,
-             "operad": decode_operad,
-             "dmulticat": decode_multicat,
-             "classical_multicat": decode_classical,
-             "algebra": decode_algebra}
-
-
-def decode(doc):
-    kind = doc.get("kind")
-    if kind not in _DECODERS:
-        raise StructuralError(f"unknown or missing structure kind {kind!r}")
-    return _DECODERS[kind](doc)
-
 
 def load(path):
     with open(path) as fh:

@@ -35,7 +35,7 @@ from itertools import product
 from operator import itemgetter
 
 from .errors import BoundExceeded, FreenessError, StructuralError
-from .fincat import CatFunctor, Presheaf, category
+from .fincat import category
 from .finset import (canon_key, fibre_product, fibres, perms, product_within,
                      sort_labels)
 
@@ -317,49 +317,13 @@ def monad_category(op, C, bound):
     return category(objects, morphisms, src, tgt, ident, comp)
 
 
-def monad_functor(op, F, bound):
-    dom = monad_category(op, F.dom, bound)
-    cod = monad_category(op, F.cod, bound)
-    return CatFunctor(dom, cod,
-                      {X: map_elem(op, lambda x: F.obj_map[x], X) for X in dom.objects},
-                      {E: map_elem(op, lambda f: F.mor_map[f], E) for E in dom.morphisms})
-
-
-def monad_presheaf(op, P, bound):
-    """The derived action of DC on D0 of a presheaf carrier."""
-    _require_free(op, "the derived presheaf action")
-    C = P.base
-    DC = monad_category(op, C, bound)
-    carrier = all_elements(op, 0, P.carrier, bound)
-    eps = {X: map_elem(op, lambda x: P.eps[x], X) for X in carrier}
-    act = {}
-    for X, E in fibre_product(carrier, eps.__getitem__,
-                              DC.morphisms, DC.tgt.__getitem__):
-        n, L = E.n, op.level(E.n)
-        tau = align_sigma(op, 0, n, X.d, L.tgt[E.d])
-        if tau is None:
-            raise StructuralError("eps matched but orbits do not align")
-        xs = tau.permuted(X.xs)
-        if tuple(P.eps[x] for x in xs) != tuple(C.tgt[f] for f in E.xs):
-            raise StructuralError("eps matched but labels do not align")
-        act[(X, E)] = canonicalize(op, 0, n, L.src[E.d],
-                                   tuple(P.act[(x, f)] for x, f in zip(xs, E.xs)))
-    return Presheaf(DC, carrier, eps, act)
-
-
 # ---------------------------------------------------------------------------
-# theta and chi (the composite and interchange devices over a declared source map)
-
-def theta(op, E, src_of):
-    """Flatten a morphism-level element of labels into one over the label sources."""
-    inners = tuple(I_D(op, src_of(g)) for g in E.xs)
-    n, d, xs = mu_raw(op, 1, E.n, E.d, inners)
-    return canonicalize(op, 1, n, d, xs)
-
+# chi (the interchange device over a declared source map)
 
 def chi(op, sigma, phis, src_of, tgt_of):
     """Unique interchange lift: given sigma in D1 M0 and phis in D0 M1 with
-    S_D(sigma) = D0 T(phis), produce (T_D of the lift, theta of the lift)."""
+    S_D(sigma) = D0 T(phis), produce (T_D of the lift, the lift flattened
+    over the sources of phis)."""
     _require_free(op, "interchange lifting")
     if sigma.j != 1 or phis.j != 0:
         raise StructuralError("chi expects (morphism-level, object-level) arguments")

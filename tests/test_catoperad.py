@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gmcat.catoperad import (
     _inner_families as inner_families, associativity_operad, barratt_eccles,
     commutative_operad, composable_families, freeness_report, is_sigma_free,
-    operad_tables, simplicial_degree_operad, tabulated_operad, validate_operad,
+    operad_tables, tabulated_operad, validate_operad,
 )
 from gmcat.errors import StructuralError
 from gmcat.fincat import validate_category
@@ -106,13 +106,6 @@ def test_inner_equivariance_sampled(data):
     gab = op.compose(1, k, a, inners)
     moved = tuple((n, op.act(1, n, t, x)) for (n, x), t in zip(inners, taus))
     assert op.compose(1, k, a, moved) == op.act(1, sum(profile), block_sum(taus), gab)
-
-
-def test_nerve_degrees_form_set_operads():
-    op = barratt_eccles(3)
-    for degree in (0, 1):
-        rep = validate_operad(simplicial_degree_operad(op, degree))
-        assert rep["ok"], (degree, rep["failures"][:3])
 
 
 def test_level4_validation_within_budget():

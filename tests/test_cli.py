@@ -20,8 +20,7 @@ from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
                             z2_discrete_algebra)
 from gmcat.dmulticat import (ClassicalMulticat, terminal_multicat,
                              validate_multicat)
-from gmcat.errors import StructuralError
-from gmcat.fincat import c1_presheaf, terminal_category, validate_presheaf
+from gmcat.fincat import terminal_category
 from gmcat.finset import perms
 
 BE = barratt_eccles(4)
@@ -38,13 +37,6 @@ def rt(doc):
 def test_category_round_trip():
     C = z2_discrete_algebra(BE).carrier
     assert jsonio.decode_category(rt(jsonio.encode_category(C))) == C
-
-
-def test_presheaf_round_trip():
-    P = c1_presheaf(terminal_category())
-    P2 = jsonio.decode_presheaf(rt(jsonio.encode_presheaf(P)))
-    assert validate_presheaf(P2)["ok"]
-    assert P2.carrier == P.carrier and P2.act == P.act
 
 
 def test_operad_builtin_reference():
@@ -102,11 +94,6 @@ def test_algebra_round_trip_preserves_partiality():
     r1 = validate_algebra(A, arity_bound=2)
     r2 = validate_algebra(A2, arity_bound=2)
     assert r2["ok"] and r2["bounded"] == r1["bounded"]
-
-
-def test_decode_rejects_unknown_kind():
-    with pytest.raises(StructuralError):
-        jsonio.decode({"kind": "poset"})
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +196,13 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_cli_unknown_kind_exits_2(tmp_path, capsys):
+    path = tmp_path / "poset.json"
+    path.write_text('{"kind": "poset"}')
+    assert main(["validate", "operad", str(path)]) == 2
+    assert "expected one of ['operad'], got 'poset'" in capsys.readouterr().err
+
+
 def test_cli_free_hom_counts(tmp_path):
     code, rep = run(["free", "terminal_symmetric", "--hom", "2", "2"],
                     tmp_path)
@@ -287,6 +281,78 @@ def test_cli_malformed_tables_exit_1(tmp_path):
     assert code == 1
     assert [c["name"] for c in rep["checks"]] == ["carrier category laws"]
     assert ["endpoint outside objects", dropped[0]] in rep["checks"][0]["witnesses"]
+
+
+def _keyed(row):
+    """The witness of a (morphism, element) table row, as a report writes it."""
+    return [row[0], repr(jsonio.decode_elem(barratt_eccles(3), row[1]))]
+
+
+def _drop_identity_of_1(doc):
+    doc["ident"] = [row for row in doc["ident"] if row[0] != 1]
+    return ["bad identity", 1]
+
+
+def _drop_swap_of_m01(doc):
+    doc["act"] = [row for row in doc["act"] if row[:2] != [["m", [0, 1]], [2, 1]]]
+    return ["action missing or moves endpoints", [["m", [0, 1]], [2, 1]]]
+
+
+def _unary_filling_of_m01(doc):
+    key = [["m", [0, 1]], [["m", [0]]]]
+    doc["comp"].append([*key, ["m", [0]]])
+    return ["composition defined outside composable pairs", key]
+
+
+def _no_identities(doc):
+    doc["ident"] = []
+    return ["identity not a morphism", "*"]
+
+
+def _identity_not_a_morphism(doc):
+    doc["ident"] = [["*", "nope"]]
+    return ["identity not a morphism", "*"]
+
+
+def _action_value_outside(doc):
+    doc["source_action"][0][2] = "nope"
+    return ["source action outside morphisms", _keyed(doc["source_action"][0])]
+
+
+def _composite_outside(doc):
+    doc["composition"][0][2] = "nope"
+    return ["composite outside morphisms", _keyed(doc["composition"][0])]
+
+
+def _target_missing(doc):
+    return ["endpoint outside objects", doc["tgt"].pop(0)[0]]
+
+
+def _composite_missing(doc):
+    return ["composition missing on composable pair", _keyed(doc["composition"].pop(5))]
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("classical", _drop_identity_of_1),
+    ("classical", _drop_swap_of_m01),
+    ("classical", _unary_filling_of_m01),
+    ("dmulticat", _no_identities),
+    ("dmulticat", _identity_not_a_morphism),
+    ("dmulticat", _action_value_outside),
+    ("dmulticat", _composite_outside),
+    ("dmulticat", _target_missing),
+    ("dmulticat", _composite_missing),
+], ids=lambda v: v if isinstance(v, str) else v.__name__.strip("_"))
+def test_cli_table_defect_exits_1(kind, edit, tmp_path):
+    # an entry that is missing, or names no label of the structure, is a
+    # failed axiom, reported before any law check looks the entry up
+    doc = (jsonio.encode_classical(xor_classical(), True) if kind == "classical"
+           else jsonio.encode_multicat(terminal_multicat(barratt_eccles(3), cap=2)))
+    witness = edit(doc)
+    jsonio.save(doc, tmp_path / "m.json")
+    code, rep = run(["validate", "multicat", str(tmp_path / "m.json")], tmp_path)
+    assert code == 1
+    assert rep["checks"][-1]["witnesses"] == [witness]
 
 
 def test_cli_check_adjunction(tmp_path):

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 from gmcat.errors import FreenessError, StructuralError
 from gmcat.finset import (
     FinFn, GroupAction, Perm, UnionFind, block_perm, block_sum, canon_key,
-    coequalizer, diagonal_action, fibre_product, fibres, finset, fn,
-    identity_perm, is_coequalizer,
-    is_equivariant, is_pullback, orbit_canonicalize, orbit_pullback_report,
-    orbit_quotient, perms, product_within, pullback, sort_labels, verify_free,
+    diagonal_action, fibre_product, fibres, finset, fn, identity_perm,
+    is_equivariant, is_pullback, orbit_pullback_report, orbit_quotient, perms,
+    product_within, pullback, sort_labels,
 )
 
 SWAP = Perm((2, 1))
@@ -29,7 +28,7 @@ def test_perm_basics():
     assert p(1) == 2 and p(3) == 1
     assert p.compose(p.inverse()).is_identity
     assert p.permuted(("a", "b", "c")) == ("b", "c", "a")
-    assert p.placed(("a", "b", "c")) == ("c", "a", "b")
+    assert p.inverse().permuted(("a", "b", "c")) == ("c", "a", "b")
     with pytest.raises(StructuralError):
         Perm((1, 1, 2))
 
@@ -40,7 +39,7 @@ def test_permuted_is_right_action(pair):
     s, t = pair
     xs = tuple(range(100, 100 + s.n))
     assert t.compose(s).permuted(xs) == s.permuted(t.permuted(xs))
-    assert s.placed(s.permuted(xs)) == xs
+    assert s.inverse().permuted(s.permuted(xs)) == xs
 
 
 def test_block_perm_frozen_example():
@@ -80,7 +79,7 @@ def test_block_interchange_law(data):
     assert lhs == rhs
 
 
-# -- sets, pullbacks, coequalizers ------------------------------------------
+# -- sets and pullbacks ------------------------------------------------------
 
 def test_canon_key_orders_mixed_labels():
     xs = ["b", 2, ("a", 1), "a", 1]
@@ -103,9 +102,6 @@ def test_pullback_matches_equal_labels():
     P, p1, p2 = pullback(f, g)
     assert P.elems == (("a", "b"),)
     assert is_pullback(P, p1, p2, f, g) == (True, None)
-    h = FinFn(f.src, Z, {"a": True})
-    Q, q = coequalizer(f, h)
-    assert Q.elems == (1,) and is_coequalizer(Q, q, f, h) == (True, None)
 
 
 def test_group_action_reads_equal_labels_as_one():
@@ -129,18 +125,6 @@ def test_pullback_frozen_example():
     assert ok, witness
 
 
-def test_coequalizer_frozen_example():
-    A = finset(["x", "y"])
-    B = finset([1, 2, 3])
-    f = FinFn(A, B, {"x": 1, "y": 2})
-    g = FinFn(A, B, {"x": 2, "y": 3})
-    Q, q = coequalizer(f, g)
-    assert set(Q) == {1}
-    assert q(3) == 1
-    ok, witness = is_coequalizer(Q, q, f, g)
-    assert ok, witness
-
-
 small_fn_pair = st.tuples(st.integers(1, 4), st.integers(1, 4), st.data())
 
 
@@ -156,26 +140,6 @@ def test_pullback_universal_property(data):
     P, p1, p2 = pullback(f, g)
     ok, witness = is_pullback(P, p1, p2, f, g)
     assert ok, witness
-
-
-@given(st.data())
-@settings(max_examples=150)
-def test_coequalizer_universal_property(data):
-    na = data.draw(st.integers(1, 6))
-    nb = data.draw(st.integers(1, 6))
-    A, B = finset(range(na)), finset(range(10, 10 + nb))
-    f = FinFn(A, B, {a: data.draw(st.sampled_from(B.elems)) for a in A})
-    g = FinFn(A, B, {a: data.draw(st.sampled_from(B.elems)) for a in A})
-    Q, q = coequalizer(f, g)
-    ok, witness = is_coequalizer(Q, q, f, g)
-    assert ok, witness
-    # mediating check: any h coequalizing (f,g) factors uniquely through q
-    h = FinFn(B, B, {b: data.draw(st.sampled_from(B.elems)) for b in B})
-    if all(h(f(a)) == h(g(a)) for a in A):
-        for b1 in B:
-            for b2 in B:
-                if q(b1) == q(b2):
-                    assert h(b1) == h(b2)
 
 
 def test_union_find_minimal_roots():
@@ -246,17 +210,9 @@ def test_union_find_matches_reference(case):
 
 def test_regular_orbit_canonicalizes_to_identity():
     act = regular_action(3)
-    x = (0, (3, 1, 2))
-    assert orbit_canonicalize(act, x) == (0, (1, 2, 3))
-    assert verify_free(act)
-
-
-def test_orbit_canonicalize_rejects_fixed_points():
-    G = perms(2)
-    trivial = GroupAction(G, ("*",), {(s, "*"): "*" for s in G})
-    with pytest.raises(FreenessError) as err:
-        orbit_canonicalize(trivial, "*")
-    assert err.value.witness == (SWAP, "*")
+    _, q = orbit_quotient(act)
+    assert q((0, (3, 1, 2))) == (0, (1, 2, 3))
+    assert act.freeness_witness() is None
 
 
 def test_group_action_law_enforced():
@@ -317,7 +273,7 @@ def test_diagonal_action_freeness_inherits():
     A = regular_action(2)
     P = [(x, y) for x in A.carrier for y in A.carrier]
     act = diagonal_action(A, A, P)
-    assert verify_free(act)
+    assert act.freeness_witness() is None
 
 
 # -- fibres and the fibre product ----------------------------------------------
