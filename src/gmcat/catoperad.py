@@ -264,6 +264,16 @@ def validate_operad(op, total_arity=None):
         rep = validate_category(op.level(n))
         if not rep["ok"]:
             failures.append(("level not a category", (n, rep["failures"][0])))
+    if not failures:  # the group law reads these tables at each action value
+        for n in range(op.max_level + 1):
+            for j in (0, 1):
+                level = set(op.elements(j, n))
+                failures += [("action value outside the level", (n, j, s.images, x))
+                             for s in perms(n) for x in op.elements(j, n)
+                             if act(j, n, s.images, x) not in level]
+    if failures:
+        return {"ok": False, "failures": failures, "checked": counts,
+                "total_arity": bound}
 
     # actions act by automorphism functors and satisfy the group law
     for n in range(op.max_level + 1):

@@ -69,6 +69,9 @@ def validate_algebra(A, arity_bound=3):
     for E in mors:
         try:
             h = A.xi1(E)
+            if h not in C.src:  # the checks below read h in the carrier's tables
+                failures.append(("action value outside the carrier", E))
+                continue
             if C.src[h] != A.xi0(dcat_src(op, C, E)):
                 failures.append(("source not preserved", E))
             if C.tgt[h] != A.xi0(dcat_tgt(op, C, E)):
@@ -77,14 +80,17 @@ def validate_algebra(A, arity_bound=3):
             bounded += 1
     for X in all_elements(op, 0, C.objects, arity_bound):
         try:
-            if A.xi1(dcat_ident(op, C, X)) != C.ident[A.xi0(X)]:
+            x = A.xi0(X)
+            if x not in C.ident:
+                failures.append(("action value outside the carrier", X))
+            elif A.xi1(dcat_ident(op, C, X)) != C.ident[x]:
                 failures.append(("identities not preserved", X))
         except BoundExceeded:
             bounded += 1
     for E, E2 in fibre_product(mors, lambda E: dcat_src(op, C, E),
                                mors, lambda E2: dcat_tgt(op, C, E2)):
         try:
-            if A.xi1(dcat_compose(op, C, E, E2)) != C.comp[(A.xi1(E), A.xi1(E2))]:
+            if A.xi1(dcat_compose(op, C, E, E2)) != C.comp.get((A.xi1(E), A.xi1(E2))):
                 failures.append(("composition not preserved", (E, E2)))
         except BoundExceeded:
             bounded += 1

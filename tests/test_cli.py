@@ -355,6 +355,73 @@ def test_cli_table_defect_exits_1(kind, edit, tmp_path):
     assert rep["checks"][-1]["witnesses"] == [witness]
 
 
+
+def _level_source_missing(doc):
+    return ["level not a category",
+            [2, ["endpoint outside objects", doc["levels"][2]["src"].pop(0)[0]]]]
+
+
+def _level_without_identities(doc):
+    doc["levels"][2]["ident"] = []
+    return ["level not a category", [2, ["bad identity", doc["levels"][2]["objects"][0]]]]
+
+
+def _level_identity_not_a_morphism(doc):
+    row = doc["levels"][2]["ident"][0]
+    row[1] = "nope"
+    return ["level not a category", [2, ["bad identity", row[0]]]]
+
+
+def _level_composite_outside(doc):
+    row = doc["levels"][2]["comp"][0]
+    row[2] = "nope"
+    return ["level not a category", [2, ["composite has wrong endpoints", row[:2]]]]
+
+
+def _action_value_outside(row):
+    def edit(doc):
+        j, n, s, x, _ = doc["action"][row]
+        doc["action"][row][4] = "nope"
+        return ["action value outside the level", [n, j, s, x]]
+    edit.__name__ = f"action_value_outside_{'first' if row == 0 else 'last'}"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _level_source_missing, _level_without_identities,
+    _level_identity_not_a_morphism, _level_composite_outside,
+    _action_value_outside(0), _action_value_outside(-1),
+], ids=lambda f: f.__name__.strip("_"))
+def test_cli_operad_table_defect_exits_1(edit, tmp_path):
+    # a level that is not a category, or an action value outside its level,
+    # fails before the group, unit and composition laws look it up
+    base = barratt_eccles(2)
+    doc = jsonio.encode_operad(
+        tabulated_operad("be2", 2, base.levels, base.unit, *operad_tables(base)))
+    witness = edit(doc)
+    jsonio.save(doc, tmp_path / "op.json")
+    code, rep = run(["validate", "operad", str(tmp_path / "op.json")], tmp_path)
+    assert code == 1
+    assert rep["checks"][0]["witnesses"] == [witness]
+
+
+@pytest.mark.parametrize("table, row", [("xi0", 0), ("xi0", -1), ("xi1", 0), ("xi1", -1)],
+                         ids=["xi0_first", "xi0_last", "xi1_first", "xi1_last"])
+def test_cli_algebra_value_outside_carrier_exits_1(table, row, tmp_path):
+    # the carrier's tables are read at every action value: one that is not a
+    # label of the carrier is a failed law, not a lookup error
+    op = barratt_eccles(3)
+    doc = jsonio.encode_algebra(z2_discrete_algebra(op), 2)
+    doc[table][row][1] = "nope"
+    jsonio.save(doc, tmp_path / "a.json")
+    code, rep = run(["validate", "algebra", str(tmp_path / "a.json"),
+                     "--bound", "2"], tmp_path)
+    assert code == 1
+    laws = rep["checks"][-1]
+    assert laws["name"] == "algebra laws" and laws["status"] == "fail"
+    assert ["action value outside the carrier",
+            repr(jsonio.decode_elem(op, doc[table][row][0]))] in laws["witnesses"]
+
 def test_cli_check_adjunction(tmp_path):
     code, rep = run(["check-adjunction", "terminal_symmetric", "z2_discrete",
                      "--bound", "2"], tmp_path)

@@ -155,6 +155,26 @@ def test_structural_presheaves_validate():
     assert validate_presheaf(c1_presheaf(C))["ok"]
 
 
+
+def sym2_set():
+    """Sym(2) acting on {0, 1} by swapping."""
+    return Presheaf(sym2_monoid(), (0, 1), {0: "*", 1: "*"},
+                    {(0, "e"): 0, (1, "e"): 1, (0, "s"): 1, (1, "s"): 0})
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda P: P.eps.update({1: "nope"}), ("eps value outside objects", 1)),
+    (lambda P: P.act.pop((1, "s")), ("action domain mismatch", (1, "s"))),
+    (lambda P: P.act.update({(1, "s"): 2}), ("action leaves carrier", (1, "s"))),
+], ids=["eps_outside", "action_missing", "action_leaves_carrier"])
+def test_presheaf_table_defect_is_a_verdict(edit, witness):
+    # the unit and associativity checks read every x.f and eps(x.f): a table
+    # that is not closed fails before them, with the entry as the witness
+    P = sym2_set()
+    assert validate_presheaf(P)["ok"]
+    edit(P)
+    assert validate_presheaf(P) == {"ok": False, "failures": [witness]}
+
 def test_transport_along_identity_is_identity():
     C = chaotic_sym(2)
     P = c0_presheaf(C)
