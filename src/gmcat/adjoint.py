@@ -7,6 +7,11 @@ except the rearrangement action. Stage two quotients each hom-set by the
 relation that attaching data to the sources equals absorbing it into the
 stored data; the quotient is computed by union-find closure inside one
 hom-set at a time, which is what keeps everything finite and decidable.
+
+Composition reads its three parts (the interchange lift, the regrouped
+list and the data composite) from memos on the multicategory and the
+operad, once per distinct input; the composability check and the hat
+condition still run on every composite.
 """
 
 from dataclasses import dataclass, field
@@ -112,12 +117,29 @@ def _regroup(op, M, outer, inner):
 
 
 def hat_compose(op, M, f, g):
-    """f after g: interchange f's data past g's list, then compose slotwise."""
+    """f after g: interchange f's data past g's list, then compose slotwise.
+
+    Composability and the hat condition are checked on every call. The
+    three parts are read from memos after their first computation: the
+    interchange lift from M.lifts, the regrouped list from M.regroupings
+    and the data composite from op.data_composites (through gamma_D). The
+    two tables on M are written only once make_hat has accepted the
+    composite, so a call that raises stores nothing in them."""
     if hat_source(op, f) != hat_target(op, M, g):
         raise StructuralError("hat morphisms not composable")
-    moved_list, moved_data = chi(op, f.sigma, g.phi, M.src.get, M.tgt.get)
-    return make_hat(op, M, _regroup(op, M, f.phi, moved_list),
-                    gamma_D(op, moved_data, g.sigma))
+    lift_key = (f.sigma, g.phi)
+    moved = M.lifts.get(lift_key)
+    if moved is None:
+        moved = chi(op, f.sigma, g.phi, M.src.get, M.tgt.get)
+    moved_list, moved_data = moved
+    group_key = (f.phi, moved_list)
+    phi = M.regroupings.get(group_key)
+    if phi is None:
+        phi = _regroup(op, M, f.phi, moved_list)
+    out = make_hat(op, M, phi, gamma_D(op, moved_data, g.sigma))
+    M.lifts[lift_key] = moved
+    M.regroupings[group_key] = phi
+    return out
 
 
 def hat_ident(op, M, a):

@@ -53,6 +53,8 @@ class CatOperad:
     orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     nested: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     composites: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    data_composites: dict = field(default_factory=dict, init=False, compare=False,
+                                  repr=False)
 
     def level(self, n):
         if not 0 <= n <= self.max_level:
@@ -250,9 +252,14 @@ def validate_operad(op, total_arity=None):
     keyed by the exact arguments (a permutation by its images), and reads the
     group law from one row of morphism images per permutation; none outlives
     the call, like the flattened elements of opmonad.check_cartesian. A call
-    that raises is not cached, so failures, witnesses and their order, and
-    any error the operad raises, are those of evaluating every instance in
-    turn.
+    that raises is not cached, so failures, witnesses and their order are
+    those of evaluating every instance in turn.
+
+    Before the laws, every family they read (`_law_families`) is composed
+    once, and a composite outside its level is a failure with the family as
+    the witness: the laws would feed it back into op.compose. An error the
+    operad raises comes from the first family of that pass whose composite
+    raises.
     """
     bound = op.max_level if total_arity is None else total_arity
     failures = []
@@ -264,13 +271,20 @@ def validate_operad(op, total_arity=None):
         rep = validate_category(op.level(n))
         if not rep["ok"]:
             failures.append(("level not a category", (n, rep["failures"][0])))
+    level = {(j, n): set(op.elements(j, n))
+             for n in range(op.max_level + 1) for j in (0, 1)}
     if not failures:  # the group law reads these tables at each action value
         for n in range(op.max_level + 1):
             for j in (0, 1):
-                level = set(op.elements(j, n))
                 failures += [("action value outside the level", (n, j, s.images, x))
                              for s in perms(n) for x in op.elements(j, n)
-                             if act(j, n, s.images, x) not in level]
+                             if act(j, n, s.images, x) not in level[j, n]]
+    if not failures:  # the laws feed composites back in as arguments
+        for j in (0, 1):
+            for k, a, inners in dict.fromkeys(_law_families(op, j, bound)):
+                if compose(j, k, a, inners) not in level[j, sum(n for n, _ in inners)]:
+                    failures.append(("composition value outside the level",
+                                     (j, k, a, inners)))
     if failures:
         return {"ok": False, "failures": failures, "checked": counts,
                 "total_arity": bound}
@@ -388,6 +402,19 @@ def validate_operad(op, total_arity=None):
 
     return {"ok": not failures, "failures": failures, "checked": counts,
             "total_arity": bound}
+
+
+def _law_families(op, j, bound):
+    """Every family whose composite the laws of validate_operad read: the
+    empty families, the unit-law instances, and the families up to the bound."""
+    one = op.unit if j == 0 else op.unit_mor
+    for x in op.elements(j, 0):
+        yield 0, x, ()
+    for n in range(op.max_level + 1):
+        for x in op.elements(j, n):
+            yield 1, one, ((n, x),)
+            yield n, x, ((1, one),) * n
+    yield from composable_families(op, j, bound)
 
 
 def _inner_families(op, j, n, budget):

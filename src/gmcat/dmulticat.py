@@ -44,6 +44,12 @@ class DMulticat:
     # the lazy free algebras on this multicategory, by name (see adjoint.L)
     free_algebras: dict = field(default_factory=dict, init=False,
                                 compare=False, repr=False)
+    # the parts of adjoint.hat_compose that read src, tgt and composition:
+    # interchange lifts by (data, list), regroupings by (outer, moved list)
+    lifts: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
+    regroupings: dict = field(default_factory=dict, init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         _require_free(self.operad, "a generalized multicategory")

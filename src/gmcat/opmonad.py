@@ -17,8 +17,9 @@ that reaches it), built when d is first canonicalized or aligned. A free
 action has exactly one such sigma; otherwise canonicalize takes the least
 relabelling over all of them, so one canonical form serves every operad.
 `op.elems[(j, d, xs)]` is the canonical element, `op.nested` holds
-nested_elements results and `op.composites` the composite of each shape
-that mu_raw flattens. Every MonadElem is such a canonical element.
+nested_elements results, `op.composites` the composite of each shape
+that mu_raw flattens and `op.data_composites` the composite gamma_D(E, E2)
+of each pair it has composed. Every MonadElem is such a canonical element.
 
 A MonadElem hashes once, when it is built, to hash((j, n, d, xs)): the
 value a dataclass would compute on every lookup, so dicts and sets iterate
@@ -191,8 +192,15 @@ def _aligned_compose(op, E, E2, src_of, tgt_of, comp_of):
 
 
 def gamma_D(op, E, E2):
-    """Composition in the category {D0 X, D1 X} over a discrete carrier."""
-    return _aligned_compose(op, E, E2, lambda x: x, lambda x: x, lambda a, b: a)
+    """Composition in the category {D0 X, D1 X} over a discrete carrier. The
+    composite depends on the operad data only, so it is read from
+    op.data_composites, keyed by (E, E2); a call that raises stores nothing."""
+    key = (E, E2)
+    hit = op.data_composites.get(key)
+    if hit is None:
+        hit = op.data_composites[key] = _aligned_compose(
+            op, E, E2, lambda x: x, lambda x: x, lambda a, b: a)
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,8 @@ def test_criterion_7_adjunction_suite():
     for key, r in rep.items():
         assert r["ok"], (key, r["failures"][:2] if "failures" in r else r)
     assert rep["tri_sym"]["checked_U"] > 0 and rep["tri_sym"]["checked_L"] > 0
-    assert elapsed < 30.0
-    print(f"\n[criterion 7] adjunction suite: PASS ({elapsed:.1f}s < 30s, "
+    assert elapsed < 10.0
+    print(f"\n[criterion 7] adjunction suite: PASS ({elapsed:.1f}s < 10s, "
           f"U={rep['tri_sym']['checked_U']}+{rep['tri_word']['checked_U']}, "
           f"L={rep['tri_sym']['checked_L']}+{rep['tri_word']['checked_L']}, "
           f"counit classes={rep['counit_sym']['classes']}"

@@ -1,6 +1,7 @@
 """Provisional and quotiented free constructions, unit/counit, triangles."""
 
 import gc
+import sys
 import weakref
 from dataclasses import FrozenInstanceError, replace
 from math import comb
@@ -8,9 +9,11 @@ from math import comb
 import pytest
 
 import gmcat.adjoint as adjoint
+import gmcat.opmonad as opmonad
 from gmcat.adjoint import (L, HatMorphism, check_triangles, coeq_equiv,
                            counit_hat, counit_object, counit_report,
-                           descent_report, hat_L, hat_unit_report, make_hat,
+                           descent_report, hat_compose, hat_ident, hat_L,
+                           hat_source, hat_target, hat_unit_report, make_hat,
                            to_algebra, unit_hat, unit_report,
                            validate_coeq_fork, witness_hat_unit_failure)
 from gmcat.catoperad import associativity_operad, barratt_eccles
@@ -21,7 +24,8 @@ from gmcat.dmulticat import (ClassicalMulticat, from_nonsymmetric,
 from gmcat.errors import BoundExceeded, StructuralError
 from gmcat.fincat import terminal_category, validate_category
 from gmcat.finset import canon_key
-from gmcat.opmonad import I_D, T_D, elements_of, eta, map_elem, melem, mu
+from gmcat.opmonad import (I_D, T_D, chi, elements_of, eta, map_elem, melem,
+                           mu)
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -283,6 +287,117 @@ def test_underlying_is_memoized_on_its_algebra():
     del A
     gc.collect()
     assert alive() is None
+
+
+# ---------------------------------------------------------------------------
+# the memos of hat_compose
+
+def plain_hat_compose(op, M, f, g):
+    """hat_compose with every part computed on every call, and no memo."""
+    if hat_source(op, f) != hat_target(op, M, g):
+        raise StructuralError("hat morphisms not composable")
+    moved_list, moved_data = chi(op, f.sigma, g.phi, M.src.get, M.tgt.get)
+    data = opmonad._aligned_compose(op, moved_data, g.sigma, lambda x: x,
+                                    lambda x: x, lambda a, b: a)
+    return make_hat(op, M, adjoint._regroup(op, M, f.phi, moved_list), data)
+
+
+@pytest.mark.parametrize("make, bound, want_pairs", [
+    (lambda: underlying(z2_discrete_algebra(BE), 2), 2, 268),
+    (lambda: terminal_multicat(ASS), 3, 428),
+], ids=["U-z2", "terminal-ASS"])
+def test_memoized_composite_matches_the_plain_one(make, bound, want_pairs):
+    M = make()  # its own L(M) and tables
+    op, lz = M.operad, L(M)
+    objs = lz.objects_upto(bound)
+    classes = [(a, b, cls) for a in objs for b in objs for cls in lz.hom(a, b)]
+    pairs = 0
+    for b, c, cf in classes:
+        for a, b2, cg in classes:
+            if b2 != b:
+                continue
+            for f in cf.members:
+                for g in cg.members:
+                    pairs += 1
+                    want = plain_hat_compose(op, M, f, g)
+                    # the first call may fill the tables, the second reads them
+                    assert hat_compose(op, M, f, g) == want
+                    assert hat_compose(op, M, f, g) == want
+    assert pairs == want_pairs  # every composable pair of class members
+    assert M.lifts and M.regroupings
+
+
+def test_each_part_is_computed_once_per_distinct_input(monkeypatch):
+    op = barratt_eccles(4)  # its own data composites
+    A = z2_discrete_algebra(op)
+    keys = {"chi": [], "regroup": [], "gamma_D": []}
+    composites = []
+    inner_chi, inner_regroup = adjoint.chi, adjoint._regroup
+    inner_aligned, inner_compose = opmonad._aligned_compose, adjoint.hat_compose
+
+    def spy_chi(op, sigma, phis, *maps):
+        keys["chi"].append((sigma, phis))
+        return inner_chi(op, sigma, phis, *maps)
+
+    def spy_regroup(op, M, outer, inner):
+        keys["regroup"].append((outer, inner))
+        return inner_regroup(op, M, outer, inner)
+
+    def spy_aligned(op, E, E2, *maps):
+        if sys._getframe(1).f_code is opmonad.gamma_D.__code__:
+            keys["gamma_D"].append((E, E2))
+        return inner_aligned(op, E, E2, *maps)
+
+    def spy_compose(*args):
+        composites.append(args)
+        return inner_compose(*args)
+    monkeypatch.setattr(adjoint, "chi", spy_chi)
+    monkeypatch.setattr(adjoint, "_regroup", spy_regroup)
+    monkeypatch.setattr(opmonad, "_aligned_compose", spy_aligned)
+    monkeypatch.setattr(adjoint, "hat_compose", spy_compose)
+    assert counit_report(A, bound=3)["ok"]
+    counts = {name: len(ks) for name, ks in keys.items()}
+    assert counts == {name: len(set(ks)) for name, ks in keys.items()}
+    assert counts == {"chi": 585, "regroup": 1286, "gamma_D": 307}
+    assert len(composites) == 10608
+    U = underlying(A, 3)
+    assert (len(U.lifts), len(U.regroupings)) == (585, 1286)
+    assert len(op.data_composites) == 307
+    # a second pass reads every part from the tables
+    assert counit_report(A, bound=3)["ok"]
+    assert {name: len(ks) for name, ks in keys.items()} == counts
+    assert len(composites) == 2 * 10608
+
+
+@pytest.mark.parametrize("case", ["not composable", "bound exceeded"])
+def test_a_composition_that_raises_stores_nothing(case):
+    op = associativity_operad(3)  # its own data composites
+    M = terminal_multicat(op)
+    a, b = (elements_of(op, 0, M.objects, n)[0] for n in (1, 2))
+    h, g = hat_ident(op, M, a), hat_ident(op, M, b)
+    assert hat_compose(op, M, h, h) == h  # something in every table
+    if case == "not composable":
+        f, error = h, StructuralError
+    else:
+        # data over b, with a list whose sources flatten past the
+        # truncation: the lift succeeds, the regrouping does not
+        f = HatMorphism(map_elem(op, lambda x: ("t", 3), b), I_D(op, b))
+        chi(op, f.sigma, g.phi, M.src.get, M.tgt.get)
+        error = BoundExceeded
+    before = (dict(M.lifts), dict(M.regroupings), dict(op.data_composites))
+    assert all(before)
+    with pytest.raises(error):
+        hat_compose(op, M, f, g)
+    assert (M.lifts, M.regroupings, op.data_composites) == before
+
+
+def test_a_replaced_multicategory_starts_with_empty_tables():
+    M = terminal_multicat(associativity_operad(2))
+    assert unit_report(M)["ok"]
+    assert M.lifts and M.regroupings and M.free_algebras
+    twin = replace(M, composition=dict(M.composition))
+    assert twin.lifts == twin.regroupings == twin.free_algebras == {}
+    assert twin.lifts is not M.lifts and twin.regroupings is not M.regroupings
 
 
 @pytest.mark.parametrize("M", [MB, MA], ids=["BE", "ASS"])

@@ -387,14 +387,28 @@ def _action_value_outside(row):
     return edit
 
 
+def _composition_value_outside(last):
+    def edit(doc):
+        # the first entry, or the last of total arity within the checked bound 2
+        inside = [i for i, (_, k, _, inners, _) in enumerate(doc["composition"])
+                  if k + sum(n for n, _ in inners) <= 2]
+        row = doc["composition"][inside[-1] if last else inside[0]]
+        row[4] = "nope"
+        return ["composition value outside the level", row[:4]]
+    edit.__name__ = f"composition_value_outside_{'last' if last else 'first'}"
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _level_source_missing, _level_without_identities,
     _level_identity_not_a_morphism, _level_composite_outside,
     _action_value_outside(0), _action_value_outside(-1),
+    _composition_value_outside(False), _composition_value_outside(True),
 ], ids=lambda f: f.__name__.strip("_"))
 def test_cli_operad_table_defect_exits_1(edit, tmp_path):
-    # a level that is not a category, or an action value outside its level,
-    # fails before the group, unit and composition laws look it up
+    # a level that is not a category, or an action or composition value
+    # outside its level, fails before the group, unit and composition laws
+    # look it up
     base = barratt_eccles(2)
     doc = jsonio.encode_operad(
         tabulated_operad("be2", 2, base.levels, base.unit, *operad_tables(base)))

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,19 @@ def test_element_counts():
     assert len(elements_of(COMM, 0, ("x", "y"), 2)) == 3  # multisets {xx, xy, yy}
     assert elements_of(BE, 0, (), 2) == ()
     assert len(elements_of(BE, 0, (), 0)) == 1
+
+
+@pytest.mark.parametrize("op", [BE, ASS], ids=["BE", "ASS"])
+@pytest.mark.parametrize("j", [0, 1])
+def test_element_counts_over_a_free_operad(op, j):
+    # a free action has orbits of size n!: |D_j X| = |X|^n |O(n)_j| / n!
+    X = ("x", "y", "z")
+    for n in range(5):
+        level = len(op.elements(j, n))
+        assert level % factorial(n) == 0
+        assert len(elements_of(op, j, X, n)) == len(X) ** n * level // factorial(n)
+    if op is BE:
+        assert len(elements_of(op, j, X, 4)) == (81, 1944)[j]
 
 
 def test_hom_over_point_is_symmetric_group():
