@@ -7,6 +7,8 @@ except the rearrangement action. Stage two quotients each hom-set by the
 relation that attaching data to the sources equals absorbing it into the
 stored data; the quotient is computed by union-find closure inside one
 hom-set at a time, which is what keeps everything finite and decidable.
+Both stages are a LazyDAlgebra, told apart by class_of alone: stage one has
+no relation, so its class map is the identity. The unit is unit_map.
 
 Composition reads its three parts (the interchange lift, the regrouped
 list and the data composite) from memos on the multicategory and the
@@ -50,6 +52,11 @@ class HatMorphism:
         return (self._hash == other._hash and self.phi == other.phi
                 and self.sigma == other.sigma)
 
+    @property
+    def rep(self):
+        """A provisional morphism is its own class."""
+        return self
+
     def _canon_key(self):
         return (9, self.phi._canon_key(), self.sigma._canon_key())
 
@@ -74,12 +81,8 @@ def flat_source(op, M, phi):
     return mu(op, map_elem(op, M.src.get, phi))
 
 
-def list_target(op, M, phi):
-    return map_elem(op, M.tgt.get, phi)
-
-
 def hat_target(op, M, hat):
-    return list_target(op, M, hat.phi)
+    return map_elem(op, M.tgt.get, hat.phi)
 
 
 def hat_source(op, hat):
@@ -140,10 +143,6 @@ def hat_compose(op, M, f, g):
     M.lifts[lift_key] = moved
     M.regroupings[group_key] = phi
     return out
-
-
-def hat_ident(op, M, a):
-    return HatMorphism(map_elem(op, M.ident.get, a), I_D(op, a))
 
 
 def hat_xi1(op, M, E):
@@ -233,6 +232,8 @@ class LazyDAlgebra:
         return self.closures[(a, b)]
 
     def class_of(self, hat):
+        if not self.quotient:  # the provisional construction has no relation
+            return hat
         a = hat_source(self.operad, hat)
         b = hat_target(self.operad, self.M, hat)
         lookup = self._closure(a, b)[1]
@@ -245,30 +246,26 @@ class LazyDAlgebra:
         return self._closure(a, b)[0] if self.quotient else self.hom_hat(a, b)
 
     def ident(self, a):
-        h = hat_ident(self.operad, self.M, a)
-        return self.class_of(h) if self.quotient else h
+        op = self.operad
+        return self.class_of(
+            HatMorphism(map_elem(op, self.M.ident.get, a), I_D(op, a)))
 
     def compose(self, f, g):
-        if self.quotient:
-            return self.class_of(
-                hat_compose(self.operad, self.M, f.rep, g.rep))
-        return hat_compose(self.operad, self.M, f, g)
+        return self.class_of(hat_compose(self.operad, self.M, f.rep, g.rep))
 
     def src(self, h):
-        return hat_source(self.operad, h.rep if self.quotient else h)
+        return hat_source(self.operad, h.rep)
 
     def tgt(self, h):
-        return hat_target(self.operad, self.M, h.rep if self.quotient else h)
+        return hat_target(self.operad, self.M, h.rep)
 
     def xi0(self, e):
         return mu(self.operad, e)
 
     def xi1(self, e):
-        if self.quotient:
-            hat = hat_xi1(self.operad, self.M,
-                          map_elem(self.operad, lambda c: c.rep, e))
-            return self.class_of(hat)
-        return hat_xi1(self.operad, self.M, e)
+        op = self.operad
+        return self.class_of(
+            hat_xi1(op, self.M, map_elem(op, lambda c: c.rep, e)))
 
 
 def _free_on(M, name, quotient):
@@ -389,26 +386,20 @@ def to_algebra(lazy, bound):
 # ---------------------------------------------------------------------------
 # unit
 
-def unit_object(op, x):
-    return eta(op, 0, x)
-
-
-def unit_hat(op, M, f):
-    return make_hat(op, M, eta(op, 0, f), I_D(op, M.src[f]))
+def unit_map(lazy, f):
+    """The unit at a multimorphism f of lazy.M, as a multimorphism of the
+    underlying multicategory of lazy: the class of (eta f, identity data) and
+    the unit on f's sources."""
+    op, M = lazy.operad, lazy.M
+    return (lazy.class_of(make_hat(op, M, eta(op, 0, f), I_D(op, M.src[f]))),
+            map_elem(op, lambda x: eta(op, 0, x), M.src[f]))
 
 
 def _map_checklist(M, lazy):
     """The multicategory-map laws for the unit into the given construction."""
     op = M.operad
-    e0 = lambda x: unit_object(op, x)
-
-    def u1(f):
-        h = unit_hat(op, M, f)
-        return lazy.class_of(h) if lazy.quotient else h
-
-    def upair(f):
-        return (u1(f), map_elem(op, e0, M.src[f]))
-
+    e0 = lambda x: eta(op, 0, x)
+    upair = lambda f: unit_map(lazy, f)
     failures, m2 = [], enumerate_M2(M)
     for f in M.morphisms:
         w = upair(f)
@@ -446,11 +437,10 @@ def witness_hat_unit_failure(M):
     """First action pair the provisional unit fails on, if any."""
     op = M.operad
     lz = hat_L(M)
-    e0 = lambda x: unit_object(op, x)
     for (f, delta), out in sorted(M.source_action.items(), key=canon_key):
-        lhs = unit_hat(op, M, out)
-        w = (unit_hat(op, M, f), map_elem(op, e0, M.src[f]))
-        rhs = underlying_act(lz, w, map_elem(op, e0, delta))[0]
+        lhs = unit_map(lz, out)[0]
+        rhs = underlying_act(lz, unit_map(lz, f),
+                             map_elem(op, lambda x: eta(op, 0, x), delta))[0]
         if lhs != rhs:
             return {"f": f, "delta": delta, "lhs": lhs, "rhs": rhs}
     return None
@@ -458,10 +448,6 @@ def witness_hat_unit_failure(M):
 
 # ---------------------------------------------------------------------------
 # counit
-
-def counit_object(A, X):
-    return A.xi0(X)
-
 
 def counit_hat(A, hat):
     """Evaluate a provisional morphism over the underlying multicategory."""
@@ -493,8 +479,8 @@ def counit_report(A, bound=2):
                     broken.add(cls)
                     continue
                 eps[cls] = values.pop()
-                if A.carrier.src[eps[cls]] != counit_object(A, a) or \
-                   A.carrier.tgt[eps[cls]] != counit_object(A, b):
+                if A.carrier.src[eps[cls]] != A.xi0(a) or \
+                   A.carrier.tgt[eps[cls]] != A.xi0(b):
                     failures.append(("endpoint mismatch", cls))
     # a result on a broken class is neither checked nor bounded
     for a in objs:
@@ -502,7 +488,7 @@ def counit_report(A, bound=2):
             continue
         if LU.ident(a) not in eps:
             bounded += 1
-        elif eps[LU.ident(a)] != A.carrier.ident[counit_object(A, a)]:
+        elif eps[LU.ident(a)] != A.carrier.ident[A.xi0(a)]:
             failures.append(("identity not preserved", a))
     for f, g in fibre_product(eps, LU.src, eps, LU.tgt):
         try:
@@ -545,18 +531,13 @@ def check_triangles(M, A, bound=2):
     """Both adjunction triangles, exhaustively within the bound. Exceptions
     other than BoundExceeded and StructuralError are crashes and propagate."""
     op = M.operad
-    fail_U, fail_L = [], []
-
-    bounded = 0
+    fail_U, fail_L, bounded = [], [], 0
     UA = underlying(A, bound)
     LUA = L(UA)
-    e0A = lambda x: unit_object(UA.operad, x)
     for w in UA.morphisms:
         try:
-            cls = LUA.class_of(unit_hat(UA.operad, UA, w))
-            back = (counit_hat(A, cls.rep),
-                    map_elem(UA.operad, A.xi0,
-                             map_elem(UA.operad, e0A, w[1])))
+            cls, units = unit_map(LUA, w)
+            back = (counit_hat(A, cls.rep), map_elem(UA.operad, A.xi0, units))
             if back != w:
                 fail_U.append(("round trip moves a multimorphism", w, back))
         except BoundExceeded:
@@ -565,20 +546,14 @@ def check_triangles(M, A, bound=2):
             fail_U.append(("round trip broke", w, repr(exc)))
 
     LM = L(M)
-    e0 = lambda x: unit_object(op, x)
-
-    def u1(g):
-        return LM.class_of(unit_hat(op, M, g))
-
+    e0 = lambda x: eta(op, 0, x)
     objs = LM.objects_upto(bound)
     for a in objs:
         for b in objs:
             for cls in LM.hom(a, b):
                 try:
                     rep = cls.rep
-                    phi2 = map_elem(op, lambda g: (u1(g),
-                                                   map_elem(op, e0, M.src[g])),
-                                    rep.phi)
+                    phi2 = map_elem(op, lambda g: unit_map(LM, g), rep.phi)
                     hat2 = HatMorphism(phi2, map_elem(op, e0, rep.sigma))
                     if counit_hat(LM, hat2) != cls:
                         fail_L.append(("round trip moves a class", cls))

@@ -257,9 +257,11 @@ def validate_operad(op, total_arity=None):
 
     Before the laws, every family they read (`_law_families`) is composed
     once, and a composite outside its level is a failure with the family as
-    the witness: the laws would feed it back into op.compose. An error the
-    operad raises comes from the first family of that pass whose composite
-    raises.
+    the witness: the laws would feed it back into op.compose. An action or
+    composition entry the operad lacks (a StructuralError from a tabulated
+    operad) is a failure of the same pass, "entry missing", with the same
+    witness. Any other error the operad raises comes from the first family
+    of that pass whose composite raises.
     """
     bound = op.max_level if total_arity is None else total_arity
     failures = []
@@ -273,18 +275,27 @@ def validate_operad(op, total_arity=None):
             failures.append(("level not a category", (n, rep["failures"][0])))
     level = {(j, n): set(op.elements(j, n))
              for n in range(op.max_level + 1) for j in (0, 1)}
+
+    def misses(call, args, allowed):
+        """Why call(*args) is not an element of allowed, or None."""
+        try:
+            value = call(*args)
+        except StructuralError:  # a tabulated operad without the entry
+            return "entry missing"
+        return None if value in allowed else "value outside the level"
+
     if not failures:  # the group law reads these tables at each action value
         for n in range(op.max_level + 1):
             for j in (0, 1):
-                failures += [("action value outside the level", (n, j, s.images, x))
+                failures += [(f"action {why}", (n, j, s.images, x))
                              for s in perms(n) for x in op.elements(j, n)
-                             if act(j, n, s.images, x) not in level[j, n]]
+                             if (why := misses(act, (j, n, s.images, x), level[j, n]))]
     if not failures:  # the laws feed composites back in as arguments
         for j in (0, 1):
             for k, a, inners in dict.fromkeys(_law_families(op, j, bound)):
-                if compose(j, k, a, inners) not in level[j, sum(n for n, _ in inners)]:
-                    failures.append(("composition value outside the level",
-                                     (j, k, a, inners)))
+                total = sum(n for n, _ in inners)
+                if why := misses(compose, (j, k, a, inners), level[j, total]):
+                    failures.append((f"composition {why}", (j, k, a, inners)))
     if failures:
         return {"ok": False, "failures": failures, "checked": counts,
                 "total_arity": bound}

@@ -24,8 +24,8 @@ from .dmulticat import (_level_unit_obj, from_nonsymmetric, from_symmetric,
 from .errors import BoundExceeded, StructuralError
 from .fincat import terminal_category, validate_category
 from .opmonad import canonicalize
-from .report import (DEFAULT_TRUNCATE, RunConfig, build, check, emit,
-                     exit_code, from_validator)
+from .report import (DEFAULT_BOUND, DEFAULT_TRUNCATE, RunConfig, build, check,
+                     emit, exit_code, from_validator)
 
 
 def build_parser():
@@ -41,8 +41,8 @@ def build_parser():
                         help="ambient operad (builtin name or operad JSON)")
         sp.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE,
                         help="builtin operad truncation level")
-        sp.add_argument("--bound", type=int, default=None,
-                        help="arity bound for checks (default $GMCAT_BOUND or 3)")
+        sp.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                        help="arity bound for checks (default 3)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for sampled coherence checks")
         sp.add_argument("--hom", nargs=2, metavar=("SRC", "TGT"),
@@ -276,11 +276,9 @@ def cmd_check_adjunction(cfg):
     checks.append(from_validator("counit algebra map",
                                  counit_report(A, bound=cfg.bound)))
     tri = check_triangles(M, A, bound=cfg.bound)
-    checks.append(check("triangle identities", tri["ok"],
-                        tri["triangle_U"] + tri["triangle_L"],
-                        counts={"checked_U": tri["checked_U"],
-                                "checked_L": tri["checked_L"],
-                                "bounded": tri["bounded"]}))
+    checks.append(from_validator(
+        "triangle identities",
+        {**tri, "failures": tri["triangle_U"] + tri["triangle_L"]}))
     return build(cfg, checks, dump)
 
 

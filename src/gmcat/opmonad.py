@@ -36,7 +36,7 @@ from itertools import product
 from operator import itemgetter
 
 from .errors import BoundExceeded, FreenessError, StructuralError
-from .fincat import category
+from .fincat import category, is_source_cover, is_target_cover
 from .finset import (canon_key, fibre_product, fibres, perms, product_within,
                      sort_labels)
 
@@ -531,7 +531,6 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
 
 def check_preserves_cover(op, F, bound):
     """Unique lifting for D F through targets (and sources, when F is one)."""
-    from .fincat import is_source_cover, is_target_cover
     _require_free(op, "cover preservation checks")
     report = {"ok": True, "target": {"checked": 0, "failures": []},
               "source": {"checked": 0, "failures": []}}

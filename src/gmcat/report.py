@@ -8,16 +8,10 @@ the output path is not echoed.
 """
 
 import json
-import os
 from dataclasses import dataclass
 
 DEFAULT_BOUND = 3
 DEFAULT_TRUNCATE = 4
-
-
-def env_bound():
-    raw = os.environ.get("GMCAT_BOUND")
-    return DEFAULT_BOUND if raw is None else int(raw)
 
 
 @dataclass
@@ -26,7 +20,7 @@ class RunConfig:
     targets: tuple = ()
     operad: str = None          # builtin name or path, None = barratt_eccles
     truncate: int = DEFAULT_TRUNCATE
-    bound: int = None           # None = GMCAT_BOUND or 3
+    bound: int = DEFAULT_BOUND
     seed: int = 0
     hom: tuple = None           # (SRC, TGT) specs for the free command
     hat: bool = False
@@ -34,8 +28,6 @@ class RunConfig:
     out: str = None
 
     def __post_init__(self):
-        if self.bound is None:
-            self.bound = env_bound()
         if self.bound < 1:
             raise ValueError(f"arity bound must be >= 1, got {self.bound}")
         if self.truncate < self.bound:

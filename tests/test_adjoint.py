@@ -11,11 +11,11 @@ import pytest
 import gmcat.adjoint as adjoint
 import gmcat.opmonad as opmonad
 from gmcat.adjoint import (L, HatMorphism, check_triangles, coeq_equiv,
-                           counit_hat, counit_object, counit_report,
-                           descent_report, hat_compose, hat_ident, hat_L,
-                           hat_source, hat_target, hat_unit_report, make_hat,
-                           to_algebra, unit_hat, unit_report,
-                           validate_coeq_fork, witness_hat_unit_failure)
+                           counit_hat, counit_report, descent_report,
+                           hat_compose, hat_L, hat_source, hat_target,
+                           hat_unit_report, make_hat, to_algebra, unit_map,
+                           unit_report, validate_coeq_fork,
+                           witness_hat_unit_failure)
 from gmcat.catoperad import associativity_operad, barratt_eccles
 from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
                             xi_fill, z2_discrete_algebra)
@@ -154,17 +154,34 @@ def test_hat_unit_witness_and_its_quotient():
     assert witness_hat_unit_failure(MA) is None
 
 
+@pytest.mark.parametrize("make", [
+    lambda: terminal_multicat(barratt_eccles(3)),
+    lambda: underlying(z2_discrete_algebra(barratt_eccles(3)), 2),
+], ids=["terminal_BE3", "underlying_z2"])
+def test_unit_map_is_the_class_of_the_provisional_unit(make):
+    # the provisional unit has no relation to respect, so it is its own
+    # class; its class in L is the unit into L
+    M = make()
+    hat, lz = hat_L(M), L(M)
+    for f in M.morphisms:
+        h, hat_src = unit_map(hat, f)
+        cls, src = unit_map(lz, f)
+        assert hat.class_of(h) is h
+        assert lz.class_of(h) == cls
+        assert hat_src == src
+
+
 def test_counit_on_objects_is_the_action():
     A = z2_discrete_algebra(BE)
-    assert counit_object(A, melem(BE, 0, (1, 2), (1, 1))) == 0
-    assert counit_object(A, melem(BE, 0, (1, 2, 3), (1, 1, 1))) == 1
+    assert A.xi0(melem(BE, 0, (1, 2), (1, 1))) == 0
+    assert A.xi0(melem(BE, 0, (1, 2, 3), (1, 1, 1))) == 1
 
 
 def test_counit_evaluates_unit_morphisms():
     A = z2_discrete_algebra(BE)
     U = underlying(A, bound=2)
     for w in U.morphisms:
-        assert counit_hat(A, unit_hat(BE, U, w)) == w[0]
+        assert counit_hat(A, unit_map(hat_L(U), w)[0]) == w[0]
 
 
 def test_counit_constant_functorial_algebra_map():
@@ -374,7 +391,7 @@ def test_a_composition_that_raises_stores_nothing(case):
     op = associativity_operad(3)  # its own data composites
     M = terminal_multicat(op)
     a, b = (elements_of(op, 0, M.objects, n)[0] for n in (1, 2))
-    h, g = hat_ident(op, M, a), hat_ident(op, M, b)
+    h, g = hat_L(M).ident(a), hat_L(M).ident(b)
     assert hat_compose(op, M, h, h) == h  # something in every table
     if case == "not composable":
         f, error = h, StructuralError
@@ -506,8 +523,8 @@ def test_counit_identity_not_preserved(monkeypatch):
     C = A.carrier
     LU, _ = counit_classes(A)
     a, auto = next((a, f) for a in LU.objects_upto(2) for f in C.morphisms
-                   if C.src[f] == C.tgt[f] == counit_object(A, a)
-                   and f != C.ident[counit_object(A, a)])
+                   if C.src[f] == C.tgt[f] == A.xi0(a)
+                   and f != C.ident[A.xi0(a)])
     patch_counit(monkeypatch, A, set(LU.ident(a).members), lambda f: auto)
     failures = counit_report(A, bound=2)["failures"]
     assert [f for f in failures if f[0] == "identity not preserved"] == \
@@ -533,7 +550,7 @@ def test_triangle_round_trip_moves_a_multimorphism(monkeypatch):
     A = z2_discrete_algebra(BE3)
     UA = underlying(A, 2)
     w = UA.morphisms[0]
-    rep = L(UA).class_of(unit_hat(BE3, UA, w)).rep
+    rep = unit_map(L(UA), w)[0].rep
     patch_counit(monkeypatch, A, {rep}, lambda f: other_identity(A, f))
     got = check_triangles(terminal_multicat(BE3), A, bound=2)
     assert got["triangle_U"] == [("round trip moves a multimorphism", w,

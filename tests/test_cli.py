@@ -399,16 +399,36 @@ def _composition_value_outside(last):
     return edit
 
 
+def _action_entry_missing(row):
+    def edit(doc):
+        j, n, s, x, _ = doc["action"].pop(row)
+        return ["action entry missing", [n, j, s, x]]
+    edit.__name__ = f"action_entry_missing_{'first' if row == 0 else 'last'}"
+    return edit
+
+
+def _composition_entry_missing(last):
+    def edit(doc):
+        inside = [i for i, (_, k, _, inners, _) in enumerate(doc["composition"])
+                  if k + sum(n for n, _ in inners) <= 2]
+        row = doc["composition"].pop(inside[-1] if last else inside[0])
+        return ["composition entry missing", row[:4]]
+    edit.__name__ = f"composition_entry_missing_{'last' if last else 'first'}"
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _level_source_missing, _level_without_identities,
     _level_identity_not_a_morphism, _level_composite_outside,
     _action_value_outside(0), _action_value_outside(-1),
     _composition_value_outside(False), _composition_value_outside(True),
+    _action_entry_missing(0), _action_entry_missing(-1),
+    _composition_entry_missing(False), _composition_entry_missing(True),
 ], ids=lambda f: f.__name__.strip("_"))
 def test_cli_operad_table_defect_exits_1(edit, tmp_path):
-    # a level that is not a category, or an action or composition value
-    # outside its level, fails before the group, unit and composition laws
-    # look it up
+    # a level that is not a category, or an action or composition entry that
+    # is missing or outside its level, fails before the group, unit and
+    # composition laws look it up
     base = barratt_eccles(2)
     doc = jsonio.encode_operad(
         tabulated_operad("be2", 2, base.levels, base.unit, *operad_tables(base)))
@@ -453,6 +473,19 @@ def test_cli_check_adjunction_bounded_exits_3(tmp_path):
     counit = by_name["counit algebra map"]
     assert counit["status"] == "bound-exceeded"
     assert counit["counts"]["bounded"] > 0
+
+
+def test_cli_triangles_bounded_exits_3(tmp_path, monkeypatch):
+    # a bounded triangle instance is not a pass, though nothing failed
+    inner = gmcat.cli.check_triangles
+    monkeypatch.setattr(gmcat.cli, "check_triangles",
+                        lambda *a, **k: {**inner(*a, **k), "bounded": 1})
+    code, rep = run(["check-adjunction", "terminal_symmetric", "z2",
+                     "--bound", "2"], tmp_path)
+    assert code == 3 and rep["ok"]
+    tri = rep["checks"][-1]
+    assert tri["name"] == "triangle identities"
+    assert tri["status"] == "bound-exceeded" and tri["counts"]["bounded"] == 1
 
 
 def test_cli_check_adjunction_hat_witness(tmp_path):
@@ -524,12 +557,6 @@ def test_cli_config_invariant(capsys):
     assert "below arity bound" in capsys.readouterr().err
 
 
-def test_cli_env_bound(tmp_path, monkeypatch):
-    monkeypatch.setenv("GMCAT_BOUND", "2")
-    code, rep = run(["validate", "algebra", "z2_discrete"], tmp_path)
-    assert code == 0 and rep["config"]["bound"] == 2
-
-
 def test_cli_reports_are_deterministic(tmp_path):
     _, r1 = run(["check-adjunction", "terminal_symmetric", "z2_discrete",
                  "--bound", "2", "--seed", "7"], tmp_path, "a.json")
@@ -549,8 +576,7 @@ def test_cli_reports_do_not_depend_on_the_hash_seed(command, tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     reports = []
     for seed in ("0", "1", "7"):
-        env = {k: v for k, v in os.environ.items() if k != "GMCAT_BOUND"}
-        env.update(PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
         out = tmp_path / f"seed{seed}.json"
         done = subprocess.run([sys.executable, "-m", "gmcat", *command,
                                "--out", str(out)],

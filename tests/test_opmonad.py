@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gmcat.fincat
 import gmcat.opmonad
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              commutative_operad, operad_tables,
@@ -322,7 +321,7 @@ def test_cover_preservation_counts_every_lift(monkeypatch):
     # fault injection: the collapse passes as a target cover, so the failure
     # branch runs; each failure must count every element over its pair
     F = collapse_sym2()
-    monkeypatch.setattr(gmcat.fincat, "is_target_cover", lambda F: (True, None))
+    monkeypatch.setattr(gmcat.opmonad, "is_target_cover", lambda F: (True, None))
     rep = check_preserves_cover(BE, F, 2)
     assert not rep["ok"] and rep["source"]["checked"] == 0
     over = {}

@@ -7,6 +7,10 @@ when its name is referenced from the CLI entry point, `scripts/`,
 definition (string constants count, for `getattr` and the tracer's tables).
 A class's dunder methods live with their class. A definition that only its
 own unit tests call is dead code, unless KEEP names it with a reason.
+
+Names are simple names, not qualified ones, so a dead method that shares
+its name with a live definition (a method `act` beside `CatOperad.act`, say)
+counts as live: this test cannot see it, and review has to.
 """
 
 import ast
