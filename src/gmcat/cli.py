@@ -118,8 +118,11 @@ def _operad_for(cfg):
     return op
 
 
-def _multicat_target(target, cfg):
-    """Returns (multicat or None, checks accumulated while loading)."""
+def _multicat_target(target, cfg, lawful=False):
+    """Returns (multicat or None, checks accumulated while loading). With
+    `lawful`, a multicategory read from JSON must first pass the axioms
+    `validate multicat` checks: on a failure it comes back as None, with
+    that check; a passing check stays out of the report."""
     if target == "terminal":
         return terminal_multicat(_operad_for(cfg)), []
     if target == "terminal_symmetric":
@@ -128,25 +131,36 @@ def _multicat_target(target, cfg):
         return terminal_multicat(_operad_target("associativity", cfg)), []
     doc = _load_doc(target, {"dmulticat", "classical_multicat"})
     if doc["kind"] == "dmulticat":
-        return jsonio.decode_multicat(doc), []
-    cm = jsonio.decode_classical(doc)
-    symmetric = doc.get("symmetric", bool(cm.act))
-    pre = from_validator("classical multicategory axioms",
-                         validate_classical(cm, symmetric))
-    if pre["status"] != "pass":
-        return None, [pre]
-    op = (_operad_for(cfg) if cfg.operad else
-          _operad_target("barratt_eccles" if symmetric else "associativity", cfg))
-    return (from_symmetric if symmetric else from_nonsymmetric)(cm, op), [pre]
+        M, checks = jsonio.decode_multicat(doc), []
+    else:
+        cm = jsonio.decode_classical(doc)
+        symmetric = doc.get("symmetric", bool(cm.act))
+        pre = from_validator("classical multicategory axioms",
+                             validate_classical(cm, symmetric))
+        if pre["status"] != "pass":
+            return None, [pre]
+        op = (_operad_for(cfg) if cfg.operad else _operad_target(
+            "barratt_eccles" if symmetric else "associativity", cfg))
+        M, checks = (from_symmetric if symmetric else from_nonsymmetric)(cm, op), [pre]
+    if lawful:
+        axioms = from_validator("multicategory axioms",
+                                validate_multicat(M, seed=cfg.seed))
+        if axioms["status"] == "fail":
+            return None, checks + [axioms]
+    return M, checks
+
+
+_BUILTIN_ALGEBRAS = {
+    "z2_discrete": lambda op, cfg: z2_discrete_algebra(op),
+    "z2": lambda op, cfg: z2_discrete_algebra(op),
+    "terminal": lambda op, cfg: terminal_algebra(op),
+    "free": lambda op, cfg: free_algebra(op, terminal_category(), cfg.bound),
+}
 
 
 def _algebra_target(target, cfg):
-    if target in ("z2_discrete", "z2"):
-        return z2_discrete_algebra(_operad_for(cfg))
-    if target == "terminal":
-        return terminal_algebra(_operad_for(cfg))
-    if target == "free":
-        return free_algebra(_operad_for(cfg), terminal_category(), cfg.bound)
+    if target in _BUILTIN_ALGEBRAS:
+        return _BUILTIN_ALGEBRAS[target](_operad_for(cfg), cfg)
     return jsonio.decode_algebra(_load_doc(target, {"algebra"}))
 
 
@@ -208,7 +222,7 @@ def cmd_validate(cfg):
 def cmd_free(cfg):
     if cfg.hom is None:
         raise StructuralError("free needs --hom SRC TGT")
-    M, checks = _multicat_target(cfg.targets[0], cfg)
+    M, checks = _multicat_target(cfg.targets[0], cfg, lawful=True)
     if M is None:
         return build(cfg, checks)
     op = M.operad
@@ -252,7 +266,7 @@ def cmd_underlying(cfg):
 
 
 def cmd_check_adjunction(cfg):
-    M, checks = _multicat_target(cfg.targets[0], cfg)
+    M, checks = _multicat_target(cfg.targets[0], cfg, lawful=True)
     if M is None:
         return build(cfg, checks)
     A = _algebra_target(cfg.targets[1], cfg)
@@ -262,6 +276,10 @@ def cmd_check_adjunction(cfg):
             f"operad mismatch: multicategory over {M.operad.name}"
             f"({M.operad.max_level}), algebra over {A.operad.name}"
             f"({A.operad.max_level})")
+    if cfg.targets[1] not in _BUILTIN_ALGEBRAS:  # read from JSON: validate first
+        loaded = _algebra_checks(A, cfg)
+        if any(c["status"] == "fail" for c in loaded):
+            return build(cfg, checks + loaded)
     dump = None
     if cfg.hat:
         rep = hat_unit_report(M)

@@ -20,8 +20,8 @@ from .dmulticat import (DMulticat, enumerate_M2, enumerate_M3, gamma_S, gamma_T,
 from .errors import BoundExceeded, StructuralError
 from .fincat import discrete_category, terminal_category
 from .finset import fibre_product
-from .opmonad import (I_D, S_D, all_elements, dcat_compose, dcat_ident,
-                      dcat_src, dcat_tgt, eta, map_elem, monad_category, mu,
+from .opmonad import (I_D, S_D, T_D, _aligned_compose, _require_free,
+                      all_elements, eta, map_elem, monad_category, mu,
                       nested_elements)
 
 
@@ -40,12 +40,17 @@ class DAlgebra:
         return self.carrier.ident[x]
 
     def compose(self, f, g):
-        return self.carrier.comp[(f, g)]
+        try:
+            return self.carrier.comp[(f, g)]
+        except KeyError:
+            raise StructuralError(f"carrier composite undefined on {(f, g)!r}") from None
 
 
 def validate_algebra(A, arity_bound=3):
     """Monad-action laws and functoriality of (xi0, xi1), within the bound."""
     op, C = A.operad, A.carrier
+    _require_free(op, "algebra validation")  # functoriality composes in D C
+    src, tgt = C.src.__getitem__, C.tgt.__getitem__
     failures, bounded = [], 0
     for x in C.objects:
         if A.xi0(eta(op, 0, x)) != x:
@@ -72,9 +77,9 @@ def validate_algebra(A, arity_bound=3):
             if h not in C.src:  # the checks below read h in the carrier's tables
                 failures.append(("action value outside the carrier", E))
                 continue
-            if C.src[h] != A.xi0(dcat_src(op, C, E)):
+            if C.src[h] != A.xi0(S_D(op, E, src)):
                 failures.append(("source not preserved", E))
-            if C.tgt[h] != A.xi0(dcat_tgt(op, C, E)):
+            if C.tgt[h] != A.xi0(T_D(op, E, tgt)):
                 failures.append(("target not preserved", E))
         except BoundExceeded:
             bounded += 1
@@ -83,17 +88,20 @@ def validate_algebra(A, arity_bound=3):
             x = A.xi0(X)
             if x not in C.ident:
                 failures.append(("action value outside the carrier", X))
-            elif A.xi1(dcat_ident(op, C, X)) != C.ident[x]:
+            elif A.xi1(I_D(op, X, C.ident.__getitem__)) != C.ident[x]:
                 failures.append(("identities not preserved", X))
         except BoundExceeded:
             bounded += 1
-    for E, E2 in fibre_product(mors, lambda E: dcat_src(op, C, E),
-                               mors, lambda E2: dcat_tgt(op, C, E2)):
+    for E, E2 in fibre_product(mors, lambda E: S_D(op, E, src),
+                               mors, lambda E2: T_D(op, E2, tgt)):
         try:
-            if A.xi1(dcat_compose(op, C, E, E2)) != C.comp.get((A.xi1(E), A.xi1(E2))):
+            composite = _aligned_compose(op, E, E2, src, tgt, A.compose)
+            if A.xi1(composite) != C.comp.get((A.xi1(E), A.xi1(E2))):
                 failures.append(("composition not preserved", (E, E2)))
         except BoundExceeded:
             bounded += 1
+        except StructuralError:  # a level or the carrier lacks the composite
+            failures.append(("composite undefined", (E, E2)))
     return {"ok": not failures, "failures": failures, "bounded": bounded,
             "morphisms_checked": len(mors)}
 

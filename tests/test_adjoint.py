@@ -314,8 +314,7 @@ def plain_hat_compose(op, M, f, g):
     if hat_source(op, f) != hat_target(op, M, g):
         raise StructuralError("hat morphisms not composable")
     moved_list, moved_data = chi(op, f.sigma, g.phi, M.src.get, M.tgt.get)
-    data = opmonad._aligned_compose(op, moved_data, g.sigma, lambda x: x,
-                                    lambda x: x, lambda a, b: a)
+    data = opmonad._aligned_compose(op, moved_data, g.sigma)
     return make_hat(op, M, adjoint._regroup(op, M, f.phi, moved_list), data)
 
 

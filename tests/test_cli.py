@@ -463,6 +463,42 @@ def test_cli_check_adjunction(tmp_path):
     assert len(rep["checks"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["free", "M", "--hom", '["*","*","*"]', '["*"]', "--truncate", "3"],
+    ["check-adjunction", "M", "z2", "--truncate", "3", "--bound", "3"],
+], ids=["free", "check-adjunction"])
+def test_cli_unlawful_multicat_file_exits_1(argv, tmp_path):
+    # a multicategory read from JSON must pass the axioms validate checks
+    # before the free construction reads its tables
+    doc = jsonio.encode_multicat(terminal_multicat(barratt_eccles(3)))
+    dropped = doc["source_action"].pop()
+    jsonio.save(doc, tmp_path / "m.json")
+    argv = [str(tmp_path / "m.json") if a == "M" else a for a in argv]
+    code, rep = run(argv, tmp_path)
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == \
+        [("multicategory axioms", "fail")]
+    assert rep["checks"][0]["witnesses"] == [
+        ["source action: action domain mismatch",
+         [dropped[0], repr(jsonio.decode_elem(barratt_eccles(3), dropped[1]))]]]
+
+
+def test_cli_check_adjunction_unlawful_algebra_file_exits_1(tmp_path):
+    # an algebra read from JSON must pass the checks validate runs before
+    # the counit reads its tables
+    doc = jsonio.encode_algebra(z2_discrete_algebra(BE), 2)
+    doc["xi1"][-1][1] = "nope"
+    jsonio.save(doc, tmp_path / "a.json")
+    code, rep = run(["check-adjunction", "terminal_symmetric",
+                     str(tmp_path / "a.json"), "--bound", "2"], tmp_path)
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == \
+        [("carrier category laws", "pass"), ("algebra laws", "fail")]
+    assert ["action value outside the carrier",
+            repr(jsonio.decode_elem(BE, doc["xi1"][-1][0]))] \
+        in rep["checks"][1]["witnesses"]
+
+
 def test_cli_check_adjunction_bounded_exits_3(tmp_path):
     # the free pair at bound 2 passes everywhere it can look, but the
     # counit evaluation pushes some instances past the carrier bound

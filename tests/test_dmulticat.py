@@ -3,6 +3,7 @@
 import pytest
 from dataclasses import replace
 from itertools import product
+from math import comb, factorial, prod
 
 from gmcat.adjoint import (L, check_triangles, counit_report, flat_source,
                            unit_report)
@@ -69,17 +70,41 @@ def pairing_classical():
     return ClassicalMulticat(objects, morphisms, src, tgt, ident, comp, act)
 
 
-def test_terminal_is_valid():
-    M = terminal_multicat(BE)
+def slot_arities(N):
+    """The m in N^k, k <= N, with |m| <= N: the arities that fill the k
+    source slots of a terminal multimorphism within the cap N."""
+    return [m for k in range(N + 1) for m in product(range(N + 1), repeat=k)
+            if sum(m) <= N]
+
+
+# (m2, m3, coherence_checked over BE, action entries over BE) by cap N
+CLOSED_FORMS = {2: (10, 36, 13, 4), 3: (35, 428, 79, 10), 4: (126, 5500, 581, 34)}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("make", [barratt_eccles, associativity_operad],
+                         ids=["BE", "ASS"])
+def test_terminal_multicat_counts_have_closed_forms(make, N):
+    # a composable pair is a slot count k and the arities m of its fillers;
+    # a triple over it gives each of its |m| leaves an arity, the arities
+    # summing to at most N: C(N + |m|, |m|) ways; over BE a filler of arity
+    # m_i carries m_i! action morphisms and level n has n! of them, over
+    # ASS one each
+    m2, m3, be_coherence, be_actions = CLOSED_FORMS[N]
+    arities = slot_arities(N)
+    assert comb(2 * N + 1, N) == len(arities) == m2
+    assert sum(comb(N + sum(m), sum(m)) for m in arities) == m3
+    assert sum(prod(map(factorial, m)) for m in arities) == be_coherence
+    assert sum(map(factorial, range(N + 1))) == be_actions
+
+    M = terminal_multicat(make(N))
     rep = validate_multicat(M)
     assert rep["ok"], rep["failures"][:3]
-    assert M.cap == 4
-    assert rep["m2"] > 0 and rep["m3"] > 0
-
-
-def test_terminal_nonsymmetric_is_valid():
-    rep = validate_multicat(terminal_multicat(ASS))
-    assert rep["ok"], rep["failures"][:3]
+    assert M.cap == N
+    symmetric = make is barratt_eccles
+    assert (rep["m2"], rep["m3"]) == (m2, m3)
+    assert rep["coherence_checked"] == (be_coherence if symmetric else m2)
+    assert len(M.source_action) == (be_actions if symmetric else N + 1)
 
 
 def test_corrupted_composition_breaks_associativity():

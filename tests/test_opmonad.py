@@ -18,12 +18,14 @@ from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              tabulated_operad)
 from gmcat.dmulticat import fillings, terminal_multicat
 from gmcat.errors import BoundExceeded, StructuralError
+from gmcat.dalgebra import free_algebra, validate_algebra
 from gmcat.fincat import (CatFunctor, discrete_category, is_target_cover,
-                          validate_category, validate_functor)
+                          terminal_category, validate_category,
+                          validate_functor)
 from gmcat.finset import Perm, canon_key, fibre_product, fibres, perms, product_within
 from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            canonicalize, check_cartesian,
-                           check_preserves_cover, chi, dcat_tgt,
+                           check_preserves_cover, chi,
                            elements_of, elements_within, eta, gamma_D,
                            map_elem, melem, monad_category, mu,
                            nested_elements,
@@ -291,6 +293,71 @@ def test_monad_category_of_discrete_pair():
     assert len(DC.objects) == 7
 
 
+# fault injection: the structure maps of DC are one family, shared by the
+# tables and by every validator that reads them
+
+FAULT_TARGETS = {
+    "validate_monad_category":
+        lambda op: validate_monad_category(op, ("x", "y"), 2),
+    "validate_category(monad_category)":
+        lambda op: validate_category(monad_category(
+            op, discrete_category(["x", "y"]), 2)),
+    "validate_algebra(free_algebra)":
+        lambda op: validate_algebra(free_algebra(op, terminal_category(), 2), 2),
+}
+
+
+def wrong_level_src(op):
+    """op with its least level-2 morphism, an identity, given another source."""
+    L = op.level(2)
+    m = min(L.morphisms, key=canon_key)
+    L.src[m] = next(o for o in L.objects if o != L.src[m])
+    return op
+
+
+@pytest.mark.parametrize("target, kind", [
+    ("validate_monad_category", "DX: bad identity"),
+    ("validate_category(monad_category)", "bad identity"),
+    ("validate_algebra(free_algebra)", "composite undefined"),
+])
+def test_a_wrong_level_source_fails_with_a_witness(target, kind):
+    rep = FAULT_TARGETS[target](wrong_level_src(associativity_operad(3)))
+    assert not rep["ok"]
+    assert kind in {f[0] for f in rep["failures"]}
+
+
+@pytest.mark.parametrize("target, kind", [
+    ("validate_monad_category", "DX: composite has wrong endpoints"),
+    ("validate_category(monad_category)", "composite has wrong endpoints"),
+    # the free algebra's carrier DC is built with the wrong composite, and
+    # validate_algebra composes with its own binding of the right one
+    ("validate_algebra(free_algebra)", "composition not preserved"),
+])
+def test_a_wrong_composite_fails_with_a_witness(monkeypatch, target, kind):
+    inner = gmcat.opmonad._aligned_compose
+
+    def left_factor(op, E, E2, *maps):
+        inner(op, E, E2, *maps)
+        return E
+    monkeypatch.setattr(gmcat.opmonad, "_aligned_compose", left_factor)
+    rep = FAULT_TARGETS[target](barratt_eccles(3))
+    assert not rep["ok"]
+    assert kind in {f[0] for f in rep["failures"]}
+
+
+def test_a_wrong_composite_in_the_free_algebra_fails_with_a_witness():
+    # over ASS each morphism of D(terminal) and of D D(terminal) is an
+    # identity, composable with itself alone, so a composite replaced by its
+    # left factor changes nothing; the wrong composite goes into the
+    # carrier's table instead
+    A = free_algebra(associativity_operad(3), terminal_category(), 2)
+    ident = {X.n: A.carrier.ident[X] for X in A.carrier.objects}
+    A.carrier.comp[(ident[2], ident[2])] = ident[1]
+    rep = validate_algebra(A, 2)
+    assert not rep["ok"]
+    assert {f[0] for f in rep["failures"]} == {"composition not preserved"}
+
+
 def test_monad_functor_and_cover_preservation():
     # the two-object translation groupoid covers the two-element monoid
     from test_fincat import chaotic2_cover_over_sym2
@@ -327,7 +394,7 @@ def test_cover_preservation_counts_every_lift(monkeypatch):
     over = {}
     for n in range(3):
         for E in elements_of(BE, 1, F.dom.morphisms, n):
-            key = (repr(dcat_tgt(BE, F.dom, E)),
+            key = (repr(T_D(BE, E, F.dom.tgt.__getitem__)),
                    repr(map_elem(BE, F.mor_map.get, E)))
             over[key] = over.get(key, 0) + 1
     fails = rep["target"]["failures"]
