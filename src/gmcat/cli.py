@@ -150,18 +150,21 @@ def _multicat_target(target, cfg, lawful=False):
     return M, checks
 
 
-_BUILTIN_ALGEBRAS = {
-    "z2_discrete": lambda op, cfg: z2_discrete_algebra(op),
-    "z2": lambda op, cfg: z2_discrete_algebra(op),
-    "terminal": lambda op, cfg: terminal_algebra(op),
-    "free": lambda op, cfg: free_algebra(op, terminal_category(), cfg.bound),
-}
-
-
-def _algebra_target(target, cfg):
-    if target in _BUILTIN_ALGEBRAS:
-        return _BUILTIN_ALGEBRAS[target](_operad_for(cfg), cfg)
-    return jsonio.decode_algebra(_load_doc(target, {"algebra"}))
+def _algebra_target(target, cfg, lawful=False):
+    """Returns (algebra or None, checks), with `lawful` as for
+    _multicat_target: an algebra read from JSON must first pass the checks
+    `validate algebra` runs."""
+    if target in ("z2_discrete", "z2"):
+        return z2_discrete_algebra(_operad_for(cfg)), []
+    if target == "terminal":
+        return terminal_algebra(_operad_for(cfg)), []
+    if target == "free":
+        return free_algebra(_operad_for(cfg), terminal_category(), cfg.bound), []
+    A = jsonio.decode_algebra(_load_doc(target, {"algebra"}))
+    checks = _algebra_checks(A, cfg) if lawful else []
+    if any(c["status"] == "fail" for c in checks):
+        return None, checks
+    return A, []
 
 
 def _object_spec(spec, M, op):
@@ -215,7 +218,7 @@ def cmd_validate(cfg):
             checks.append(from_validator(
                 "multicategory axioms", validate_multicat(M, seed=cfg.seed)))
     else:
-        checks = _algebra_checks(_algebra_target(target, cfg), cfg)
+        checks = _algebra_checks(_algebra_target(target, cfg)[0], cfg)
     return build(cfg, checks)
 
 
@@ -248,7 +251,7 @@ def cmd_free(cfg):
 
 
 def cmd_underlying(cfg):
-    A = _algebra_target(cfg.targets[0], cfg)
+    A, _ = _algebra_target(cfg.targets[0], cfg)
     checks = _algebra_checks(A, cfg)
     if any(c["status"] == "fail" for c in checks):
         return build(cfg, checks)
@@ -269,17 +272,15 @@ def cmd_check_adjunction(cfg):
     M, checks = _multicat_target(cfg.targets[0], cfg, lawful=True)
     if M is None:
         return build(cfg, checks)
-    A = _algebra_target(cfg.targets[1], cfg)
+    A, loaded = _algebra_target(cfg.targets[1], cfg, lawful=True)
+    if A is None:
+        return build(cfg, checks + loaded)
     if (M.operad.name, M.operad.max_level) != (A.operad.name,
                                                A.operad.max_level):
         raise StructuralError(
             f"operad mismatch: multicategory over {M.operad.name}"
             f"({M.operad.max_level}), algebra over {A.operad.name}"
             f"({A.operad.max_level})")
-    if cfg.targets[1] not in _BUILTIN_ALGEBRAS:  # read from JSON: validate first
-        loaded = _algebra_checks(A, cfg)
-        if any(c["status"] == "fail" for c in loaded):
-            return build(cfg, checks + loaded)
     dump = None
     if cfg.hat:
         rep = hat_unit_report(M)

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, replace
 from .dmulticat import (DMulticat, enumerate_M2, enumerate_M3, gamma_S, gamma_T,
                         source_action_domain)
 from .errors import BoundExceeded, StructuralError
-from .fincat import discrete_category, terminal_category
+from .fincat import discrete_category, terminal_category, validate_category
 from .finset import fibre_product
-from .opmonad import (I_D, S_D, T_D, _aligned_compose, _require_free,
-                      all_elements, eta, map_elem, monad_category, mu,
-                      nested_elements)
+from .opmonad import (I_D, S_D, all_elements, eta, map_elem, monad_category,
+                      mu, nested_elements)
 
 
 @dataclass(frozen=True)
@@ -40,18 +39,19 @@ class DAlgebra:
         return self.carrier.ident[x]
 
     def compose(self, f, g):
-        try:
-            return self.carrier.comp[(f, g)]
-        except KeyError:
-            raise StructuralError(f"carrier composite undefined on {(f, g)!r}") from None
+        return self.carrier.comp[(f, g)]
 
 
 def validate_algebra(A, arity_bound=3):
-    """Monad-action laws and functoriality of (xi0, xi1), within the bound."""
+    """The carrier's category laws, then, within the bound, the monad-action
+    laws and (xi0, xi1) as a functor from DC (monad_category) to C."""
     op, C = A.operad, A.carrier
-    _require_free(op, "algebra validation")  # functoriality composes in D C
-    src, tgt = C.src.__getitem__, C.tgt.__getitem__
-    failures, bounded = [], 0
+    failures = [("carrier: " + fail[0],) + tuple(fail[1:])
+                for fail in validate_category(C)["failures"]]
+    if failures:  # the laws below read the carrier's tables
+        return {"ok": False, "failures": failures}
+    DC = monad_category(op, C, arity_bound)
+    bounded = 0
     for x in C.objects:
         if A.xi0(eta(op, 0, x)) != x:
             failures.append(("unit law fails on objects", x))
@@ -70,40 +70,37 @@ def validate_algebra(A, arity_bound=3):
             if lhs != rhs:
                 failures.append(("action associativity fails", e2))
 
-    mors = all_elements(op, 1, C.morphisms, arity_bound)
-    for E in mors:
+    for E in DC.morphisms:
         try:
             h = A.xi1(E)
             if h not in C.src:  # the checks below read h in the carrier's tables
                 failures.append(("action value outside the carrier", E))
                 continue
-            if C.src[h] != A.xi0(S_D(op, E, src)):
+            if C.src[h] != A.xi0(DC.src[E]):
                 failures.append(("source not preserved", E))
-            if C.tgt[h] != A.xi0(T_D(op, E, tgt)):
+            if C.tgt[h] != A.xi0(DC.tgt[E]):
                 failures.append(("target not preserved", E))
         except BoundExceeded:
             bounded += 1
-    for X in all_elements(op, 0, C.objects, arity_bound):
+    for X in DC.objects:
         try:
             x = A.xi0(X)
             if x not in C.ident:
                 failures.append(("action value outside the carrier", X))
-            elif A.xi1(I_D(op, X, C.ident.__getitem__)) != C.ident[x]:
+            elif A.xi1(DC.ident[X]) != C.ident[x]:
                 failures.append(("identities not preserved", X))
         except BoundExceeded:
             bounded += 1
-    for E, E2 in fibre_product(mors, lambda E: S_D(op, E, src),
-                               mors, lambda E2: T_D(op, E2, tgt)):
+    for E, E2 in DC.composable_pairs():
         try:
-            composite = _aligned_compose(op, E, E2, src, tgt, A.compose)
-            if A.xi1(composite) != C.comp.get((A.xi1(E), A.xi1(E2))):
+            if (E, E2) not in DC.comp:  # a level lacks the composite
+                failures.append(("composite undefined", (E, E2)))
+            elif A.xi1(DC.comp[(E, E2)]) != C.comp.get((A.xi1(E), A.xi1(E2))):
                 failures.append(("composition not preserved", (E, E2)))
         except BoundExceeded:
             bounded += 1
-        except StructuralError:  # a level or the carrier lacks the composite
-            failures.append(("composite undefined", (E, E2)))
     return {"ok": not failures, "failures": failures, "bounded": bounded,
-            "morphisms_checked": len(mors)}
+            "morphisms_checked": len(DC.morphisms)}
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,8 @@ def monad_set_category(op, labels, bound):
 
 
 def monad_category(op, C, bound):
-    """The category DC truncated at the given arity bound, as explicit tables."""
+    """The category DC truncated at the given arity bound, as explicit tables;
+    a pair whose composite a level lacks is left out of the composition."""
     return _monad_tables(op, C.objects, C.morphisms, bound, C.src.__getitem__,
                          C.tgt.__getitem__, C.ident.__getitem__,
                          lambda a, b: C.comp[(a, b)])
@@ -310,6 +311,7 @@ def monad_category(op, C, bound):
 
 def _monad_tables(op, objects, morphisms, bound, src=None, tgt=None,
                   ident=None, comp=None):
+    _require_free(op, "composition in DC")
     objs = all_elements(op, 0, objects, bound)
     mors = all_elements(op, 1, morphisms, bound)
     S = {E: S_D(op, E, src) for E in mors}

@@ -179,6 +179,17 @@ def test_cli_multicat_over_commutative_exits_2(command, tmp_path, capsys,
     assert "needs a sigma-free operad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["validate", "algebra", "free"],
+                                     ["underlying", "free"]])
+def test_cli_free_algebra_over_commutative_exits_2(command, tmp_path, capsys):
+    # its carrier DC composes by realigning arrangements: refused, not a
+    # carrier with an empty composition table
+    code, rep = run([*command, "--operad", "commutative", "--truncate", "3"],
+                    tmp_path)
+    assert code == 2 and rep is None
+    assert "needs a sigma-free operad" in capsys.readouterr().err
+
+
 def test_cli_corrupted_gamma_file(tmp_path):
     path = tmp_path / "bad_operad.json"
     jsonio.save(corrupt_operad_doc(), path)

@@ -14,7 +14,7 @@ from gmcat.dalgebra import (DAlgebra, free_algebra, kappa, kappa_report,
                             z2_discrete_algebra)
 from gmcat.dmulticat import enumerate_M2, validate_multicat
 from gmcat.errors import FreenessError
-from gmcat.fincat import terminal_category
+from gmcat.fincat import category, terminal_category
 from gmcat.opmonad import eta, melem, mu
 
 BE = barratt_eccles(4)
@@ -65,6 +65,27 @@ def test_projection_action_breaks_associativity():
     rep = validate_algebra(bad, arity_bound=2)
     assert not rep["ok"]
     assert any(kind == "action associativity fails" for kind, _ in rep["failures"])
+
+
+def z2_monoid_algebra(xi1):
+    """The one-object category on 1 and e (e.e = 1) over ASS, acting on
+    morphisms by xi1."""
+    C = category(("*",), ("1", "e"), {"1": "*", "e": "*"}, {"1": "*", "e": "*"},
+                 {"*": "1"}, {("1", "1"): "1", ("1", "e"): "e",
+                              ("e", "1"): "e", ("e", "e"): "1"})
+    return DAlgebra(ASS, C, lambda X: "*", xi1)
+
+
+def parity(E):
+    return "e" if sum(f == "e" for f in E.xs) % 2 else "1"
+
+
+def test_an_action_that_breaks_composites_is_not_a_functor():
+    assert validate_algebra(z2_monoid_algebra(parity), 3)["ok"]
+    # e on every binary element: the composite of two such is 1 in the carrier
+    rep = validate_algebra(z2_monoid_algebra(
+        lambda E: "e" if E.n == 2 else parity(E)), 3)
+    assert "composition not preserved" in {f[0] for f in rep["failures"]}
 
 
 def test_underlying_z2_multimorphisms():

@@ -17,8 +17,8 @@ from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              commutative_operad, operad_tables,
                              tabulated_operad)
 from gmcat.dmulticat import fillings, terminal_multicat
-from gmcat.errors import BoundExceeded, StructuralError
-from gmcat.dalgebra import free_algebra, validate_algebra
+from gmcat.errors import BoundExceeded, FreenessError, StructuralError
+from gmcat.dalgebra import free_algebra, validate_algebra, z2_discrete_algebra
 from gmcat.fincat import (CatFunctor, discrete_category, is_target_cover,
                           terminal_category, validate_category,
                           validate_functor)
@@ -293,6 +293,18 @@ def test_monad_category_of_discrete_pair():
     assert len(DC.objects) == 7
 
 
+@pytest.mark.parametrize("build", [
+    lambda: monad_category(COMM, discrete_category(["x", "y"]), 2),
+    lambda: validate_monad_category(COMM, ("x", "y"), 2),
+    lambda: validate_algebra(z2_discrete_algebra(COMM), 2),
+], ids=["monad_category", "validate_monad_category", "validate_algebra"])
+def test_composition_in_DC_over_a_non_free_operad_is_refused(build):
+    # realigning arrangements needs a free operad: a refusal, not a DC
+    # whose composition table is empty
+    with pytest.raises(FreenessError, match="needs a sigma-free operad"):
+        build()
+
+
 # fault injection: the structure maps of DC are one family, shared by the
 # tables and by every validator that reads them
 
@@ -304,6 +316,8 @@ FAULT_TARGETS = {
             op, discrete_category(["x", "y"]), 2)),
     "validate_algebra(free_algebra)":
         lambda op: validate_algebra(free_algebra(op, terminal_category(), 2), 2),
+    "validate_algebra(z2_discrete_algebra)":
+        lambda op: validate_algebra(z2_discrete_algebra(op), 2),
 }
 
 
@@ -318,7 +332,10 @@ def wrong_level_src(op):
 @pytest.mark.parametrize("target, kind", [
     ("validate_monad_category", "DX: bad identity"),
     ("validate_category(monad_category)", "bad identity"),
-    ("validate_algebra(free_algebra)", "composite undefined"),
+    ("validate_algebra(free_algebra)",
+     "carrier: composition table domain mismatch"),
+    # a lawful carrier: DC leaves out the pairs the level cannot compose
+    ("validate_algebra(z2_discrete_algebra)", "composite undefined"),
 ])
 def test_a_wrong_level_source_fails_with_a_witness(target, kind):
     rep = FAULT_TARGETS[target](wrong_level_src(associativity_operad(3)))
@@ -329,9 +346,8 @@ def test_a_wrong_level_source_fails_with_a_witness(target, kind):
 @pytest.mark.parametrize("target, kind", [
     ("validate_monad_category", "DX: composite has wrong endpoints"),
     ("validate_category(monad_category)", "composite has wrong endpoints"),
-    # the free algebra's carrier DC is built with the wrong composite, and
-    # validate_algebra composes with its own binding of the right one
-    ("validate_algebra(free_algebra)", "composition not preserved"),
+    # the free algebra's carrier DC is built with the wrong composite
+    ("validate_algebra(free_algebra)", "carrier: left unit fails"),
 ])
 def test_a_wrong_composite_fails_with_a_witness(monkeypatch, target, kind):
     inner = gmcat.opmonad._aligned_compose
@@ -355,7 +371,7 @@ def test_a_wrong_composite_in_the_free_algebra_fails_with_a_witness():
     A.carrier.comp[(ident[2], ident[2])] = ident[1]
     rep = validate_algebra(A, 2)
     assert not rep["ok"]
-    assert {f[0] for f in rep["failures"]} == {"composition not preserved"}
+    assert "carrier: composite has wrong endpoints" in {f[0] for f in rep["failures"]}
 
 
 def test_monad_functor_and_cover_preservation():

@@ -2,6 +2,7 @@
 every report the digest perfbench/digests.json pins, so that a changed
 report fails here as well as in the benchmark."""
 
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -13,15 +14,20 @@ SEED = 2026  # the seed digests.json was written at
 
 
 def workloads():
-    """perfbench/workloads.py, imported without writing bytecode beside it."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    """perfbench/workloads.py, imported under its own name without writing
+    bytecode beside it; sys.path is restored afterwards, so perfbench's
+    top-level modules shadow no later import."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))  # for its sibling import of calib
+    sys.dont_write_bytecode = True
     try:
-        import workloads
+        spec.loader.exec_module(module)
     finally:
-        sys.dont_write_bytecode = saved
-    return workloads
+        sys.path[:], sys.dont_write_bytecode = saved
+    return module
 
 
 @pytest.mark.parametrize("workload", ["free_adjunction", "structure_laws"])
