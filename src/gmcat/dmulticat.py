@@ -10,9 +10,9 @@ non-free operad: freeness makes the monad cartesian, and makes the fillings
 of a source [d; x1..xn] the [d; g1..gn] with tgt(gi) = xi, read by fibre.
 
 A classical source list (x1..xn) is encoded as [b; x1..xn] with b the base
-point of level n, its least object (`_level_unit_obj`; the identity
-arrangement for the permutation operads). Alignments go through the
-operad's orbit table.
+point of level n (`_level_unit_obj`), in the least of the level's orbits.
+The terminal multicategory needs no base point: it has a morphism out of
+every orbit. Alignments go through the operad's orbit table.
 """
 
 import random
@@ -25,9 +25,9 @@ from .fincat import (CatFunctor, Presheaf, transport_presheaf,
                      validate_presheaf)
 from .finset import (block_perm, canon_key, fibre_product, fibres, perms,
                      product_within)
-from .opmonad import (MonadElem, T_D, _require_free, align_sigma,
-                      all_elements, canonicalize, eta, map_elem, melem,
-                      monad_set_category, mu, mu_raw)
+from .opmonad import (MonadElem, S_D, T_D, _require_free, align_sigma,
+                      all_elements, canonicalize, elements_of, eta, map_elem,
+                      melem, monad_set_category, mu, mu_raw)
 
 
 @dataclass(frozen=True)
@@ -386,8 +386,8 @@ def source_action_domain(op, morphisms, src, objects, cap):
 
 
 def _level_unit_obj(op, n):
-    """The base point of level n: its least object (the identity arrangement
-    for the permutation operads)."""
+    """The base point of the classical encoding at level n: its least object
+    (the identity arrangement for the permutation operads)."""
     return min(op.elements(0, n), key=canon_key)
 
 
@@ -416,18 +416,16 @@ def from_nonsymmetric(cm, op):
 # ---------------------------------------------------------------------------
 # stock examples
 
-def terminal_multicat(op, cap=None):
-    """One object; exactly one morphism out of every canonical source element."""
-    cap = op.max_level if cap is None else cap
-    objects = ("*",)
-    morphisms = tuple(("t", n) for n in range(cap + 1))
-    src = {("t", n): melem(op, 0, _level_unit_obj(op, n), ("*",) * n)
-           for n in range(cap + 1)}
-    tgt = {f: "*" for f in morphisms}
-    ident = {"*": ("t", 1)}
-    M_half = DMulticat(op, objects, morphisms, tgt, src, ident, {}, {})
-    action = {(f, delta): f
-              for f, delta in source_action_domain(op, morphisms, src, objects, cap)}
-    composition = {(f, Phi): ("t", mu(op, map_elem(op, src.get, Phi)).n)
+def terminal_multicat(op):
+    """One object; one morphism out of every canonical source element, ("t", n)
+    out of the first of arity n and ("t", n, k) out of the k-th after it."""
+    named = {X: ("t", n, k) if k else ("t", n) for n in range(op.max_level + 1)
+             for k, X in enumerate(elements_of(op, 0, ("*",), n))}
+    src = {f: X for X, f in named.items()}
+    M_half = DMulticat(op, ("*",), tuple(src), dict.fromkeys(src, "*"), src,
+                       {"*": named[eta(op, 0, "*")]}, {}, {})
+    action = {(f, delta): named[S_D(op, delta)] for f, delta in source_action_domain(
+        op, M_half.morphisms, src, M_half.objects, op.max_level)}
+    composition = {(f, Phi): named[mu(op, map_elem(op, src.get, Phi))]
                    for f, Phi in enumerate_M2(M_half)}
     return replace(M_half, source_action=action, composition=composition)

@@ -26,6 +26,7 @@ from gmcat.fincat import terminal_category, validate_category
 from gmcat.finset import canon_key
 from gmcat.opmonad import (I_D, T_D, chi, elements_of, eta, map_elem, melem,
                            mu)
+from product_operad import ass_x_be, be_x_be
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -95,14 +96,20 @@ def test_coeq_endpoint_mismatch_is_false():
 
 
 def test_hom_count_oracles():
-    lb, la = L(MB), L(MA)
+    # over the base-orbit objects, a product with BE counts like BE and one
+    # with ASS like ASS: the other factor only picks the orbit
+    ass_be, be_be = ass_x_be(3), be_x_be(3)
+    symmetric = [(BE, MB), (be_be, terminal_multicat(be_be))]
+    nonsymmetric = [(ASS, MA), (ass_be, terminal_multicat(ass_be))]
     for m in range(4):
         for n in range(4):
-            got = len(lb.hom(obj(BE, MB, m), obj(BE, MB, n)))
-            assert got == n ** m, (m, n, got)
-            got = len(la.hom(obj(ASS, MA, m), obj(ASS, MA, n)))
+            for op, M in symmetric:
+                got = len(L(M).hom(obj(op, M, m), obj(op, M, n)))
+                assert got == n ** m, (op.name, m, n, got)
             want = (1 if m == 0 else 0) if n == 0 else comb(m + n - 1, n - 1)
-            assert got == want, (m, n, got)
+            for op, M in nonsymmetric:
+                got = len(L(M).hom(obj(op, M, m), obj(op, M, n)))
+                assert got == want, (op.name, m, n, got)
 
 
 def test_empty_hom_is_identity():
@@ -277,7 +284,7 @@ def test_materialized_action_is_bounded_loudly():
 
 
 def test_free_algebras_are_memoized_on_their_multicategory():
-    M = terminal_multicat(BE, cap=2)
+    M = terminal_multicat(barratt_eccles(2))
     assert L(M) is L(M) and hat_L(M) is hat_L(M)
     assert L(M) is not hat_L(M)
     assert L(replace(M)) is not L(M)

@@ -2,6 +2,7 @@ import time
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from gmcat.errors import StructuralError
 from gmcat.fincat import validate_category
 from gmcat.finset import (Perm, block_perm, block_sum, fibres, perms,
                           product_within)
+from product_operad import ass_x_be, be_x_be
 
 
 def corrupted_compose(op, bad_key, bad_value):
@@ -62,6 +64,15 @@ def test_associativity_operad_shape():
     rep = validate_operad(op, total_arity=6)
     assert rep["ok"]
     assert is_sigma_free(op)
+
+
+@pytest.mark.parametrize("make", [ass_x_be, be_x_be], ids=["ASSxBE", "BExBE"])
+def test_product_operads_are_free_with_n_factorial_orbits_per_level(make):
+    op = make(3)
+    assert validate_operad(op)["ok"]
+    assert freeness_report(op) == {"ok": True, "witnesses": []}
+    for n, orbits in enumerate((1, 1, 2, 6)):
+        assert len(op.level(n).objects) == factorial(n) * orbits
 
 
 def test_commutative_operad_axioms_hold_but_not_free():

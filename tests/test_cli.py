@@ -22,6 +22,7 @@ from gmcat.dmulticat import (ClassicalMulticat, terminal_multicat,
                              validate_multicat)
 from gmcat.fincat import terminal_category
 from gmcat.finset import perms
+from product_operad import ass_x_be
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -277,7 +278,7 @@ def test_cli_malformed_tables_exit_1(tmp_path):
     # a multicategory short of one action entry, an algebra whose carrier is
     # short of one source: each is a failed check, not an internal error
     from test_dmulticat import without_one_action_entry
-    M, victim = without_one_action_entry(barratt_eccles(3))
+    M, victim = without_one_action_entry(barratt_eccles(2))
     jsonio.save(jsonio.encode_multicat(M), tmp_path / "m.json")
     code, rep = run(["validate", "multicat", str(tmp_path / "m.json")], tmp_path)
     assert code == 1
@@ -358,7 +359,7 @@ def test_cli_table_defect_exits_1(kind, edit, tmp_path):
     # an entry that is missing, or names no label of the structure, is a
     # failed axiom, reported before any law check looks the entry up
     doc = (jsonio.encode_classical(xor_classical(), True) if kind == "classical"
-           else jsonio.encode_multicat(terminal_multicat(barratt_eccles(3), cap=2)))
+           else jsonio.encode_multicat(terminal_multicat(barratt_eccles(2))))
     witness = edit(doc)
     jsonio.save(doc, tmp_path / "m.json")
     code, rep = run(["validate", "multicat", str(tmp_path / "m.json")], tmp_path)
@@ -472,6 +473,18 @@ def test_cli_check_adjunction(tmp_path):
                      "--bound", "2"], tmp_path)
     assert code == 0 and rep["ok"]
     assert len(rep["checks"]) == 3
+
+
+def test_cli_terminal_over_a_tabulated_product_operad(tmp_path):
+    # level 2 of ASS x BE holds two orbits of objects, so the terminal
+    # multicategory has a morphism out of each
+    jsonio.save(jsonio.encode_operad(ass_x_be(2)), tmp_path / "op.json")
+    common = ["--operad", str(tmp_path / "op.json"), "--truncate", "2",
+              "--bound", "2"]
+    code, rep = run(["validate", "multicat", "terminal", *common], tmp_path)
+    assert code == 0 and rep["ok"]
+    code, rep = run(["check-adjunction", "terminal", "z2", *common], tmp_path)
+    assert code == 0 and rep["ok"]
 
 
 @pytest.mark.parametrize("argv", [

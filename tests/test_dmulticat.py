@@ -11,8 +11,8 @@ from gmcat.catoperad import (_inner_families, associativity_operad,
                              barratt_eccles, commutative_operad,
                              composable_families, operad_tables,
                              tabulated_operad, validate_operad)
-from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
-                            z2_discrete_algebra)
+from gmcat.dalgebra import (free_algebra, terminal_algebra, underlying,
+                            validate_algebra, z2_discrete_algebra)
 from gmcat.errors import FreenessError, StructuralError
 from gmcat.fincat import terminal_category, validate_presheaf
 from gmcat.finset import Perm, fibres, perms
@@ -23,6 +23,7 @@ from gmcat.dmulticat import (ClassicalMulticat, DMulticat, _coherence_triples,
                              validate_multicat)
 from gmcat.opmonad import (T_D, all_elements, canonicalize, elements_of,
                            elements_within, eta, map_elem, melem, mu)
+from product_operad import ass_x_be, be_x_be
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -77,39 +78,86 @@ def slot_arities(N):
             if sum(m) <= N]
 
 
-# (m2, m3, coherence_checked over BE, action entries over BE) by cap N
-CLOSED_FORMS = {2: (10, 36, 13, 4), 3: (35, 428, 79, 10), 4: (126, 5500, 581, 34)}
+def orbits_and_lifts(op):
+    """Per arity n: o(n), the Sigma_n-orbits of level-n objects (a terminal
+    morphism out of each), and a(n), the level-n morphisms into one object."""
+    sizes = [(len(op.elements(0, n)), len(op.elements(1, n)))
+             for n in range(op.max_level + 1)]
+    return ([objs // factorial(n) for n, (objs, _) in enumerate(sizes)],
+            [mors // objs for objs, mors in sizes])
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
-@pytest.mark.parametrize("make", [barratt_eccles, associativity_operad],
-                         ids=["BE", "ASS"])
-def test_terminal_multicat_counts_have_closed_forms(make, N):
-    # a composable pair is a slot count k and the arities m of its fillers;
-    # a triple over it gives each of its |m| leaves an arity, the arities
-    # summing to at most N: C(N + |m|, |m|) ways; over BE a filler of arity
-    # m_i carries m_i! action morphisms and level n has n! of them, over
-    # ASS one each
-    m2, m3, be_coherence, be_actions = CLOSED_FORMS[N]
+# (morphisms, m2, m3, interchange instances, action entries) of the terminal
+# multicategory; validate_multicat samples 2000 of the 5531 over BE x BE
+TERMINAL_COUNTS = [
+    pytest.param(barratt_eccles, 2, (3, 10, 36, 13, 4), id="BE-2"),
+    pytest.param(barratt_eccles, 3, (4, 35, 428, 79, 10), id="BE-3"),
+    pytest.param(barratt_eccles, 4, (5, 126, 5500, 581, 34), id="BE-4"),
+    pytest.param(associativity_operad, 2, (3, 10, 36, 10, 3), id="ASS-2"),
+    pytest.param(associativity_operad, 3, (4, 35, 428, 35, 4), id="ASS-3"),
+    pytest.param(associativity_operad, 4, (5, 126, 5500, 126, 5), id="ASS-4"),
+    pytest.param(ass_x_be, 3, (10, 323, 11680, 1139, 42), id="ASSxBE-3"),
+    pytest.param(be_x_be, 3, (10, 323, 11680, 5531, 226), id="BExBE-3"),
+]
+
+
+@pytest.mark.parametrize("make, N, counts", TERMINAL_COUNTS)
+def test_terminal_multicat_counts_have_closed_forms(make, N, counts):
+    # a composable pair is a slot count k and the arities m of its fillers,
+    # o(k) prod o(m_i) of them; a triple over it gives each of its |m|
+    # leaves an arity l, the arities summing to at most N, and a morphism,
+    # one of o(l); an interchange instance picks for each filler one of the
+    # a(m_i) action morphisms into its source. With one orbit per level
+    # (BE, ASS) these are C(2N + 1, N) pairs with C(N + |m|, |m|) triples
+    # over each; over BE a(n) = n!, over ASS a(n) = 1
+    op = make(N)
+    o, a = orbits_and_lifts(op)
+    weight = lambda ms: prod(o[m] for m in ms)
+    leaves = lambda s: sum(weight(ls) for ls in product(range(N + 1), repeat=s)
+                           if sum(ls) <= N)
     arities = slot_arities(N)
-    assert comb(2 * N + 1, N) == len(arities) == m2
-    assert sum(comb(N + sum(m), sum(m)) for m in arities) == m3
-    assert sum(prod(map(factorial, m)) for m in arities) == be_coherence
-    assert sum(map(factorial, range(N + 1))) == be_actions
+    morphisms, m2, m3, coherence, actions = counts
+    assert sum(o) == morphisms
+    assert sum(o[len(m)] * weight(m) for m in arities) == m2
+    assert sum(o[len(m)] * weight(m) * leaves(sum(m)) for m in arities) == m3
+    assert sum(o[len(m)] * prod(o[i] * a[i] for i in m) for m in arities) == coherence
+    assert sum(o[n] * a[n] for n in range(N + 1)) == actions
+    if sum(o) == N + 1:
+        assert comb(2 * N + 1, N) == len(arities) == m2
+        assert sum(comb(N + sum(m), sum(m)) for m in arities) == m3
 
-    M = terminal_multicat(make(N))
+    M = terminal_multicat(op)
     rep = validate_multicat(M)
     assert rep["ok"], rep["failures"][:3]
-    assert M.cap == N
-    symmetric = make is barratt_eccles
+    assert (len(M.morphisms), M.cap) == (morphisms, N)
     assert (rep["m2"], rep["m3"]) == (m2, m3)
-    assert rep["coherence_checked"] == (be_coherence if symmetric else m2)
-    assert len(M.source_action) == (be_actions if symmetric else N + 1)
+    assert rep["coherence_checked"] == min(coherence, 2000)
+    assert len(M.source_action) == actions
+
+
+@pytest.mark.parametrize("make, N", [
+    (barratt_eccles, 4), (associativity_operad, 4), (ass_x_be, 3), (be_x_be, 3),
+], ids=["BE-4", "ASS-4", "ASSxBE-3", "BExBE-3"])
+def test_terminal_multicat_is_U_of_the_terminal_algebra(make, N):
+    # U is a right adjoint, so U(terminal algebra) is the terminal
+    # multicategory: f |-> ('id*', src f) carries every table across
+    op = make(N)
+    M, U = terminal_multicat(op), underlying(terminal_algebra(op), N)
+    iso = {f: ("id*", M.src[f]) for f in M.morphisms}
+    assert len(set(iso.values())) == len(M.morphisms) == len(U.morphisms)
+    assert set(iso.values()) == set(U.morphisms)
+    assert {iso[f]: x for f, x in M.src.items()} == U.src
+    assert {iso[f]: x for f, x in M.tgt.items()} == U.tgt
+    assert {x: iso[f] for x, f in M.ident.items()} == U.ident
+    assert {(iso[f], d): iso[g] for (f, d), g in M.source_action.items()} \
+        == U.source_action
+    assert {(iso[f], map_elem(op, iso.get, Phi)): iso[g]
+            for (f, Phi), g in M.composition.items()} == U.composition
 
 
 def test_corrupted_composition_breaks_associativity():
-    M = terminal_multicat(BE, cap=3)
-    key = (("t", 2), melem(BE, 0, (1, 2), (("t", 1), ("t", 1))))
+    M = terminal_multicat(barratt_eccles(3))
+    key = (("t", 2), melem(M.operad, 0, (1, 2), (("t", 1), ("t", 1))))
     bad = dict(M.composition)
     assert bad[key] == ("t", 2)
     bad[key] = ("t", 3)
@@ -162,8 +210,8 @@ def test_pairing_encoding_and_nontrivial_action():
 
 
 def without_one_action_entry(op):
-    """terminal_multicat(op, cap=2) less one non-identity ("t", 2) action entry."""
-    M = terminal_multicat(op, cap=2)
+    """terminal_multicat(op) less one non-identity ("t", 2) action entry."""
+    M = terminal_multicat(op)
     L = op.level(2)
     victim = next((f, d) for f, d in M.source_action
                   if f == ("t", 2) and L.src[d.d] != L.tgt[d.d])
@@ -172,7 +220,7 @@ def without_one_action_entry(op):
 
 
 def test_missing_action_entry_is_reported_not_raised():
-    M, victim = without_one_action_entry(barratt_eccles(3))
+    M, victim = without_one_action_entry(barratt_eccles(2))
     rep = validate_multicat(M)
     assert not rep["ok"]
     assert ("source action: action domain mismatch", victim) in rep["failures"]
@@ -211,7 +259,7 @@ def test_associativity_two_routes_agree():
 
 
 def test_over_point_form_validates():
-    M = terminal_multicat(BE, cap=2)
+    M = terminal_multicat(barratt_eccles(2))
     P = over_point_form(M)
     assert validate_presheaf(P)["ok"]
     assert set(P.carrier) == set(M.morphisms)

@@ -694,9 +694,11 @@ def test_composites_are_memoized_per_shape_and_failures_are_not():
 
 # -- element hashing and equality --------------------------------------------
 
-def _built_elements(op):
-    """Elements from every constructor path: canonicalize, eta, the free
-    path of elements_of, elements_within, fillings, mu and map_elem."""
+def _built_elements(make):
+    """Elements from every constructor path over make(4): canonicalize, eta,
+    the free path of elements_of, elements_within, mu and map_elem; and the
+    fillings of the terminal multicategory over make(3)."""
+    op = make(4)
     labels = ("x", "y")
     out = [eta(op, j, "x") for j in (0, 1)]
     for j in (0, 1):
@@ -706,14 +708,15 @@ def _built_elements(op):
                 for e in elements_of(op, j, labels, 3) for s in perms(3)[:2]]
         out += [map_elem(op, str.upper, e) for e in elements_of(op, j, labels, 2)]
         out += [mu(op, e) for e, _ in nested_elements(op, j, labels, 2, 3)]
-    M = terminal_multicat(op, cap=3)
+    M = terminal_multicat(make(3))
     out += [Phi for f in M.morphisms for Phi in fillings(M, M.src[f], 3)]
     return out
 
 
-@pytest.mark.parametrize("op", [BE, ASS], ids=["BE", "ASS"])
-def test_element_hash_is_the_field_tuple_hash(op):
-    elems = _built_elements(op)
+@pytest.mark.parametrize("make", [barratt_eccles, associativity_operad],
+                         ids=["BE", "ASS"])
+def test_element_hash_is_the_field_tuple_hash(make):
+    elems = _built_elements(make)
     assert len(elems) > 100
     for e in elems:
         assert hash(e) == hash((e.j, e.n, e.d, e.xs))
@@ -723,10 +726,10 @@ def test_element_hash_is_the_field_tuple_hash(op):
 @pytest.mark.parametrize("make", [barratt_eccles, associativity_operad])
 def test_separately_built_elements_are_equal(make):
     # a second copy of the operad has its own memos, so nothing is shared
-    op, twin = make(4), make(4)
-    for e, f in zip(_built_elements(op), _built_elements(twin), strict=True):
+    for e, f in zip(_built_elements(make), _built_elements(make), strict=True):
         assert e is not f
         assert e == f and hash(e) == hash(f)
+    op = make(4)
     assert canonicalize(op, 0, 2, (2, 1), ("x", "y")) != \
         canonicalize(op, 0, 2, (1, 2), ("x", "y"))
 
