@@ -23,7 +23,6 @@ from .dmulticat import (_level_unit_obj, from_nonsymmetric, from_symmetric,
                         terminal_multicat, validate_classical, validate_multicat)
 from .errors import BoundExceeded, StructuralError
 from .fincat import terminal_category, validate_category
-from .opmonad import canonicalize
 from .report import (DEFAULT_BOUND, DEFAULT_TRUNCATE, RunConfig, build, check,
                      emit, exit_code, from_validator)
 
@@ -168,27 +167,32 @@ def _algebra_target(target, cfg, lawful=False):
 
 
 def _object_spec(spec, M, op):
-    """An object of the free algebra: an arity, or a JSON list of labels."""
+    """An object of the free algebra: an arity or a JSON list of labels (over
+    the least object of its level), or an object-level element (any orbit)."""
     try:
         n = int(spec)
     except ValueError:
         try:
-            labels = json.loads(spec)
+            doc = json.loads(spec)
         except json.JSONDecodeError:
             raise StructuralError(
                 f"hom spec {spec!r} is neither an arity nor a JSON list")
-        if not isinstance(labels, list):
-            raise StructuralError(f"hom spec {spec!r} must be a JSON list")
-        labels = tuple(jsonio.load_label(x) for x in labels)
     else:
         if len(M.objects) != 1:
             raise StructuralError(
                 "arity shorthand needs a single-object multicategory")
-        labels = (M.objects[0],) * n
-    for x in labels:
+        doc = [M.objects[0]] * n
+    if isinstance(doc, list):
+        doc = {"j": 0, "d": _level_unit_obj(op, len(doc)), "xs": doc}
+    if not (isinstance(doc, dict) and doc.get("j") == 0 and "d" in doc
+            and isinstance(doc.get("xs"), list)):
+        raise StructuralError(f"hom spec {spec!r} must be a JSON list or "
+                              "an object-level element")
+    e = jsonio.decode_elem(op, doc)
+    for x in e.xs:
         if x not in M.objects:
             raise StructuralError(f"{x!r} is not an object of the multicategory")
-    return canonicalize(op, 0, len(labels), _level_unit_obj(op, len(labels)), labels)
+    return e
 
 
 def _algebra_checks(A, cfg):
@@ -210,8 +214,9 @@ def cmd_validate(cfg):
         op = _operad_target(target, cfg)
         checks.append(from_validator("operad laws", validate_operad(op)))
         if cfg.require_sigma_free:
-            checks.append(from_validator("sigma freeness",
-                                         freeness_report(op), "witnesses"))
+            rep = freeness_report(op)
+            checks.append(from_validator(
+                "sigma freeness", {**rep, "failures": rep["witnesses"]}))
     elif kind == "multicat":
         M, checks = _multicat_target(target, cfg)
         if M is not None:

@@ -66,16 +66,16 @@ def check(name, ok, witnesses=(), counts=None, bound_exceeded=False):
     return entry
 
 
-def from_validator(name, rep, witness_key="failures"):
+def from_validator(name, rep):
     counts = {}
     for k, v in rep.items():
-        if k in ("ok", witness_key):
+        if k in ("ok", "failures"):
             continue
         if isinstance(v, (bool, int)):
             counts[k] = v
         elif isinstance(v, dict) and all(isinstance(x, int) for x in v.values()):
             counts.update({f"{k}.{k2}": v2 for k2, v2 in v.items()})
-    return check(name, rep["ok"], rep.get(witness_key, ()), counts,
+    return check(name, rep["ok"], rep.get("failures", ()), counts,
                  bound_exceeded=rep["ok"] and rep.get("bounded", 0) > 0)
 
 

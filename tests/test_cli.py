@@ -13,15 +13,18 @@ import pytest
 import gmcat.cli
 import gmcat.dmulticat
 from gmcat import jsonio
+from gmcat.adjoint import L
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              operad_tables, tabulated_operad, validate_operad)
 from gmcat.cli import main
 from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
                             z2_discrete_algebra)
-from gmcat.dmulticat import (ClassicalMulticat, terminal_multicat,
-                             validate_multicat)
+from gmcat.dmulticat import (ClassicalMulticat, _level_unit_obj, from_symmetric,
+                             terminal_multicat, validate_multicat)
 from gmcat.fincat import terminal_category
 from gmcat.finset import perms
+from gmcat.opmonad import elements_of, eta
+from comb_classical import comb_classical
 from product_operad import ass_x_be
 
 BE = barratt_eccles(4)
@@ -487,6 +490,24 @@ def test_cli_terminal_over_a_tabulated_product_operad(tmp_path):
     assert code == 0 and rep["ok"]
 
 
+def test_cli_hom_element_spec_reaches_every_orbit(tmp_path):
+    # level 2 of ASS x BE holds two orbits; the arity and label-list forms
+    # name the base one, the element form either
+    path = tmp_path / "op.json"
+    jsonio.save(jsonio.encode_operad(ass_x_be(2)), path)
+    op = jsonio.decode_operad(jsonio.load(path))
+    M = terminal_multicat(op)
+    a = next(e for e in elements_of(op, 0, ("*",), 2)
+             if e.d != _level_unit_obj(op, 2))
+    lz, spec_a = L(M), json.dumps(jsonio.encode_elem(a))
+    for b, spec_b in ((eta(op, 0, "*"), '["*"]'), (a, spec_a)):
+        code, rep = run(["free", "terminal", "--operad", str(path), "--truncate",
+                         "2", "--bound", "2", "--hom", spec_a, spec_b], tmp_path)
+        assert code == 0
+        assert (rep["dump"]["source"], rep["dump"]["target"]) == (repr(a), repr(b))
+        assert rep["dump"]["count"] == len(lz.hom(a, b)) > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["free", "M", "--hom", '["*","*","*"]', '["*"]', "--truncate", "3"],
     ["check-adjunction", "M", "z2", "--truncate", "3", "--bound", "3"],
@@ -585,6 +606,25 @@ def test_cli_classical_multicat_file_failing_its_axioms(tmp_path):
     assert rep["checks"][0]["witnesses"][0] == ["bad identity", 1]
 
 
+@pytest.mark.parametrize("kind", ["dmulticat", "classical_multicat"])
+def test_cli_outer_equivariance_failure_exits_1(kind, tmp_path):
+    # broken in the outer slot only: the classical tables are well formed,
+    # and the encoding fails the outer interchange, whichever form is read
+    cm = comb_classical(lambda f, p, g: (f, p))
+    doc = (jsonio.encode_multicat(from_symmetric(cm, barratt_eccles(3)))
+           if kind == "dmulticat" else jsonio.encode_classical(cm, True))
+    jsonio.save(doc, tmp_path / "comb.json")
+    code, rep = run(["validate", "multicat", str(tmp_path / "comb.json"),
+                     "--truncate", "3"], tmp_path)
+    assert code == 1
+    checks = [(c["name"], c["status"]) for c in rep["checks"]]
+    assert checks[-1] == ("multicategory axioms", "fail")
+    assert checks[:-1] == ([] if kind == "dmulticat" else
+                           [("classical multicategory axioms", "pass")])
+    assert {w[0] for w in rep["checks"][-1]["witnesses"]} == \
+        {"outer action does not interchange with composition"}
+
+
 def test_cli_validate_terminal_algebra(tmp_path):
     code, rep = run(["validate", "algebra", "terminal", "--bound", "2"], tmp_path)
     assert code == 0
@@ -600,7 +640,12 @@ def test_cli_validate_terminal_algebra(tmp_path):
     ("terminal_symmetric", ['["*", "x"]', "1"],
      "'x' is not an object of the multicategory"),
     ("xor.json", ["2", "2"], "arity shorthand needs a single-object multicategory"),
-], ids=["no-hom", "not-a-spec", "not-a-list", "not-an-object", "shorthand"])
+    ("terminal_symmetric", ['{"j": 1, "n": 1, "d": [[1], [1]], "xs": ["*"]}', "1"],
+     "must be a JSON list or an object-level element"),
+    ("terminal_symmetric", ['{"j": 0, "n": 2, "d": [9, 9], "xs": ["*", "*"]}', "1"],
+     "(9, 9) is not a level-2 element"),
+], ids=["no-hom", "not-a-spec", "not-a-list", "not-an-object", "shorthand",
+        "element-j-1", "element-d-outside-its-level"])
 def test_cli_free_unusable_hom_exits_2(target, hom, message, tmp_path, capsys,
                                        monkeypatch):
     jsonio.save(jsonio.encode_classical(xor_classical(), True), tmp_path / "xor.json")

@@ -13,9 +13,9 @@ from gmcat.catoperad import (_inner_families, associativity_operad,
                              tabulated_operad, validate_operad)
 from gmcat.dalgebra import (free_algebra, terminal_algebra, underlying,
                             validate_algebra, z2_discrete_algebra)
-from gmcat.errors import FreenessError, StructuralError
+from gmcat.errors import FreenessError
 from gmcat.fincat import terminal_category, validate_presheaf
-from gmcat.finset import Perm, fibres, perms
+from gmcat.finset import Perm, block_perm, fibres, perms, product_within
 from gmcat.dmulticat import (ClassicalMulticat, DMulticat, _coherence_triples,
                              enumerate_M2, enumerate_M3, from_nonsymmetric,
                              from_symmetric, gamma_S, gamma_T, over_point_form,
@@ -23,6 +23,7 @@ from gmcat.dmulticat import (ClassicalMulticat, DMulticat, _coherence_triples,
                              validate_multicat)
 from gmcat.opmonad import (T_D, all_elements, canonicalize, elements_of,
                            elements_within, eta, map_elem, melem, mu)
+from comb_classical import M as M_TERM, MT as MT_TERM, comb_classical
 from product_operad import ass_x_be, be_x_be
 
 BE = barratt_eccles(4)
@@ -230,8 +231,13 @@ def test_corrupted_equivariance_is_rejected():
     cm = pairing_classical()
     bad = dict(cm.comp)
     bad[("mt", ("iv", "iu"))] = "m"  # breaks compatibility with the swap
-    with pytest.raises(StructuralError):
-        from_symmetric(replace(cm, comp=bad), op=BE)
+    rep = validate_multicat(from_symmetric(replace(cm, comp=bad), op=BE))
+    assert not rep["ok"]
+    key = ("mt", melem(BE, 0, (1, 2), ("iv", "iu")))
+    assert ("composite source is not the flattened sources", key) in rep["failures"]
+    swap = melem(BE, 1, ((1, 2), (2, 1)), ("v", "u"))
+    assert ("outer action does not interchange with composition",
+            ("m", swap, key[1])) in rep["failures"]
 
 
 def test_nonsymmetric_encoding():
@@ -248,8 +254,9 @@ def test_nonsymmetric_rejects_misaligned_sources():
     cm = sum_classical(2)
     bad = dict(cm.comp)
     bad[("s2", ("s1", "s1"))] = "s0"
-    with pytest.raises(StructuralError):
-        from_nonsymmetric(replace(cm, comp=bad, act={}), op=ASS)
+    rep = validate_multicat(from_nonsymmetric(replace(cm, comp=bad, act={}), op=ASS))
+    assert rep["failures"][0] == ("composite source is not the flattened sources",
+                                  ("s2", melem(ASS, 0, (1, 2), ("s1", "s1"))))
 
 
 def test_associativity_two_routes_agree():
@@ -285,8 +292,174 @@ def test_classical_validation_catches_missing_units():
     cm = sum_classical(2)
     bad = dict(cm.comp)
     del bad[("s1", ("s1",))]
-    rep = validate_classical(replace(cm, comp=bad), symmetric=True)
-    assert not rep["ok"]
+    # the tables are well formed; the laws fail on the encoding
+    assert validate_classical(replace(cm, comp=bad), symmetric=True)["ok"]
+    rep = validate_multicat(from_symmetric(replace(cm, comp=bad), op=BE))
+    assert rep["failures"] == [
+        ("composition missing on composable pair", ("s1", eta(BE, 0, "s1"))),
+        ("right unit fails", "s1"), ("left unit fails", "s1")]
+
+
+# -- one multicategory validator: classical files through validate_multicat --
+
+OUTER = "outer action does not interchange with composition"
+LAWFUL = lambda f, p, g: None
+OUTER_ONLY = lambda f, p, g: (f, p)  # fixed by the inner action only
+INNER_ONLY = lambda f, p, g: g       # fixed by the outer action only
+
+
+def classical_law_loops(cm, symmetric):
+    """The law loops validate_classical ran before the laws moved to the
+    encoding, kept as the differential reference: the action law, units,
+    composites, associativity and the outer equivariance of composition."""
+    failures = []
+    cap = max((len(cm.src[f]) for f in cm.morphisms), default=0)
+    if symmetric:
+        for f in cm.morphisms:
+            n = len(cm.src[f])
+            for s in perms(n):
+                for t in perms(n):
+                    lhs = cm.act.get((cm.act.get((f, s.images)), t.images))
+                    if lhs != cm.act.get((f, s.compose(t).images)):
+                        failures.append(("action law fails", (f, s.images, t.images)))
+    into = fibres(cm.morphisms, cm.tgt.__getitem__)
+
+    def fillings(f):
+        return [combo for combo, _ in product_within(
+            [into.get(x, ()) for x in cm.src[f]], lambda g: (len(cm.src[g]),), cap)]
+
+    for f in cm.morphisms:
+        for combo in fillings(f):
+            h = cm.comp.get((f, combo))
+            if h is None:
+                failures.append(("composition missing", (f, combo)))
+                continue
+            if cm.tgt[h] != cm.tgt[f]:
+                failures.append(("composite target moved", (f, combo)))
+            if cm.src[h] != tuple(x for g in combo for x in cm.src[g]):
+                failures.append(("composite sources are not concatenated", (f, combo)))
+        if cm.comp.get((f, tuple(cm.ident[x] for x in cm.src[f]))) != f:
+            failures.append(("right unit fails", f))
+        if cm.comp.get((cm.ident[cm.tgt[f]], (f,))) != f:
+            failures.append(("left unit fails", f))
+    for (f, combo), h in cm.comp.items():
+        for pick, _ in product_within(
+                [fillings(g) for g in combo],
+                lambda fill: (sum(len(cm.src[g2]) for g2 in fill),), cap):
+            one = cm.comp.get((h, tuple(g2 for fill in pick for g2 in fill)))
+            stepwise = tuple(cm.comp.get((g, fill)) for g, fill in zip(combo, pick))
+            two = cm.comp.get((f, stepwise)) if None not in stepwise else None
+            if one is None or one != two:
+                failures.append(("associativity fails", (f, combo, pick)))
+    if symmetric:
+        for (f, combo), h in cm.comp.items():
+            sizes = tuple(len(cm.src[g]) for g in combo)
+            for s in perms(len(combo)):
+                lhs = cm.comp.get((cm.act[(f, s.images)], s.permuted(combo)))
+                if lhs != cm.act.get((h, block_perm(s, s.permuted(sizes)).images)):
+                    failures.append(("composition not equivariant", (f, combo, s.images)))
+    return failures
+
+
+def _encode(cm, op, symmetric):
+    return (from_symmetric if symmetric else from_nonsymmetric)(cm, op)
+
+
+def reference_verdict(cm, op, symmetric):
+    """Accepted before the laws moved: the tables and the law loops above
+    pass, and so does validate_multicat, less its outer check, on the
+    encoding of the composable pairs within the cap."""
+    if not validate_classical(cm, symmetric)["ok"] or \
+            classical_law_loops(cm, symmetric):
+        return False
+    M = _encode(cm, op, symmetric)
+    m2 = set(enumerate_M2(M))
+    M = replace(M, composition={k: v for k, v in M.composition.items() if k in m2})
+    return all(f[0] == OUTER for f in validate_multicat(M)["failures"])
+
+
+def encoded_report(cm, op, symmetric):
+    pre = validate_classical(cm, symmetric)
+    return pre if not pre["ok"] else validate_multicat(_encode(cm, op, symmetric))
+
+
+def single_entry_mutations(cm):
+    """Each `comp` entry deleted, and each `comp` and `act` entry given the
+    next morphism as its value; each composable key missing from `comp`,
+    flattened arity up to cap + 1, inserted with the last morphism into its
+    target. Yields (kind, key, the changed table as a field of cm)."""
+    mors = cm.morphisms
+    nxt = lambda h: mors[(mors.index(h) + 1) % len(mors)]
+    cap = max(len(cm.src[f]) for f in mors)
+    for key, h in cm.comp.items():
+        yield "delete", key, {"comp": {k: v for k, v in cm.comp.items() if k != key}}
+        yield "swap", key, {"comp": {**cm.comp, key: nxt(h)}}
+    for key, h in cm.act.items():
+        yield "swap act", key, {"act": {**cm.act, key: nxt(h)}}
+    into = fibres(mors, cm.tgt.__getitem__)
+    for f in mors:
+        for gs, _ in product_within([into.get(x, ()) for x in cm.src[f]],
+                                    lambda g: (len(cm.src[g]),), cap + 1):
+            if (f, gs) not in cm.comp:
+                yield "insert", (f, gs), {"comp": {**cm.comp, (f, gs): into[cm.tgt[f]][-1]}}
+
+
+@pytest.mark.parametrize("tag, failure", [
+    (OUTER_ONLY, OUTER),
+    (INNER_ONLY, "action does not interchange with composition"),
+], ids=["outer-only", "inner-only"])
+def test_each_equivariance_law_is_checked_on_the_encoding(tag, failure):
+    # the classical law loops see only the outer law; validate_multicat
+    # checks both
+    lawful = validate_multicat(from_symmetric(comb_classical(LAWFUL), barratt_eccles(3)))
+    assert lawful["ok"] and (lawful["m2"], lawful["m3"]) == (37, 67)
+    cm = comb_classical(tag)
+    assert validate_classical(cm, symmetric=True)["ok"]
+    rep = validate_multicat(from_symmetric(cm, barratt_eccles(3)))
+    assert (rep["m2"], rep["m3"], rep["coherence_checked"]) == (61, 103, 191)
+    assert [f[0] for f in rep["failures"]] == [failure] * 8
+    loops = [f[0] for f in classical_law_loops(cm, symmetric=True)]
+    assert loops == (["composition not equivariant"] * 8 if tag is OUTER_ONLY else [])
+
+
+def test_outer_failure_names_the_morphism_the_action_and_the_filling():
+    BE3 = barratt_eccles(3)
+    M = from_symmetric(comb_classical(OUTER_ONLY), BE3)
+    f, delta, Phi2 = validate_multicat(M)["failures"][0][1]
+    g = M.source_action[(f, delta)]
+    assert {f, g} == {M_TERM, MT_TERM}
+    assert enumerate_M2(M).count((g, Phi2)) == 1
+
+
+def test_classical_mutations_keep_the_reference_verdict_but_over_cap_entries():
+    # the laws moved from validate_classical to validate_multicat; on every
+    # single-entry mutation of six classical fixtures the verdict is the
+    # law loops', except a composite over the cap, which the encoder used to
+    # drop unread and validate_multicat now reports
+    fixtures = [(sum_classical(2), barratt_eccles(2), True),
+                (sum_classical(2), associativity_operad(2), False),
+                (sum_classical(3), barratt_eccles(3), True),
+                (sum_classical(3), associativity_operad(3), False),
+                (pairing_classical(), barratt_eccles(2), True),
+                (pairing_classical(), associativity_operad(2), False)]
+    checked, rejected, over_cap = 0, 0, []
+    for cm, op, symmetric in fixtures:
+        cm = cm if symmetric else replace(cm, act={})
+        assert reference_verdict(cm, op, symmetric) and encoded_report(cm, op, symmetric)["ok"]
+        for kind, key, change in single_entry_mutations(cm):
+            mutant = replace(cm, **change)
+            want, rep = reference_verdict(mutant, op, symmetric), encoded_report(mutant, op, symmetric)
+            checked, rejected = checked + 1, rejected + (not rep["ok"])
+            if want != rep["ok"]:
+                over_cap.append((symmetric, kind, key, rep["failures"]))
+    assert checked == rejected == 266  # every single-entry change breaks a law
+    pairs = [(key, canonicalize(associativity_operad(2), 0, 2, (1, 2), key[1]))
+             for key in [("m", ("iu", "m")), ("m", ("iu", "mt")),
+                         ("mt", ("m", "iu")), ("mt", ("mt", "iu"))]]
+    assert over_cap == [
+        (False, "insert", key,
+         [("composition defined outside composable pairs", (key[0], Phi))])
+        for key, Phi in pairs]
 
 
 def _tabulated(op, name):
