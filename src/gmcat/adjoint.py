@@ -14,6 +14,13 @@ Composition reads its three parts (the interchange lift, the regrouped
 list and the data composite) from memos on the multicategory and the
 operad, once per distinct input; the composability check and the hat
 condition still run on every composite.
+
+A hom-set comes out in canon_key order by construction: each target's
+lists are sorted once, when phi_rows is built, and the data over a list
+is in elements_of order. The union-find roots each class at its first
+member, so the classes need no sort either. Lists and data are the
+canonical op.elems objects, the very ones hat_compose builds from the
+operad's memos, so a composite meets its closure key by identity.
 """
 
 from dataclasses import dataclass, field
@@ -168,7 +175,7 @@ class LazyDAlgebra:
     # object-level data by arity, indexed (by (source, target), by target)
     sigma_index: dict = field(default_factory=dict, init=False, compare=False,
                               repr=False)
-    # hom-set closures by (a, b), as (sorted classes, member -> class)
+    # hom-set closures by (a, b), as (classes in order, member -> class)
     closures: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
@@ -178,27 +185,34 @@ class LazyDAlgebra:
 
     def _phis(self, a, b):
         """The multimorphism lists with target b whose flattened sources have
-        a's arity, with those sources (skipping flattenings past truncation)."""
+        a's arity, with those sources (skipping flattenings past truncation),
+        in canon_key order."""
         if b not in self.phi_rows:
             op, M = self.operad, self.M
-            self.phi_rows[b] = fibres(
-                ((phi, flat_source(op, M, phi))
-                 for phi in fillings(M, b, op.max_level)), lambda r: r[1].n)
+            phis = [canonicalize(op, 0, p.n, p.d, p.xs)
+                    for p in sorted(fillings(M, b, op.max_level), key=canon_key)]
+            self.phi_rows[b] = fibres(((phi, flat_source(op, M, phi)) for phi in phis),
+                                      lambda r: r[1].n)
         return self.phi_rows[b].get(a.n, ())
 
     def _sigmas(self, n):
         if n not in self.sigma_index:
             op = self.operad
-            sigmas = elements_of(op, 1, self.M.objects, n)
+            # elements_of emits d in canon_key order, and within one (source,
+            # target) fibre no two share a d, so each fibre is in that order
+            sigmas = [canonicalize(op, 1, n, e.d, e.xs)
+                      for e in elements_of(op, 1, self.M.objects, n)]
             self.sigma_index[n] = (
                 fibres(sigmas, lambda s: (S_D(op, s), T_D(op, s))),
                 fibres(sigmas, lambda s: T_D(op, s)))
         return self.sigma_index[n]
 
     def hom_hat(self, a, b):
+        """In canon_key order: the lists are in order, and so is the data
+        over each list."""
         by_ends = self._sigmas(a.n)[0]
-        return tuple(sorted((HatMorphism(phi, s) for phi, flat in self._phis(a, b)
-                             for s in by_ends.get((a, flat), ())), key=canon_key))
+        return tuple(HatMorphism(phi, s) for phi, flat in self._phis(a, b)
+                     for s in by_ends.get((a, flat), ()))
 
     # -- the coequalizer relation -------------------------------------------
     def relation_instances(self, a, b):
@@ -227,7 +241,6 @@ class LazyDAlgebra:
                 classes.append(cls)
                 for h in members:
                     lookup[h] = cls
-            classes.sort(key=canon_key)
             self.closures[(a, b)] = (tuple(classes), lookup)
         return self.closures[(a, b)]
 

@@ -51,6 +51,7 @@ class CatOperad:
     # memos of the monad layer, described in the opmonad docstring
     elems: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    ranks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     nested: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     composites: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     data_composites: dict = field(default_factory=dict, init=False, compare=False,

@@ -19,8 +19,8 @@ from .adjoint import (L, check_triangles, counit_report, hat_L,
 from .catoperad import BUILTIN_OPERADS, freeness_report, validate_operad
 from .dalgebra import (free_algebra, terminal_algebra, underlying,
                        validate_algebra, z2_discrete_algebra)
-from .dmulticat import (_level_unit_obj, from_nonsymmetric, from_symmetric,
-                        terminal_multicat, validate_classical, validate_multicat)
+from .dmulticat import (_encode, _level_unit_obj, terminal_multicat,
+                        validate_classical, validate_multicat)
 from .errors import BoundExceeded, StructuralError
 from .fincat import terminal_category, validate_category
 from .report import (DEFAULT_BOUND, DEFAULT_TRUNCATE, RunConfig, build, check,
@@ -134,13 +134,13 @@ def _multicat_target(target, cfg, lawful=False):
     else:
         cm = jsonio.decode_classical(doc)
         symmetric = doc.get("symmetric", bool(cm.act))
-        pre = from_validator("classical multicategory axioms",
-                             validate_classical(cm, symmetric))
+        rep = validate_classical(cm, symmetric)  # _encode reuses the report
+        pre = from_validator("classical multicategory axioms", rep)
         if pre["status"] != "pass":
             return None, [pre]
         op = (_operad_for(cfg) if cfg.operad else _operad_target(
             "barratt_eccles" if symmetric else "associativity", cfg))
-        M, checks = (from_symmetric if symmetric else from_nonsymmetric)(cm, op), [pre]
+        M, checks = _encode(cm, op, symmetric, rep), [pre]
     if lawful:
         axioms = from_validator("multicategory axioms",
                                 validate_multicat(M, seed=cfg.seed))

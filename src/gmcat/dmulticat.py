@@ -23,7 +23,7 @@ from itertools import product
 from .errors import StructuralError
 from .fincat import (CatFunctor, Presheaf, transport_presheaf,
                      validate_presheaf)
-from .finset import canon_key, fibre_product, fibres, perms, product_within
+from .finset import fibre_product, fibres, perms, product_within
 from .opmonad import (MonadElem, S_D, T_D, _require_free, align_sigma,
                       all_elements, canonicalize, chi, elements_of, eta,
                       map_elem, melem, monad_set_category, mu, mu_raw)
@@ -313,8 +313,8 @@ def validate_classical(cm, symmetric):
     return {"ok": not failures, "failures": failures, "cap": cap}
 
 
-def _encode(cm, op, symmetric):
-    rep = validate_classical(cm, symmetric)
+def _encode(cm, op, symmetric, rep):
+    """Encode cm over op, given rep = validate_classical(cm, symmetric)."""
     if not rep["ok"]:
         raise StructuralError(f"classical tables fail: {rep['failures'][0]}")
     cap = rep["cap"]
@@ -350,8 +350,9 @@ def source_action_domain(op, morphisms, src, objects, cap):
 
 def _level_unit_obj(op, n):
     """The base point of the classical encoding at level n: its least object
-    (the identity arrangement for the permutation operads)."""
-    return min(op.elements(0, n), key=canon_key)
+    (the identity arrangement for the permutation operads), which comes first
+    because levels are stored in canon_key order."""
+    return op.elements(0, n)[0]
 
 
 def _left_coset_perm(op, delta, src_elem):
@@ -369,12 +370,12 @@ def _left_coset_perm(op, delta, src_elem):
 def from_symmetric(cm, op):
     """Encode a classical symmetric multicategory over a permutation operad;
     raises on bad tables only, as validate_multicat checks the laws."""
-    return _encode(cm, op, symmetric=True)
+    return _encode(cm, op, True, validate_classical(cm, True))
 
 
 def from_nonsymmetric(cm, op):
     """Encode a classical non-symmetric multicategory over a word operad."""
-    return _encode(cm, op, symmetric=False)
+    return _encode(cm, op, False, validate_classical(cm, False))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ class FinCategory:
 
 
 def category(objects, morphisms, src, tgt, ident, comp):
+    """A FinCategory with its objects and morphisms stored in canon_key
+    order, so a position is a canonical rank (opmonad's orbit table reads
+    an operad level's order that way)."""
     return FinCategory(sort_labels(objects), sort_labels(morphisms),
                        dict(src), dict(tgt), dict(ident), dict(comp))
 

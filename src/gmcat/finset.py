@@ -221,12 +221,13 @@ def pullback(f, g):
 
 
 class UnionFind:
-    """Disjoint sets over hashable items; each root is the canonically least
-    member of its class."""
+    """Disjoint sets over hashable items, given in canonical order. Each root
+    is the first item of its class in that order, so `classes` lists every
+    class in that order, and the classes in the order of their roots."""
 
     def __init__(self, items):
         self.parent = {x: x for x in items}
-        self.keys = {}  # canon_key of each item that has been a root in a merge
+        self.position = {x: i for i, x in enumerate(self.parent)}
 
     def find(self, x):
         # one lookup takes x, which may be an equal copy, to a stored item;
@@ -240,23 +241,17 @@ class UnionFind:
                 self.parent[p], p = r, q
         return r
 
-    def _key(self, r):
-        k = self.keys.get(r)
-        if k is None:
-            k = self.keys[r] = canon_key(r)
-        return k
-
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra is rb:
             return False
-        if self._key(rb) < self._key(ra):
+        if self.position[rb] < self.position[ra]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return True
 
     def classes(self):
-        return {r: sort_labels(v) for r, v in fibres(self.parent, self.find).items()}
+        return {r: tuple(v) for r, v in fibres(self.parent, self.find).items()}
 
 
 def is_pullback(P, p1, p2, f, g):

@@ -22,6 +22,10 @@ The memos live on the operad. Orbit data is memoized per element:
 that reaches it), built when d is first canonicalized or aligned. A free
 action has exactly one such sigma; otherwise canonicalize takes the least
 relabelling over all of them, so one canonical form serves every operad.
+"Least" is canon_key order, read off positions: category() stores every
+level in that order, and `op.ranks[(j, n)]` is {x: position in level n}.
+Only a translate outside its level, which an invalid tabulated operad can
+produce, sends the choice back to canon_key, with the same result.
 `op.elems[(j, d, xs)]` is the canonical element, `op.nested` holds
 nested_elements results, `op.composites` the composite of each shape
 that mu_raw flattens and `op.data_composites` the composite gamma_D(E, E2)
@@ -85,6 +89,15 @@ def _require_free(op, what):
         raise FreenessError(f"{what} needs a sigma-free operad")
 
 
+def _rank(op, j, n):
+    """Position in level n, whose elements category() stores in canon_key
+    order: {x: position}, read through __getitem__."""
+    ranks = op.ranks.get((j, n))
+    if ranks is None:
+        ranks = op.ranks[(j, n)] = {x: i for i, x in enumerate(op.elements(j, n))}
+    return ranks.__getitem__
+
+
 def _orbit(op, j, n, d):
     """({d.sigma: sigma}, least d.sigma, every sigma reaching it); for a free
     action each translate has exactly one sigma."""
@@ -93,7 +106,10 @@ def _orbit(op, j, n, d):
     if hit is None:
         pairs = [(op.act(j, n, s, d), s) for s in perms(n)]
         translates = dict(pairs)
-        least = min(translates, key=canon_key)
+        try:
+            least = min(translates, key=_rank(op, j, n))
+        except KeyError:  # a translate outside the level: an invalid table
+            least = min(translates, key=canon_key)
         hit = op.orbits[key] = (translates, least,
                                 tuple(s for t, s in pairs if t == least))
     return hit
@@ -219,7 +235,11 @@ def gamma_D(op, E, E2):
 
 def _least_translates(op, j, n):
     """The least member of every level-n orbit, sorted."""
-    return sort_labels({_orbit(op, j, n, d)[1] for d in op.elements(j, n)})
+    leasts = {_orbit(op, j, n, d)[1] for d in op.elements(j, n)}
+    try:
+        return tuple(sorted(leasts, key=_rank(op, j, n)))
+    except KeyError:  # a least translate outside the level: an invalid table
+        return sort_labels(leasts)
 
 
 def elements_of(op, j, labels, n):

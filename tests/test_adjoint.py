@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import gmcat.adjoint as adjoint
+import gmcat.finset as finset
 import gmcat.opmonad as opmonad
 from gmcat.adjoint import (L, HatMorphism, check_triangles, coeq_equiv,
                            counit_hat, counit_report, descent_report,
@@ -43,6 +44,29 @@ def test_hat_hom_counts():
     assert len(hat_L(MA).hom(obj(ASS, MA, 2), obj(ASS, MA, 2))) == 3
     # symmetric: list forced, one morphism per arrangement of the data
     assert len(hat_L(MB).hom(obj(BE, MB, 2), obj(BE, MB, 1))) == 2
+
+
+def test_free_hom_grid_makes_no_canon_key_calls(monkeypatch):
+    # hom_hat, the union-find and the class list come out in canonical
+    # order by construction: only phi_rows and sigma_index sort
+    lz = L(terminal_multicat(barratt_eccles(4)))
+    objs = lz.objects_upto(4)
+    assert len(objs) == 5
+    for a in objs:
+        for b in objs:
+            lz._phis(a, b)
+    for n in range(5):
+        lz._sigmas(n)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return canon_key(x)
+    for module in (adjoint, finset, opmonad):
+        monkeypatch.setattr(module, "canon_key", counted)
+    sizes = [len(lz.hom(a, b)) for a in objs for b in objs]
+    assert calls == []
+    assert sizes == [b.n ** a.n for a in objs for b in objs]
 
 
 def test_hat_splittings_enumerated():

@@ -20,12 +20,14 @@ from gmcat.cli import main
 from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
                             z2_discrete_algebra)
 from gmcat.dmulticat import (ClassicalMulticat, _level_unit_obj, from_symmetric,
-                             terminal_multicat, validate_multicat)
+                             terminal_multicat, validate_classical,
+                             validate_multicat)
 from gmcat.fincat import terminal_category
 from gmcat.finset import perms
 from gmcat.opmonad import elements_of, eta
 from comb_classical import comb_classical
 from product_operad import ass_x_be
+from test_dmulticat import pairing_classical
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -623,6 +625,30 @@ def test_cli_outer_equivariance_failure_exits_1(kind, tmp_path):
                            [("classical multicategory axioms", "pass")])
     assert {w[0] for w in rep["checks"][-1]["witnesses"]} == \
         {"outer action does not interchange with composition"}
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "multicat", "pairing.json"],
+    ["free", "xor.json", "--truncate", "2", "--bound", "2",
+     "--hom", "[0, 1]", "[1]"],
+], ids=["validate-pairing", "free-xor"])
+def test_cli_checks_classical_tables_once_per_load(command, tmp_path,
+                                                   monkeypatch):
+    calls = []
+
+    def counted(cm, symmetric):
+        calls.append(symmetric)
+        return validate_classical(cm, symmetric)
+    monkeypatch.setattr(gmcat.cli, "validate_classical", counted)
+    monkeypatch.setattr(gmcat.dmulticat, "validate_classical", counted)
+    jsonio.save(jsonio.encode_classical(pairing_classical(), True),
+                tmp_path / "pairing.json")
+    jsonio.save(jsonio.encode_classical(xor_classical(), True), tmp_path / "xor.json")
+    monkeypatch.chdir(tmp_path)
+    code, rep = run(command, tmp_path)
+    assert code == 0 and rep["checks"][0]["name"] == \
+        "classical multicategory axioms"
+    assert calls == [True]
 
 
 def test_cli_validate_terminal_algebra(tmp_path):

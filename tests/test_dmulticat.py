@@ -15,7 +15,8 @@ from gmcat.dalgebra import (free_algebra, terminal_algebra, underlying,
                             validate_algebra, z2_discrete_algebra)
 from gmcat.errors import FreenessError
 from gmcat.fincat import terminal_category, validate_presheaf
-from gmcat.finset import Perm, block_perm, fibres, perms, product_within
+from gmcat.finset import (Perm, block_perm, canon_key, fibres, perms,
+                          product_within, sort_labels)
 from gmcat.dmulticat import (ClassicalMulticat, DMulticat, _coherence_triples,
                              enumerate_M2, enumerate_M3, from_nonsymmetric,
                              from_symmetric, gamma_S, gamma_T, over_point_form,
@@ -534,10 +535,11 @@ def filtered_M3(M):
 
 
 def filtered_phi_rows(lz, n):
-    """The length-n rows, grouped by (target, flattened arity)."""
+    """The length-n rows, grouped by (target, flattened arity), in canon_key
+    order: elements_of is in that order over sorted labels."""
     op, M = lz.operad, lz.M
     rows = ((phi, flat_source(op, M, phi))
-            for phi in elements_of(op, 0, M.morphisms, n)
+            for phi in elements_of(op, 0, sort_labels(M.morphisms), n)
             if sum(M.src[g].n for g in phi.xs) <= op.max_level)
     return fibres(rows, lambda r: (map_elem(op, M.tgt.get, r[0]), r[1].n))
 
@@ -566,6 +568,8 @@ DIFFERENTIAL = {
     "underlying(z2, 3)": lambda: underlying(z2_discrete_algebra(BE), 3),
     "underlying(free(ASS, terminal, 2), 2)": lambda: underlying(
         free_algebra(ASS, terminal_category(), 2), 2),
+    # its ("t", n, k) labels are not in canon_key order
+    "terminal ASS x BE(3)": lambda: terminal_multicat(ass_x_be(3)),
 }
 
 
@@ -581,6 +585,35 @@ def test_fibre_reads_equal_the_filtered_enumerations(name):
         for b in (b for b in objs if b.n == n):
             for a in objs:
                 assert list(lz._phis(a, b)) == want.get((b, a.n), []), (a, b)
+
+
+def _reversed(M):
+    """M with its objects and morphisms tuples reversed."""
+    return replace(M, objects=M.objects[::-1], morphisms=M.morphisms[::-1])
+
+
+ORDERED = {**DIFFERENTIAL,
+           "pairing over BE(4), reversed": lambda: _reversed(
+               from_symmetric(pairing_classical(), op=BE))}
+
+
+@pytest.mark.parametrize("name", ORDERED)
+def test_free_hom_sets_come_out_in_canon_key_order(name):
+    M = ORDERED[name]()
+    op, lz = M.operad, L(M)
+    objs = lz.objects_upto(min(M.cap, 3))
+    for a in objs:
+        for b in objs:
+            hats = lz.hom_hat(a, b)
+            assert hats == tuple(sorted(hats, key=canon_key)), (a, b)
+            for h in hats:  # the canonical op.elems objects
+                assert h.phi is op.elems[(0, h.phi.d, h.phi.xs)]
+                assert h.sigma is op.elems[(1, h.sigma.d, h.sigma.xs)]
+            classes = lz.hom(a, b)
+            assert list(classes) == sorted(classes, key=lambda c: canon_key(c.rep))
+            for cls in classes:
+                assert cls.members == tuple(sorted(cls.members, key=canon_key))
+                assert cls.rep == min(cls.members, key=canon_key)
 
 
 @pytest.mark.parametrize("A, bound", [

@@ -143,11 +143,13 @@ def test_pullback_universal_property(data):
 
 
 def test_union_find_minimal_roots():
-    uf = UnionFind([3, 1, 2, 9])
+    uf = UnionFind([1, 2, 3, 9])  # in canonical order, as UnionFind expects
     uf.union(3, 9)
     uf.union(9, 2)
     assert uf.find(9) == 2
     assert set(uf.classes()) == {1, 2}
+    for root, members in uf.classes().items():
+        assert root == min(members, key=canon_key)
 
 
 class _ReferenceUnionFind:
@@ -184,13 +186,17 @@ _uf_items = st.one_of(
              min_size=1, max_size=12, unique=True))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_uf_items.flatmap(lambda items: st.tuples(
+_uf_cases = _uf_items.flatmap(lambda items: st.tuples(
     st.just(items), st.permutations(items),
     st.lists(st.tuples(st.sampled_from(items), st.sampled_from(items)),
-             max_size=20))))
+             max_size=20)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uf_cases)
 def test_union_find_matches_reference(case):
     items, order, pairs = case
+    order = sort_labels(order)  # UnionFind takes its items in canonical order
     # callers pass equal copies, not the stored objects
     copy = (lambda x: tuple(list(x))) if isinstance(items[0], tuple) else int
     uf, ref = UnionFind(order), _ReferenceUnionFind(order)
@@ -204,6 +210,25 @@ def test_union_find_matches_reference(case):
     assert list(uf.classes()) == list(ref.classes())
     for root, members in uf.classes().items():
         assert root == min(members, key=canon_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uf_cases)
+def test_union_find_roots_come_first_in_the_given_order(case):
+    _, order, pairs = case
+    uf, ref = UnionFind(order), _ReferenceUnionFind(order)
+    position = {x: i for i, x in enumerate(order)}
+    for a, b in pairs:
+        uf.union(a, b)
+        ref.union(a, b)
+    classes = uf.classes()
+    assert {frozenset(v) for v in classes.values()} == \
+        {frozenset(v) for v in ref.classes().values()}
+    assert list(classes) == sorted(classes, key=position.get)
+    for root, members in classes.items():
+        assert members == tuple(sorted(members, key=position.get))
+        assert root is members[0]
+        assert all(uf.find(x) is root for x in members)
 
 
 # -- group actions ----------------------------------------------------------

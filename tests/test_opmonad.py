@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmcat.opmonad
+from gmcat import jsonio
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              commutative_operad, operad_tables,
                              tabulated_operad)
@@ -22,7 +23,8 @@ from gmcat.dalgebra import free_algebra, validate_algebra, z2_discrete_algebra
 from gmcat.fincat import (CatFunctor, discrete_category, is_target_cover,
                           terminal_category, validate_category,
                           validate_functor)
-from gmcat.finset import Perm, canon_key, fibre_product, fibres, perms, product_within
+from gmcat.finset import (Perm, canon_key, fibre_product, fibres, perms,
+                          product_within, sort_labels)
 from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            canonicalize, check_cartesian,
                            check_preserves_cover, chi,
@@ -30,7 +32,8 @@ from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            map_elem, melem, monad_category, mu,
                            nested_elements,
                            validate_monad_category, validate_monad_laws)
-from gmcat.opmonad import _least_translates, _random_sets
+from gmcat.opmonad import _least_translates, _orbit, _random_sets
+from product_operad import product_operad
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -762,3 +765,72 @@ def test_elements_are_read_only():
             setattr(e, name, value)
     assert repr(e) == "D1[((1, 2), (2, 1)); 'x','y']"
     assert hash(e) == hash((1, 2, ((1, 2), (2, 1)), ("x", "y")))
+
+
+# -- the orbit table reads canonical order off each level's positions ------
+
+def _be3_table():
+    """BE(3) tabulated and read back from JSON, as the CLI reads a file."""
+    op = barratt_eccles(3)
+    return jsonio.decode_operad(jsonio.encode_operad(tabulated_operad(
+        "be3_table", 3, op.levels, op.unit, *operad_tables(op))))
+
+
+def _be2_acting_outside_a_level():
+    """BE(2) tabulated with one action entry sent outside its level, to a
+    label below every level-2 object."""
+    op = barratt_eccles(2)
+    act_table, comp_table = operad_tables(op)
+    act_table[(0, 2, (2, 1), (1, 2))] = (0, 0)
+    return tabulated_operad("be2_fault", 2, op.levels, op.unit, act_table,
+                            comp_table)
+
+
+STORED_LEVELS = {
+    "BE(4)": lambda: barratt_eccles(4),
+    "ASS(4)": lambda: associativity_operad(4),
+    "COMM(4)": lambda: commutative_operad(4),
+    "tabulated BE(3)": _be3_table,
+    "ASS x BE(3)": lambda: product_operad(associativity_operad(3),
+                                          barratt_eccles(3)),
+}
+
+
+@pytest.mark.parametrize("name", STORED_LEVELS)
+def test_levels_are_stored_in_canon_key_order(name):
+    op = STORED_LEVELS[name]()
+    for n in range(op.max_level + 1):
+        for j in (0, 1):
+            els = op.elements(j, n)
+            assert list(els) == sorted(els, key=canon_key), (j, n)
+
+
+def _least_by_canon_key(op, j, n, d):
+    """The orbit table's (least translate, its sigmas), by canon_key."""
+    pairs = [(op.act(j, n, s, d), s) for s in perms(n)]
+    least = min(dict(pairs), key=canon_key)
+    return least, tuple(s for t, s in pairs if t == least)
+
+
+ORBIT_TABLES = {**STORED_LEVELS,
+                "BE(2) acting outside a level": _be2_acting_outside_a_level}
+
+
+@pytest.mark.parametrize("name", ORBIT_TABLES)
+def test_orbit_table_least_translates_match_the_canon_key_minimum(name):
+    op = ORBIT_TABLES[name]()
+    for n in range(op.max_level + 1):
+        for j in (0, 1):
+            leasts = set()
+            for d in op.elements(j, n):
+                _, least, sigmas = _orbit(op, j, n, d)
+                want = _least_by_canon_key(op, j, n, d)
+                assert (least, sigmas) == want, (j, n, d)
+                leasts.add(want[0])
+            assert _least_translates(op, j, n) == sort_labels(leasts), (j, n)
+
+
+def test_a_translate_outside_its_level_falls_back_to_canon_key():
+    op = _be2_acting_outside_a_level()
+    assert _orbit(op, 0, 2, (1, 2))[1] == (0, 0)
+    assert _least_translates(op, 0, 2) == ((0, 0), (1, 2))
