@@ -236,13 +236,7 @@ def cmd_free(cfg):
     op = M.operad
     a = _object_spec(cfg.hom[0], M, op)
     b = _object_spec(cfg.hom[1], M, op)
-    lz = hat_L(M) if cfg.hat else L(M)
-    try:
-        classes = lz.hom(a, b)
-    except BoundExceeded as exc:
-        checks.append(check("hom enumeration", False, [str(exc)],
-                            bound_exceeded=True))
-        return build(cfg, checks)
+    classes = (hat_L(M) if cfg.hat else L(M)).hom(a, b)
     if cfg.hat:
         listing = [{"morphism": repr(h)} for h in classes]
     else:

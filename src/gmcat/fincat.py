@@ -2,15 +2,15 @@
 
 Covers here are the discrete-fibration style functors used throughout: a
 target cover lifts each base morphism uniquely through a chosen target
-object, a source cover does the dual. Presheaf actions are domain-exact:
-x.f is defined exactly when eps(x) equals the target of f, and then
-eps(x.f) = src(f).
+object, a source cover does the dual; both are checked by the lift count
+(`finset.lifts_over`). Presheaf actions are domain-exact: x.f is defined
+exactly when eps(x) equals the target of f, and then eps(x.f) = src(f).
 """
 
 from dataclasses import dataclass
 
 from .errors import StructuralError
-from .finset import canon_key, fibre_product, fibres, sort_labels
+from .finset import canon_key, fibre_product, fibres, lifts_over, sort_labels
 
 
 @dataclass
@@ -136,10 +136,9 @@ def validate_functor(F):
 def _is_cover(F, c_end, d_end):
     """Unique lifting of morphisms through the chosen end; returns (ok, witness)."""
     C, D = F.dom, F.cod
-    lifts = fibres(C.morphisms, lambda h: (c_end[h], F.mor_map[h]))
-    for x, f in fibre_product(C.objects, F.obj_map.__getitem__,
-                              D.morphisms, d_end.__getitem__):
-        hits = lifts.get((x, f), ())
+    for x, f, hits in lifts_over(C.morphisms, lambda h: (c_end[h], F.mor_map[h]),
+                                 C.objects, F.obj_map.__getitem__,
+                                 D.morphisms, d_end.__getitem__):
         if len(hits) != 1:
             return False, ("no lift" if not hits else "ambiguous lift", (x, f))
     return True, None

@@ -37,6 +37,9 @@ alike in every process. Equality is identity first, then the cached
 hashes, then the fields. Nothing interns elements (the free paths build
 them directly), so equal elements may be distinct objects, and an element
 of a builtin operad equals the one of its tabulated copy.
+
+Cartesianness (D of a pullback, the eta and mu squares) and cover
+preservation are unique-lifting checks, each one lift count (finset.lifts_over).
 """
 
 import random
@@ -48,8 +51,8 @@ from operator import itemgetter
 from .errors import BoundExceeded, FreenessError, StructuralError
 from .fincat import (category, is_source_cover, is_target_cover,
                      validate_category)
-from .finset import (canon_key, fibre_product, fibres, perms, product_within,
-                     sort_labels)
+from .finset import (canon_key, fibre_product, lifts_over, perms,
+                     product_within, sort_labels)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -437,15 +440,13 @@ def _square_preserved(op, j, DA, DB, f, g, P, bound):
     lifts. DA and DB are the elements over the domains of f and g. Where the
     projections are not jointly injective, a pair has an ambiguous lift."""
     first, second = itemgetter(0), itemgetter(1)
-    index = fibres(all_elements(op, j, P, bound),
-                   lambda w: (map_elem(op, first, w), map_elem(op, second, w)))
-    failures = []
-    for u, v in fibre_product(DA, lambda u: map_elem(op, f.__getitem__, u),
-                              DB, lambda v: map_elem(op, g.__getitem__, v)):
-        k = len(index.get((u, v), ()))
-        if k != 1:
-            failures.append(("missing lift" if k == 0 else "ambiguous lift", (u, v)))
-    return failures
+    return [("missing lift" if not ws else "ambiguous lift", (u, v))
+            for u, v, ws in lifts_over(
+                all_elements(op, j, P, bound),
+                lambda w: (map_elem(op, first, w), map_elem(op, second, w)),
+                DA, lambda u: map_elem(op, f.__getitem__, u),
+                DB, lambda v: map_elem(op, g.__getitem__, v))
+            if len(ws) != 1]
 
 
 def check_cartesian(op, j, seed=0, squares=100, bound=3):
@@ -493,21 +494,18 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         Df = cache(lambda u: map_elem(op, fl, u))
         DA = DX(A)
         # eta square: pairs (x in D A, b in B) with D f(x) = eta(b) lift uniquely to A
-        eta_index = fibres(A, lambda a: (eta(op, j, a), fmap[a]))
-        for x, b in fibre_product(DA, Df, B, lambda b: eta(op, j, b)):
-            hits = eta_index.get((x, b), ())
+        for x, b, hits in lifts_over(A, lambda a: (eta(op, j, a), fmap[a]),
+                                     DA, Df, B, lambda b: eta(op, j, b)):
             report["eta_naturality"]["checked"] += 1
             if len(hits) != 1:
                 report["eta_naturality"]["failures"].append(
                     {"map": fmap, "pair": (x, b), "lifts": len(hits)})
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
-        index = fibres((v for v, _ in nested_elements(op, j, A, 2, bound)),
-                       lambda v: (mu_once(v), map_elem(op, Df, v)))
-        for u, w in fibre_product(DA, Df,
-                                  (w for w, _ in nested_elements(op, j, B, 2, bound)),
-                                  mu_once):
+        for u, w, hits in lifts_over(
+                (v for v, _ in nested_elements(op, j, A, 2, bound)),
+                lambda v: (mu_once(v), map_elem(op, Df, v)),
+                DA, Df, (w for w, _ in nested_elements(op, j, B, 2, bound)), mu_once):
             report["mu_naturality"]["checked"] += 1
-            hits = index.get((u, w), ())
             if len(hits) != 1:
                 report["mu_naturality"]["failures"].append(
                     {"map": fmap, "pair": (u, w),
@@ -542,15 +540,15 @@ def check_preserves_cover(op, F, bound):
         for n in range(min(bound, op.max_level) + 1):
             # D F is a cover when each (X, E2) with end(E2) = D F(X) has
             # exactly one E over it: end(E) = X and D F(E) = E2
-            lifts = fibres(elements_of(op, 1, C.morphisms, n),
-                           lambda E: (end(op, E, c_end.__getitem__), DF1(E)))
-            for X, E2 in fibre_product(elements_of(op, 0, C.objects, n), DF0,
-                                       elements_of(op, 1, D.morphisms, n),
-                                       lambda E2: end(op, E2, d_end.__getitem__)):
+            for X, E2, lifts in lifts_over(
+                    elements_of(op, 1, C.morphisms, n),
+                    lambda E: (end(op, E, c_end.__getitem__), DF1(E)),
+                    elements_of(op, 0, C.objects, n), DF0,
+                    elements_of(op, 1, D.morphisms, n),
+                    lambda E2: end(op, E2, d_end.__getitem__)):
                 sec["checked"] += 1
-                k = len(lifts.get((X, E2), ()))
-                if k != 1:
+                if len(lifts) != 1:
                     sec["failures"].append({"object": repr(X), "over": repr(E2),
-                                            "lifts": k})
+                                            "lifts": len(lifts)})
     report["ok"] = not (report["target"]["failures"] or report["source"]["failures"])
     return report

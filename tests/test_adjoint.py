@@ -119,6 +119,19 @@ def test_coeq_endpoint_mismatch_is_false():
     assert not coeq_equiv(MB, h21, h22)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: underlying(z2_discrete_algebra(barratt_eccles(3)), 3),
+    lambda: terminal_multicat(ass_x_be(3)),
+], ids=["underlying_z2", "terminal_ASSxBE"])
+def test_hom_sets_within_the_truncation_never_exceed_it(make):
+    # every element the closure builds from objects within the truncation is
+    # within it too, so `gmcat free` has no bound-exceeded hom-set
+    M = make()
+    for lz in (L(M), hat_L(M)):
+        objs = lz.objects_upto(M.operad.max_level)
+        assert sum(len(lz.hom(a, b)) for a in objs for b in objs) > len(objs)
+
+
 def test_hom_count_oracles():
     # over the base-orbit objects, a product with BE counts like BE and one
     # with ASS like ASS: the other factor only picks the orbit
@@ -166,6 +179,35 @@ def test_unit_full_checklist():
         rep = unit_report(M)
         assert rep["ok"], rep["failures"][:3]
         assert rep["action_pairs"] > 0
+
+
+TRUE_UNIT = adjoint.unit_map
+
+
+@pytest.mark.parametrize("at, fault, witness", [
+    # the identity at the binary morphism's source: right source, wrong target
+    (("t", 2), lambda lz, f: (lz.ident(lz.src(TRUE_UNIT(lz, f)[0])),
+                              TRUE_UNIT(lz, f)[1]),
+     ("target not preserved", ("t", 2))),
+    # the ternary morphism's sources: right target, wrong source
+    (("t", 2), lambda lz, f: (TRUE_UNIT(lz, f)[0], TRUE_UNIT(lz, ("t", 3))[1]),
+     ("source not preserved", ("t", 2))),
+    # the ternary morphism's image: right target, a well-formed value, but
+    # not over the binary morphism's sources
+    (("t", 2), lambda lz, f: TRUE_UNIT(lz, ("t", 3)),
+     ("source not preserved", ("t", 2))),
+    # the identity sent where the binary morphism goes
+    (("t", 1), lambda lz, f: TRUE_UNIT(lz, ("t", 2)),
+     ("identity not preserved", "*")),
+], ids=["target", "source", "another_value", "identity"])
+def test_a_planted_unit_fault_is_witnessed(at, fault, witness, monkeypatch):
+    # one wrong unit value, at one morphism of terminal BE(3); the laws that
+    # compose the unit's values do not run on it
+    M = terminal_multicat(barratt_eccles(3))
+    monkeypatch.setattr(adjoint, "unit_map", lambda lz, f: fault(lz, f) if f == at
+                        else TRUE_UNIT(lz, f))
+    rep = unit_report(M)
+    assert not rep["ok"] and witness in rep["failures"]
 
 
 def test_hat_unit_fails_only_at_the_action():

@@ -94,6 +94,17 @@ def test_corrupted_composition_names_the_tuple():
     assert named, rep["failures"][:5]
 
 
+def test_wrong_composite_fails_associativity():
+    # gamma((1,2); (), (1,2)) planted as (2,1) is read back by an instance of
+    # associativity that composes the nullary slot first
+    op = corrupted_compose(associativity_operad(3),
+                           (0, 2, (1, 2), ((0, ()), (2, (1, 2)))), (2, 1))
+    rep = validate_operad(op, total_arity=5)
+    assert ("associativity fails",
+            (2, 0, (1, 2), ((0, ()), (1, (1,))), ((), ((2, (1, 2)),)))) \
+        in rep["failures"]
+
+
 def test_equivariance_matches_block_calculus():
     op = barratt_eccles(3)
     for k, a, inners in composable_families(op, 1, 4):

@@ -697,13 +697,19 @@ def test_cli_reports_are_deterministic(tmp_path):
     assert r1 == r2
 
 
-@pytest.mark.parametrize("command", [
-    ["check-adjunction", "terminal_symmetric", "z2", "--bound", "2"],
-    ["free", "terminal_symmetric", "--hom", "2", "2"],
-])
-def test_cli_reports_do_not_depend_on_the_hash_seed(command, tmp_path):
-    # fresh processes, so a hash that varies between processes (an id-based
-    # one, say) would reorder some set and change the report's bytes
+@pytest.mark.parametrize("command, code", [
+    (["check-adjunction", "terminal_symmetric", "z2", "--bound", "2"], 0),
+    (["free", "terminal_symmetric", "--hom", "2", "2"], 0),
+    (["validate", "multicat", "M"], 1),
+], ids=["command0", "command1", "missing_composites"])
+def test_cli_reports_do_not_depend_on_the_hash_seed(command, code, tmp_path):
+    # fresh processes, so a hash that varies between processes (of a str
+    # label, say) would reorder some set and change the report's bytes; M is
+    # terminal BE(3) without six composites, so its report lists six witnesses
+    doc = jsonio.encode_multicat(terminal_multicat(barratt_eccles(3)))
+    del doc["composition"][:6]
+    jsonio.save(doc, tmp_path / "m.json")
+    command = [str(tmp_path / "m.json") if a == "M" else a for a in command]
     src = Path(__file__).resolve().parent.parent / "src"
     reports = []
     for seed in ("0", "1", "7"):
@@ -712,9 +718,13 @@ def test_cli_reports_do_not_depend_on_the_hash_seed(command, tmp_path):
         done = subprocess.run([sys.executable, "-m", "gmcat", *command,
                                "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
+        assert done.returncode == code, done.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
+    if code:
+        witnesses = json.loads(reports[0])["checks"][-1]["witnesses"]
+        assert [w[0] for w in witnesses].count(
+            "composition missing on composable pair") == 6
 
 
 def test_cli_internal_error_exits_4(monkeypatch, capsys):

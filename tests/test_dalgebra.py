@@ -88,6 +88,13 @@ def test_an_action_that_breaks_composites_is_not_a_functor():
     assert "composition not preserved" in {f[0] for f in rep["failures"]}
 
 
+def test_an_action_that_moves_a_unit_morphism_is_witnessed():
+    # every unary element acts as 1, so eta(e) lands on 1, not on e
+    rep = validate_algebra(z2_monoid_algebra(
+        lambda E: "1" if E.n == 1 else parity(E)), 3)
+    assert ("unit law fails on morphisms", "e") in rep["failures"]
+
+
 def test_underlying_z2_multimorphisms():
     U = underlying(z2_discrete_algebra(BE), bound=3)
     # one multimorphism per bit list of length <= 3; the target is its parity

@@ -22,7 +22,7 @@ from gmcat.dmulticat import (ClassicalMulticat, DMulticat, _coherence_triples,
                              from_symmetric, gamma_S, gamma_T, over_point_form,
                              terminal_multicat, validate_classical,
                              validate_multicat)
-from gmcat.opmonad import (T_D, all_elements, canonicalize, elements_of,
+from gmcat.opmonad import (I_D, T_D, all_elements, canonicalize, elements_of,
                            elements_within, eta, map_elem, melem, mu)
 from comb_classical import M as M_TERM, MT as MT_TERM, comb_classical
 from product_operad import ass_x_be, be_x_be
@@ -226,6 +226,19 @@ def test_missing_action_entry_is_reported_not_raised():
     rep = validate_multicat(M)
     assert not rep["ok"]
     assert ("source action: action domain mismatch", victim) in rep["failures"]
+
+
+def test_planted_identity_and_action_faults_are_witnessed():
+    M = from_symmetric(pairing_classical(), op=BE)
+    # u's identity is v's: its source is eta(v) and its target v
+    rep = validate_multicat(replace(M, ident={**M.ident, "u": "iv"}))
+    assert ("identity source is not the unit element", "u") in rep["failures"]
+    assert ("identity target moved", "u") in rep["failures"]
+    # the identity action on iu lands on iv, over the other object
+    key = ("iu", I_D(BE, M.src["iu"]))
+    assert M.source_action[key] == "iu"
+    rep = validate_multicat(replace(M, source_action={**M.source_action, key: "iv"}))
+    assert ("source action moved a target", key) in rep["failures"]
 
 
 def test_corrupted_equivariance_is_rejected():

@@ -162,15 +162,19 @@ def sym2_set():
                     {(0, "e"): 0, (1, "e"): 1, (0, "s"): 1, (1, "s"): 0})
 
 
-@pytest.mark.parametrize("edit, witness", [
-    (lambda P: P.eps.update({1: "nope"}), ("eps value outside objects", 1)),
-    (lambda P: P.act.pop((1, "s")), ("action domain mismatch", (1, "s"))),
-    (lambda P: P.act.update({(1, "s"): 2}), ("action leaves carrier", (1, "s"))),
-], ids=["eps_outside", "action_missing", "action_leaves_carrier"])
-def test_presheaf_table_defect_is_a_verdict(edit, witness):
+@pytest.mark.parametrize("make, edit, witness", [
+    (sym2_set, lambda P: P.eps.update({1: "nope"}), ("eps value outside objects", 1)),
+    (sym2_set, lambda P: P.act.pop((1, "s")), ("action domain mismatch", (1, "s"))),
+    (sym2_set, lambda P: P.act.update({(1, "s"): 2}),
+     ("action leaves carrier", (1, "s"))),
+    # p.(S -> E) is q, over S; p lies over E
+    (regular_presheaf_over_chaotic2, lambda P: P.act.update({("p", (S, E)): "p"}),
+     ("eps of x.f is not src(f)", ("p", (S, E)))),
+], ids=["eps_outside", "action_missing", "action_leaves_carrier", "eps_of_value"])
+def test_presheaf_table_defect_is_a_verdict(make, edit, witness):
     # the unit and associativity checks read every x.f and eps(x.f): a table
     # that is not closed fails before them, with the entry as the witness
-    P = sym2_set()
+    P = make()
     assert validate_presheaf(P)["ok"]
     edit(P)
     assert validate_presheaf(P) == {"ok": False, "failures": [witness]}
