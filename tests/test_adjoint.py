@@ -25,8 +25,8 @@ from gmcat.dmulticat import (ClassicalMulticat, from_nonsymmetric,
 from gmcat.errors import BoundExceeded, StructuralError
 from gmcat.fincat import terminal_category, validate_category
 from gmcat.finset import canon_key
-from gmcat.opmonad import (I_D, T_D, chi, elements_of, eta, map_elem, melem,
-                           mu)
+from gmcat.opmonad import (I_D, T_D, chi, elements_of, elements_within, eta,
+                           map_elem, melem, mu)
 from product_operad import ass_x_be, be_x_be
 
 BE = barratt_eccles(4)
@@ -618,6 +618,49 @@ def test_counit_composition_not_preserved(monkeypatch):
         [("composition not preserved", (f, g))]
 
 
+def test_counit_identity_on_a_failed_class_is_skipped(monkeypatch):
+    # the identity of an object is planted on a class that fails constancy:
+    # that result is neither checked nor counted as bounded
+    A = z2_discrete_algebra(BE3)
+    LU, classes = counit_classes(A)
+    clean = counit_report(A, bound=2)
+    cls = next(c for c in classes if len(c.members) > 1)
+    a = LU.objects_upto(2)[0]
+    patch_counit(monkeypatch, A, {cls.members[1]}, lambda f: other_identity(A, f))
+    inner = LU.ident
+    monkeypatch.setattr(LU, "ident", lambda x: cls if x == a else inner(x))
+    rep = counit_report(A, bound=2)
+    assert rep["failures"] == [("not constant on a class", cls)]
+    assert rep["bounded"] == clean["bounded"]
+
+
+@pytest.mark.parametrize("method, planted", [
+    ("compose", "raise"), ("compose", "outside"), ("xi1", "outside"),
+], ids=["composite-raises", "composite-outside", "action-outside"])
+def test_counit_result_past_the_bound_is_bounded(monkeypatch, method, planted):
+    # the first composite or action result of the counit check leaves the
+    # bound, by raising or by landing on a class the check never evaluated:
+    # one more bounded instance, and nothing checked or failed in its place
+    A = z2_discrete_algebra(BE3)
+    LU, _ = counit_classes(A)
+    clean = counit_report(A, bound=2)
+    outside = LU.ident(LU.objects_upto(3)[-1])
+    inner, calls = getattr(LU, method), []
+
+    def first_leaves(*args):
+        if calls:
+            return inner(*args)
+        calls.append(args)
+        if planted == "raise":
+            raise BoundExceeded("planted")
+        return outside
+    monkeypatch.setattr(LU, method, first_leaves)
+    rep = counit_report(A, bound=2)
+    assert len(calls) == 1
+    assert rep == {**clean, "bounded": clean["bounded"] + 1,
+                   "action_checked": clean["action_checked"] - (method == "xi1")}
+
+
 def test_triangle_round_trip_moves_a_multimorphism(monkeypatch):
     A = z2_discrete_algebra(BE3)
     UA = underlying(A, 2)
@@ -648,3 +691,65 @@ def test_triangle_bound_exceeded_is_counted_as_bounded(monkeypatch, loop):
     got = check_triangles(M, A, bound=2)
     assert len(calls) == 1
     assert got == {**clean, "bounded": 1}
+
+
+# ---------------------------------------------------------------------------
+# descent and coequalizer-fork branches, reached by planted faults
+
+def test_descent_witnesses_a_composite_that_depends_on_members(monkeypatch):
+    M = terminal_multicat(BE3)
+    lz = L(M)
+    two = lz.objects_upto(2)[2]
+    classes = lz.hom(two, two)
+    cf = next(c for c in classes if len(c.members) > 1)
+    cg = lz.ident(two)
+    f, g = cf.members[1], cg.rep
+    stray = next(c for c in classes if c != lz.compose(cf, cg)).rep
+    inner = adjoint.hat_compose
+    monkeypatch.setattr(adjoint, "hat_compose", lambda op, M_, x, y: stray
+                        if (x, y) == (f, g) else inner(op, M_, x, y))
+    rep = descent_report(M, bound=2)
+    assert rep["failures"] == [("composite depends on members", (cf, cg, f, g))]
+
+
+def test_descent_witnesses_an_action_that_depends_on_members(monkeypatch):
+    M = terminal_multicat(BE3)
+    op, lz = M.operad, L(M)
+    objs = lz.objects_upto(2)
+    members = tuple(h for a in objs for b in objs
+                    for cls in lz.hom(a, b) for h in cls.members)
+    ends = lambda h: (hat_source(op, h), hat_target(op, M, h))
+    E, stray = next(
+        (E, c.rep) for E in elements_within(op, 1, members, 2,
+                                            lambda h: tuple(x.n for x in ends(h)), 2)
+        if any(lz.class_of(h).rep is not h for h in E.xs)
+        for c in lz.hom(*ends(adjoint.hat_xi1(op, M, E)))
+        if c != lz.class_of(adjoint.hat_xi1(op, M, E)))
+    inner = adjoint.hat_xi1
+    monkeypatch.setattr(adjoint, "hat_xi1", lambda op_, M_, e: stray
+                        if e == E else inner(op_, M_, e))
+    rep = descent_report(M, bound=2)
+    assert rep["failures"] == [("action depends on members", E)]
+
+
+def test_coeq_fork_witnesses_a_leg_that_moves_an_endpoint(monkeypatch):
+    M = terminal_multicat(associativity_operad(3))
+    lz = L(M)
+    a, c = (elements_of(M.operad, 0, M.objects, n)[0] for n in (2, 1))
+    home, stray = lz.hom_hat(a, a)[0], lz.hom_hat(c, a)[0]
+    monkeypatch.setattr(lz, "relation_instances", lambda *ab: iter([(stray, home)]))
+    assert validate_coeq_fork(M, a, a) == {
+        "ok": False, "failures": [("leg moves an endpoint", stray)], "instances": 1}
+
+
+def test_coeq_fork_witnesses_a_section_that_moves_a_morphism(monkeypatch):
+    # identity data acting on one splitting of two sources yields another
+    # splitting with the same target, so no relation leg moves an endpoint
+    M = terminal_multicat(associativity_operad(3))
+    a = elements_of(M.operad, 0, M.objects, 2)[0]
+    h, k = L(M).hom_hat(a, a)[:2]
+    inner = adjoint.act_slots
+    monkeypatch.setattr(adjoint, "act_slots", lambda M_, phi, taus: (
+        (k.phi, inner(M_, phi, taus)[1]) if phi == h.phi else inner(M_, phi, taus)))
+    rep = validate_coeq_fork(M, a, a)
+    assert rep["failures"] == [("identity data is not a common section", h)]
