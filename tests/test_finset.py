@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gmcat.errors import FreenessError, StructuralError
 from gmcat.finset import (
     FinFn, GroupAction, Perm, UnionFind, block_perm, block_sum, canon_key,
-    diagonal_action, fibre_product, fibres, finset, fn, identity_perm,
+    fibre_product, fibres, finset, fn, identity_perm,
     is_equivariant, is_pullback, orbit_pullback_report, orbit_quotient, perms,
     product_within, pullback, sort_labels,
 )
@@ -252,6 +252,8 @@ def test_orbit_quotient_of_two_regular_orbits():
     Q, q = orbit_quotient(act)
     assert len(Q) == 2
     assert q((1, (2, 1))) == (1, (1, 2))
+    for x in act.carrier:
+        assert q(x) == min((act.act(s, x) for s in act.group), key=canon_key)
 
 
 @given(st.data())
@@ -296,9 +298,10 @@ def test_nonfree_base_breaks_orbit_pullback():
 
 def test_diagonal_action_freeness_inherits():
     A = regular_action(2)
-    P = [(x, y) for x in A.carrier for y in A.carrier]
-    act = diagonal_action(A, A, P)
-    assert act.freeness_witness() is None
+    P = tuple((x, y) for x in A.carrier for y in A.carrier)
+    table = {(s, (x, y)): (A.act(s, x), A.act(s, y)) for s in A.group for x, y in P}
+    Q, _ = orbit_quotient(GroupAction(A.group, P, table, free=True))
+    assert len(Q) == len(P) // len(A.group)
 
 
 # -- fibres and the fibre product ----------------------------------------------
