@@ -183,6 +183,12 @@ class LazyDAlgebra:
     def objects_upto(self, bound):
         return all_elements(self.operad, 0, self.M.objects, bound)
 
+    def morphisms_upto(self, bound):
+        """(a, b, h) for each h in hom(a, b), with a and b in
+        objects_upto(bound), in that order: each hom-set is read once."""
+        objs = self.objects_upto(bound)
+        return tuple((a, b, h) for a in objs for b in objs for h in self.hom(a, b))
+
     def _phis(self, a, b):
         """The multimorphism lists with target b whose flattened sources have
         a's arity, with those sources (skipping flattenings past truncation),
@@ -331,28 +337,19 @@ def descent_report(M, bound=2):
     of each class represents it."""
     op = M.operad
     lz = L(M)
-    objs = lz.objects_upto(bound)
+    walk = lz.morphisms_upto(bound)
     failures, pairs = [], 0
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                for cf in lz.hom(b, c):
-                    for cg in lz.hom(a, b):
-                        expected = lz.compose(cf, cg)
-                        pairs += 1
-                        for f in cf.members:
-                            for g in cg.members:
-                                got = lz.class_of(hat_compose(op, M, f, g))
-                                if got != expected:
-                                    failures.append(
-                                        ("composite depends on members",
-                                         (cf, cg, f, g)))
-    members = tuple(h for a in objs for b in objs
-                    for cls in lz.hom(a, b) for h in cls.members)
+    for (_, _, cg), (_, _, cf) in fibre_product(walk, lambda m: m[1],
+                                                walk, lambda m: m[0]):
+        expected = lz.compose(cf, cg)
+        pairs += 1
+        for f in cf.members:
+            for g in cg.members:
+                if lz.class_of(hat_compose(op, M, f, g)) != expected:
+                    failures.append(("composite depends on members", (cf, cg, f, g)))
+    arities = {h: (a.n, b.n) for a, b, cls in walk for h in cls.members}
     acted = 0
-    for E in elements_within(
-            op, 1, members, 2,
-            lambda h: (hat_source(op, h).n, hat_target(op, M, h).n), bound):
+    for E in elements_within(op, 1, tuple(arities), 2, arities.get, bound):
         acted += 1
         if lz.class_of(hat_xi1(op, M, E)) != lz.xi1(
                 map_elem(op, lz.class_of, E)):
@@ -368,12 +365,10 @@ def to_algebra(lazy, bound):
     """Freeze the lazy algebra into tables on objects within the bound."""
     op = lazy.operad
     objs = lazy.objects_upto(bound)
-    mors, src, tgt = [], {}, {}
-    for a in objs:
-        for b in objs:
-            for h in lazy.hom(a, b):
-                mors.append(h)
-                src[h], tgt[h] = a, b
+    walk = lazy.morphisms_upto(bound)
+    mors = [h for _, _, h in walk]
+    src = {h: a for a, _, h in walk}
+    tgt = {h: b for _, b, h in walk}
     ident = {a: lazy.ident(a) for a in objs}
     comp = {(f, g): lazy.compose(f, g)
             for f, g in fibre_product(mors, src.__getitem__, mors, tgt.__getitem__)}
@@ -408,6 +403,15 @@ def unit_map(lazy, f):
             map_elem(op, lambda x: eta(op, 0, x), M.src[f]))
 
 
+def _action_law(M, lazy):
+    """(f, delta, both sides of the unit's action law at (f, delta) -> out)
+    for each source action entry of M, in canonical order, one at a time."""
+    op = M.operad
+    for (f, delta), out in sorted(M.source_action.items(), key=canon_key):
+        yield f, delta, unit_map(lazy, out), underlying_act(
+            lazy, unit_map(lazy, f), map_elem(op, lambda x: eta(op, 0, x), delta))
+
+
 def _map_checklist(M, lazy):
     """The multicategory-map laws for the unit into the given construction."""
     op = M.operad
@@ -429,9 +433,7 @@ def _map_checklist(M, lazy):
             rhs = underlying_compose(lazy, upair(f), map_elem(op, upair, Phi))
             if lhs != rhs:
                 failures.append(("composition not preserved", (f, Phi)))
-        for (f, delta), out in sorted(M.source_action.items(), key=canon_key):
-            lhs = upair(out)
-            rhs = underlying_act(lazy, upair(f), map_elem(op, e0, delta))
+        for f, delta, lhs, rhs in _action_law(M, lazy):
             if lhs != rhs:
                 failures.append(("action not preserved", (f, delta)))
     return {"ok": not failures, "failures": failures,
@@ -449,12 +451,7 @@ def hat_unit_report(M):
 
 def witness_hat_unit_failure(M):
     """First action pair the provisional unit fails on, if any."""
-    op = M.operad
-    lz = hat_L(M)
-    for (f, delta), out in sorted(M.source_action.items(), key=canon_key):
-        lhs = unit_map(lz, out)[0]
-        rhs = underlying_act(lz, unit_map(lz, f),
-                             map_elem(op, lambda x: eta(op, 0, x), delta))[0]
+    for f, delta, (lhs, _), (rhs, _) in _action_law(M, hat_L(M)):
         if lhs != rhs:
             return {"f": f, "delta": delta, "lhs": lhs, "rhs": rhs}
     return None
@@ -474,51 +471,52 @@ def counit_hat(A, hat):
 def counit_report(A, bound=2):
     """Class-constancy, functoriality, and the algebra-map law of the counit."""
     op = A.operad
-    U = underlying(A, bound)
-    LU = L(U)
-    objs = LU.objects_upto(bound)
-    failures, classes_seen, bounded = [], 0, 0
+    LU = L(underlying(A, bound))
+    walk = LU.morphisms_upto(bound)
+    failures, bounded = [], 0
     eps, broken = {}, set()  # broken: classes that already failed constancy
-    for a in objs:
-        for b in objs:
-            for cls in LU.hom(a, b):
-                classes_seen += 1
-                try:
-                    values = {counit_hat(A, m) for m in cls.members}
-                except BoundExceeded:
-                    bounded += 1  # evaluation leaves a truncated carrier
-                    continue
-                if len(values) != 1:
-                    failures.append(("not constant on a class", cls))
-                    broken.add(cls)
-                    continue
-                eps[cls] = values.pop()
-                if A.carrier.src[eps[cls]] != A.xi0(a) or \
-                   A.carrier.tgt[eps[cls]] != A.xi0(b):
-                    failures.append(("endpoint mismatch", cls))
-    # a result on a broken class is neither checked nor bounded
-    for a in objs:
-        if LU.ident(a) in broken:
+    for a, b, cls in walk:
+        try:
+            values = {counit_hat(A, m) for m in cls.members}
+        except BoundExceeded:
+            bounded += 1  # evaluation leaves a truncated carrier
             continue
-        if LU.ident(a) not in eps:
+        if len(values) != 1:
+            failures.append(("not constant on a class", cls))
+            broken.add(cls)
+            continue
+        eps[cls] = values.pop()
+        if A.carrier.src[eps[cls]] != A.xi0(a) or \
+           A.carrier.tgt[eps[cls]] != A.xi0(b):
+            failures.append(("endpoint mismatch", cls))
+
+    def judge(result, want, failure):
+        """Decide one instance; true when it is checked. want() runs only
+        on a result with a value, as it may leave the carrier."""
+        nonlocal bounded
+        if result in broken:  # neither checked nor bounded
+            return False
+        if result not in eps:
             bounded += 1
-        elif eps[LU.ident(a)] != A.carrier.ident[A.xi0(a)]:
-            failures.append(("identity not preserved", a))
+        elif eps[result] != want():
+            failures.append(failure)
+        else:
+            return True
+        return False
+
+    for a in LU.objects_upto(bound):
+        judge(LU.ident(a), lambda: A.carrier.ident[A.xi0(a)],
+              ("identity not preserved", a))
     for f, g in fibre_product(eps, LU.src, eps, LU.tgt):
         try:
             h = LU.compose(f, g)
         except BoundExceeded:
             bounded += 1
             continue
-        if h in broken:
-            continue
-        if h not in eps:
-            bounded += 1
-        elif eps[h] != A.carrier.comp.get((eps[f], eps[g])):  # None: not composable
-            failures.append(("composition not preserved", (f, g)))
-    mors = tuple(eps)
+        judge(h, lambda: A.carrier.comp.get((eps[f], eps[g])),  # None: not composable
+              ("composition not preserved", (f, g)))
     checked = 0
-    for E in elements_within(op, 1, mors, 2,
+    for E in elements_within(op, 1, tuple(eps), 2,
                              lambda c: (LU.src(c).n, LU.tgt(c).n), bound):
         try:
             lhs = LU.xi1(E)
@@ -526,15 +524,8 @@ def counit_report(A, bound=2):
         except BoundExceeded:
             bounded += 1
             continue
-        if lhs in broken:
-            continue
-        if lhs not in eps:
-            bounded += 1
-        elif eps[lhs] != rhs:
-            failures.append(("action not preserved", E))
-        else:
-            checked += 1
-    return {"ok": not failures, "failures": failures, "classes": classes_seen,
+        checked += judge(lhs, lambda: rhs, ("action not preserved", E))
+    return {"ok": not failures, "failures": failures, "classes": len(walk),
             "action_checked": checked, "bounded": bounded}
 
 
@@ -561,22 +552,20 @@ def check_triangles(M, A, bound=2):
 
     LM = L(M)
     e0 = lambda x: eta(op, 0, x)
-    objs = LM.objects_upto(bound)
-    for a in objs:
-        for b in objs:
-            for cls in LM.hom(a, b):
-                try:
-                    rep = cls.rep
-                    phi2 = map_elem(op, lambda g: unit_map(LM, g), rep.phi)
-                    hat2 = HatMorphism(phi2, map_elem(op, e0, rep.sigma))
-                    if counit_hat(LM, hat2) != cls:
-                        fail_L.append(("round trip moves a class", cls))
-                except BoundExceeded:
-                    bounded += 1
-                except StructuralError as exc:
-                    fail_L.append(("round trip broke", cls, repr(exc)))
+    walk = LM.morphisms_upto(bound)
+    for _, _, cls in walk:
+        try:
+            rep = cls.rep
+            phi2 = map_elem(op, lambda g: unit_map(LM, g), rep.phi)
+            hat2 = HatMorphism(phi2, map_elem(op, e0, rep.sigma))
+            if counit_hat(LM, hat2) != cls:
+                fail_L.append(("round trip moves a class", cls))
+        except BoundExceeded:
+            bounded += 1
+        except StructuralError as exc:
+            fail_L.append(("round trip broke", cls, repr(exc)))
     return {"ok": not (fail_U or fail_L),
             "triangle_U": fail_U, "triangle_L": fail_L,
             "checked_U": len(UA.morphisms),
-            "checked_L": sum(len(LM.hom(a, b)) for a in objs for b in objs),
+            "checked_L": len(walk),
             "bounded": bounded}
