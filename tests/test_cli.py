@@ -682,6 +682,36 @@ def test_cli_free_unusable_hom_exits_2(target, hom, message, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "algebra", "z2", "--bound", "0"], "arity bound must be >= 1, got 0"),
+    (["validate", "operad", "nope.json"], "no such file"),
+    (["validate", "multicat", "terminal", "--operad", "be3.json", "--bound", "4"],
+     "operad truncation 3 below arity bound 4"),
+    (["validate", "operad", "list.json"], "top-level JSON value must be an object"),
+    (["validate", "operad", "unknown.json"], "unknown builtin operad"),
+], ids=["bound-0", "no-such-file", "tabulated-truncation", "top-level-list",
+        "unknown-builtin"])
+def test_cli_unusable_input_exits_2(argv, message, tmp_path, capsys, monkeypatch):
+    jsonio.save(jsonio.encode_operad(barratt_eccles(3)), tmp_path / "be3.json")
+    jsonio.save([1, 2], tmp_path / "list.json")
+    jsonio.save({"kind": "operad", "builtin": "nope"}, tmp_path / "unknown.json")
+    monkeypatch.chdir(tmp_path)
+    code, rep = run(argv, tmp_path)
+    assert code == 2 and rep is None
+    assert message in capsys.readouterr().err
+
+
+def test_cli_algebra_file_past_its_bound_exits_3(tmp_path):
+    # the file tabulates the action up to arity 2; arity 3 is bounded, not failed
+    path = tmp_path / "z2.json"
+    jsonio.save(jsonio.encode_algebra(z2_discrete_algebra(barratt_eccles(3)), 2), path)
+    code, rep = run(["validate", "algebra", str(path), "--bound", "3"], tmp_path)
+    assert code == 3 and rep["ok"]
+    laws = rep["checks"][-1]
+    assert laws["name"] == "algebra laws" and laws["status"] == "bound-exceeded"
+    assert laws["counts"]["bounded"] > 0
+
+
 def test_cli_config_invariant(capsys):
     assert main(["validate", "operad", "barratt_eccles",
                  "--truncate", "2", "--bound", "3"]) == 2
