@@ -373,12 +373,13 @@ def orbit_pullback_report(f, g, act_a, act_b, act_z):
     if not (is_equivariant(f, act_a, act_z) and is_equivariant(g, act_b, act_z)):
         return {"ok": False, "failures": ["cospan not equivariant"]}
     P, _, _ = pullback(f, g)
-    QP = sort_labels(set(_orbit_labels(act_a.group, P, lambda s, w: (
-        act_a.act(s, w[0]), act_b.act(s, w[1]))).values()))
+    diagonal = lambda s, w: (act_a.act(s, w[0]), act_b.act(s, w[1]))
+    QP = sort_labels(set(_orbit_labels(act_a.group, P, diagonal).values()))
     QA, qa = orbit_quotient(act_a)
     QB, qb = orbit_quotient(act_b)
     _, qz = orbit_quotient(act_z)
-    failures = [("comparison map not injective", ws) for _, _, ws in lifts_over(
-        QP, lambda w: (qa(w[0]), qb(w[1])),
-        QA, lambda a: qz(f(a)), QB, lambda b: qz(g(b))) if len(ws) > 1]
+    failures = [("comparison map not injective", ws)
+                for _, _, ws in lifts_over(QP, lambda w: (qa(w[0]), qb(w[1])),
+                                           QA, lambda a: qz(f(a)), QB, lambda b: qz(g(b)))
+                if len(ws) > 1]
     return {"ok": not failures, "failures": failures}

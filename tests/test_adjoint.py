@@ -693,6 +693,28 @@ def test_triangle_bound_exceeded_is_counted_as_bounded(monkeypatch, loop):
     assert got == {**clean, "bounded": 1}
 
 
+@pytest.mark.parametrize("loop", ["U", "L"])
+def test_triangle_structural_error_is_a_broken_round_trip(monkeypatch, loop):
+    # the first counit evaluation of the chosen loop finds malformed data:
+    # a failed round trip with the error's repr, and the loop goes on
+    M, A = terminal_multicat(BE3), z2_discrete_algebra(BE3)
+    clean = check_triangles(M, A, bound=2)
+    target = A if loop == "U" else L(M)
+    inner, calls = adjoint.counit_hat, []
+
+    def counit(B, hat):
+        if B is target and not calls:
+            calls.append(hat)
+            raise StructuralError("planted")
+        return inner(B, hat)
+    monkeypatch.setattr(adjoint, "counit_hat", counit)
+    got = check_triangles(M, A, bound=2)
+    first = (underlying(A, 2).morphisms if loop == "U"
+             else [cls for _, _, cls in L(M).morphisms_upto(2)])[0]
+    assert got == {**clean, "ok": False, f"triangle_{loop}": [
+        ("round trip broke", first, "StructuralError('planted')")]}
+
+
 # ---------------------------------------------------------------------------
 # descent and coequalizer-fork branches, reached by planted faults
 

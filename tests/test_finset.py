@@ -296,6 +296,16 @@ def test_nonfree_base_breaks_orbit_pullback():
                for fail in rep["failures"])
 
 
+def test_a_cospan_that_is_not_equivariant_is_refused():
+    A = regular_action(2)
+    fixed = fn(finset(A.carrier), finset(A.carrier), lambda x: A.carrier[0])
+    ident = fn(finset(A.carrier), finset(A.carrier), lambda x: x)
+    assert not is_equivariant(fixed, A, A)
+    for f, g in ((fixed, ident), (ident, fixed)):
+        assert orbit_pullback_report(f, g, A, A, A) == \
+            {"ok": False, "failures": ["cospan not equivariant"]}
+
+
 def test_diagonal_action_freeness_inherits():
     A = regular_action(2)
     P = tuple((x, y) for x in A.carrier for y in A.carrier)
