@@ -7,8 +7,10 @@ except the rearrangement action. Stage two quotients each hom-set by the
 relation that attaching data to the sources equals absorbing it into the
 stored data; the quotient is computed by union-find closure inside one
 hom-set at a time, which is what keeps everything finite and decidable.
-Both stages are a LazyDAlgebra, told apart by class_of alone: stage one has
-no relation, so its class map is the identity. The unit is unit_map.
+A class is named by its canonical member, the provisional morphism that
+comes first in canon_key order, and members(h) lists the class of h. Both
+stages are a LazyDAlgebra, told apart by members alone: stage one has no
+relation, so each of its classes is (h,). The unit is unit_map.
 
 Composition reads its three parts (the interchange lift, the regrouped
 list and the data composite) from memos on the multicategory and the
@@ -59,28 +61,11 @@ class HatMorphism:
         return (self._hash == other._hash and self.phi == other.phi
                 and self.sigma == other.sigma)
 
-    @property
-    def rep(self):
-        """A provisional morphism is its own class."""
-        return self
-
     def _canon_key(self):
         return (9, self.phi._canon_key(), self.sigma._canon_key())
 
     def __repr__(self):
         return f"Hat({self.phi!r}, {self.sigma!r})"
-
-
-@dataclass(frozen=True)
-class LMorphism:
-    rep: HatMorphism
-    members: tuple = field(compare=False)
-
-    def _canon_key(self):
-        return (10,) + self.rep._canon_key()
-
-    def __repr__(self):
-        return f"Cls({self.rep!r} ~{len(self.members)})"
 
 
 def flat_source(op, M, phi):
@@ -175,7 +160,8 @@ class LazyDAlgebra:
     # object-level data by arity, indexed (by (source, target), by target)
     sigma_index: dict = field(default_factory=dict, init=False, compare=False,
                               repr=False)
-    # hom-set closures by (a, b) in op.elems objects, as (classes in order, member -> class)
+    # hom-set closures by (a, b) in op.elems objects, as (representatives in
+    # order, member -> its class's members, representative first)
     closures: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
@@ -244,24 +230,23 @@ class LazyDAlgebra:
                     uf.union(lhs, rhs)
                 except KeyError:
                     raise StructuralError("relation leg left its hom-set") from None
-            classes, lookup = [], {}
-            for members in uf.classes().values():
-                cls = LMorphism(members[0], members)
-                classes.append(cls)
-                for h in members:
-                    lookup[h] = cls
-            closure = self.closures[(a, b)] = (tuple(classes), lookup)
+            classes = uf.classes()
+            closure = self.closures[(a, b)] = (
+                tuple(classes), {h: ms for ms in classes.values() for h in ms})
         return closure
 
-    def class_of(self, hat):
+    def members(self, hat):
+        """The class of hat, its representative first."""
         if not self.quotient:  # the provisional construction has no relation
-            return hat
-        a = hat_source(self.operad, hat)
-        b = hat_target(self.operad, self.M, hat)
-        lookup = self._closure(a, b)[1]
+            return (hat,)
+        lookup = self._closure(hat_source(self.operad, hat),
+                               hat_target(self.operad, self.M, hat))[1]
         if hat not in lookup:
             raise StructuralError("morphism missing from its hom-set closure")
         return lookup[hat]
+
+    def class_of(self, hat):
+        return self.members(hat)[0]
 
     # -- categorical interface ----------------------------------------------
     def hom(self, a, b):
@@ -273,21 +258,19 @@ class LazyDAlgebra:
             HatMorphism(map_elem(op, self.M.ident.get, a), I_D(op, a)))
 
     def compose(self, f, g):
-        return self.class_of(hat_compose(self.operad, self.M, f.rep, g.rep))
+        return self.class_of(hat_compose(self.operad, self.M, f, g))
 
     def src(self, h):
-        return hat_source(self.operad, h.rep)
+        return hat_source(self.operad, h)
 
     def tgt(self, h):
-        return hat_target(self.operad, self.M, h.rep)
+        return hat_target(self.operad, self.M, h)
 
     def xi0(self, e):
         return mu(self.operad, e)
 
     def xi1(self, e):
-        op = self.operad
-        return self.class_of(
-            hat_xi1(op, self.M, map_elem(op, lambda c: c.rep, e)))
+        return self.class_of(hat_xi1(self.operad, self.M, e))
 
 
 def _free_on(M, name, quotient):
@@ -343,11 +326,11 @@ def descent_report(M, bound=2):
                                                 walk, lambda m: m[0]):
         expected = lz.compose(cf, cg)
         pairs += 1
-        for f in cf.members:
-            for g in cg.members:
+        for f in lz.members(cf):
+            for g in lz.members(cg):
                 if lz.class_of(hat_compose(op, M, f, g)) != expected:
                     failures.append(("composite depends on members", (cf, cg, f, g)))
-    arities = {h: (a.n, b.n) for a, b, cls in walk for h in cls.members}
+    arities = {h: (a.n, b.n) for a, b, c in walk for h in lz.members(c)}
     acted = 0
     for E in elements_within(op, 1, tuple(arities), 2, arities.get, bound):
         acted += 1
@@ -477,7 +460,7 @@ def counit_report(A, bound=2):
     eps, broken = {}, set()  # broken: classes that already failed constancy
     for a, b, cls in walk:
         try:
-            values = {counit_hat(A, m) for m in cls.members}
+            values = {counit_hat(A, m) for m in LU.members(cls)}
         except BoundExceeded:
             bounded += 1  # evaluation leaves a truncated carrier
             continue
@@ -542,7 +525,7 @@ def check_triangles(M, A, bound=2):
     for w in UA.morphisms:
         try:
             cls, units = unit_map(LUA, w)
-            back = (counit_hat(A, cls.rep), map_elem(UA.operad, A.xi0, units))
+            back = (counit_hat(A, cls), map_elem(UA.operad, A.xi0, units))
             if back != w:
                 fail_U.append(("round trip moves a multimorphism", w, back))
         except BoundExceeded:
@@ -555,9 +538,8 @@ def check_triangles(M, A, bound=2):
     walk = LM.morphisms_upto(bound)
     for _, _, cls in walk:
         try:
-            rep = cls.rep
-            phi2 = map_elem(op, lambda g: unit_map(LM, g), rep.phi)
-            hat2 = HatMorphism(phi2, map_elem(op, e0, rep.sigma))
+            phi2 = map_elem(op, lambda g: unit_map(LM, g), cls.phi)
+            hat2 = HatMorphism(phi2, map_elem(op, e0, cls.sigma))
             if counit_hat(LM, hat2) != cls:
                 fail_L.append(("round trip moves a class", cls))
         except BoundExceeded:

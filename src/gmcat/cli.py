@@ -236,12 +236,13 @@ def cmd_free(cfg):
     op = M.operad
     a = _object_spec(cfg.hom[0], M, op)
     b = _object_spec(cfg.hom[1], M, op)
-    classes = (hat_L(M) if cfg.hat else L(M)).hom(a, b)
+    lz = hat_L(M) if cfg.hat else L(M)
+    classes = lz.hom(a, b)
     if cfg.hat:
         listing = [{"morphism": repr(h)} for h in classes]
     else:
-        listing = [{"representative": repr(c.rep), "members": len(c.members)}
-                   for c in classes]
+        listing = [{"representative": repr(h), "members": len(lz.members(h))}
+                   for h in classes]
     checks.append(check("hom enumeration", True,
                         counts={"classes": len(classes)}))
     dump = {"source": repr(a), "target": repr(b),

@@ -20,7 +20,8 @@ from .errors import FreenessError, StructuralError
 
 
 def canon_key(x):
-    """Total order key across the label types we use (ints, strs, tuples, keyed objects)."""
+    """Total order key across the label types in use: None, bools, ints, strs,
+    tuples or lists of labels, monad elements and provisional morphisms."""
     if x is None:
         return (0,)
     if isinstance(x, bool):
@@ -31,8 +32,6 @@ def canon_key(x):
         return (3, x)
     if isinstance(x, (tuple, list)):
         return (4, len(x), tuple(canon_key(v) for v in x))
-    if isinstance(x, frozenset):
-        return (5, len(x), tuple(sorted(canon_key(v) for v in x)))
     ck = getattr(x, "_canon_key", None)
     if ck is not None:
         return ck()
@@ -122,9 +121,6 @@ class Perm:
     def permuted(self, xs):
         """Tuple whose i-th entry is xs[sigma(i)-1]; this is the inverse-placement action."""
         return tuple(xs[j - 1] for j in self.images)
-
-    def _canon_key(self):
-        return (6, self.n, self.images)
 
     def __repr__(self):
         return f"Perm{self.images}"

@@ -1,6 +1,7 @@
 """JSON round trips for every structure kind the command line accepts.
 
-Labels are arbitrary JSON values; lists decode to tuples so composite
+Labels are JSON strings, integers, booleans, null, or lists of labels
+(load refuses any other number); lists decode to tuples so composite
 labels like ["t", 2] round-trip. A monad element used *as a label* (the
 carrier of a free algebra, the morphisms of an underlying multicategory)
 is wrapped as {"elem": {...}} and needs the ambient operad to decode.
@@ -234,9 +235,14 @@ def decode_algebra(doc):
 # ---------------------------------------------------------------------------
 # file plumbing
 
+def _not_an_integer(token):
+    raise StructuralError(f"JSON number {token} is not an integer")
+
+
 def load(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_not_an_integer,
+                        parse_constant=_not_an_integer)
     if not isinstance(doc, dict):
         raise StructuralError("top-level JSON value must be an object")
     return doc

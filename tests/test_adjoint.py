@@ -25,8 +25,8 @@ from gmcat.dmulticat import (ClassicalMulticat, from_nonsymmetric,
 from gmcat.errors import BoundExceeded, StructuralError
 from gmcat.fincat import terminal_category, validate_category
 from gmcat.finset import canon_key
-from gmcat.opmonad import (I_D, T_D, chi, elements_of, elements_within, eta,
-                           map_elem, melem, mu)
+from gmcat.opmonad import (I_D, T_D, canonicalize, chi, elements_of,
+                           elements_within, eta, map_elem, melem, mu)
 from product_operad import ass_x_be, be_x_be
 
 BE = barratt_eccles(4)
@@ -158,9 +158,10 @@ def test_empty_hom_is_identity():
 
 
 def test_class_reps_minimal():
-    for cls in L(MB).hom(obj(BE, MB, 2), obj(BE, MB, 2)):
-        assert cls.rep == min(cls.members, key=canon_key)
-        assert list(cls.members) == sorted(cls.members, key=canon_key)
+    lz = L(MB)
+    for cls in lz.hom(obj(BE, MB, 2), obj(BE, MB, 2)):
+        assert cls == min(lz.members(cls), key=canon_key)
+        assert list(lz.members(cls)) == sorted(lz.members(cls), key=canon_key)
 
 
 def test_coeq_fork_legs_and_section():
@@ -405,8 +406,8 @@ def test_memoized_composite_matches_the_plain_one(make, bound, want_pairs):
         for a, b2, cg in classes:
             if b2 != b:
                 continue
-            for f in cf.members:
-                for g in cg.members:
+            for f in lz.members(cf):
+                for g in lz.members(cg):
                     pairs += 1
                     want = plain_hat_compose(op, M, f, g)
                     # the first call may fill the tables, the second reads them
@@ -563,10 +564,10 @@ def patch_counit(monkeypatch, A, members, value):
 
 def test_counit_not_constant_on_a_class(monkeypatch):
     A = z2_discrete_algebra(BE3)
-    _, classes = counit_classes(A)
+    LU, classes = counit_classes(A)
     clean = counit_report(A, bound=2)
-    for cls in (c for c in classes if len(c.members) > 1):
-        patch_counit(monkeypatch, A, {cls.members[1]}, lambda f: other_identity(A, f))
+    for cls in (c for c in classes if len(LU.members(c)) > 1):
+        patch_counit(monkeypatch, A, {LU.members(cls)[1]}, lambda f: other_identity(A, f))
         rep = counit_report(A, bound=2)
         monkeypatch.undo()
         assert rep["failures"] == [("not constant on a class", cls)]
@@ -576,9 +577,9 @@ def test_counit_not_constant_on_a_class(monkeypatch):
 
 def test_counit_endpoint_mismatch(monkeypatch):
     A = z2_discrete_algebra(BE3)
-    _, classes = counit_classes(A)
+    LU, classes = counit_classes(A)
     cls = classes[-1]
-    patch_counit(monkeypatch, A, set(cls.members), lambda f: other_identity(A, f))
+    patch_counit(monkeypatch, A, set(LU.members(cls)), lambda f: other_identity(A, f))
     failures = counit_report(A, bound=2)["failures"]
     assert [f for f in failures if f[0] == "endpoint mismatch"] == \
         [("endpoint mismatch", cls)]
@@ -597,7 +598,7 @@ def test_counit_identity_not_preserved(monkeypatch):
     a, auto = next((a, f) for a in LU.objects_upto(2) for f in C.morphisms
                    if C.src[f] == C.tgt[f] == A.xi0(a)
                    and f != C.ident[A.xi0(a)])
-    patch_counit(monkeypatch, A, set(LU.ident(a).members), lambda f: auto)
+    patch_counit(monkeypatch, A, set(LU.members(LU.ident(a))), lambda f: auto)
     failures = counit_report(A, bound=2)["failures"]
     assert [f for f in failures if f[0] == "identity not preserved"] == \
         [("identity not preserved", a)]
@@ -609,8 +610,8 @@ def test_counit_composition_not_preserved(monkeypatch):
     LU, classes = counit_classes(A)
     f, g = next((f, g) for f in classes for g in classes
                 if LU.src(f) == LU.tgt(g))
-    eps = counit_hat(A, LU.compose(f, g).rep)
-    stray = next(c for c in classes if counit_hat(A, c.rep) != eps)
+    eps = counit_hat(A, LU.compose(f, g))
+    stray = next(c for c in classes if counit_hat(A, c) != eps)
     inner = LU.compose
     monkeypatch.setattr(LU, "compose", lambda x, y: stray if (x, y) == (f, g)
                         else inner(x, y))
@@ -624,9 +625,9 @@ def test_counit_identity_on_a_failed_class_is_skipped(monkeypatch):
     A = z2_discrete_algebra(BE3)
     LU, classes = counit_classes(A)
     clean = counit_report(A, bound=2)
-    cls = next(c for c in classes if len(c.members) > 1)
+    cls = next(c for c in classes if len(LU.members(c)) > 1)
     a = LU.objects_upto(2)[0]
-    patch_counit(monkeypatch, A, {cls.members[1]}, lambda f: other_identity(A, f))
+    patch_counit(monkeypatch, A, {LU.members(cls)[1]}, lambda f: other_identity(A, f))
     inner = LU.ident
     monkeypatch.setattr(LU, "ident", lambda x: cls if x == a else inner(x))
     rep = counit_report(A, bound=2)
@@ -665,7 +666,7 @@ def test_triangle_round_trip_moves_a_multimorphism(monkeypatch):
     A = z2_discrete_algebra(BE3)
     UA = underlying(A, 2)
     w = UA.morphisms[0]
-    rep = unit_map(L(UA), w)[0].rep
+    rep = unit_map(L(UA), w)[0]
     patch_counit(monkeypatch, A, {rep}, lambda f: other_identity(A, f))
     got = check_triangles(terminal_multicat(BE3), A, bound=2)
     assert got["triangle_U"] == [("round trip moves a multimorphism", w,
@@ -723,10 +724,10 @@ def test_descent_witnesses_a_composite_that_depends_on_members(monkeypatch):
     lz = L(M)
     two = lz.objects_upto(2)[2]
     classes = lz.hom(two, two)
-    cf = next(c for c in classes if len(c.members) > 1)
+    cf = next(c for c in classes if len(lz.members(c)) > 1)
     cg = lz.ident(two)
-    f, g = cf.members[1], cg.rep
-    stray = next(c for c in classes if c != lz.compose(cf, cg)).rep
+    f, g = lz.members(cf)[1], cg
+    stray = next(c for c in classes if c != lz.compose(cf, cg))
     inner = adjoint.hat_compose
     monkeypatch.setattr(adjoint, "hat_compose", lambda op, M_, x, y: stray
                         if (x, y) == (f, g) else inner(op, M_, x, y))
@@ -739,12 +740,12 @@ def test_descent_witnesses_an_action_that_depends_on_members(monkeypatch):
     op, lz = M.operad, L(M)
     objs = lz.objects_upto(2)
     members = tuple(h for a in objs for b in objs
-                    for cls in lz.hom(a, b) for h in cls.members)
+                    for cls in lz.hom(a, b) for h in lz.members(cls))
     ends = lambda h: (hat_source(op, h), hat_target(op, M, h))
     E, stray = next(
-        (E, c.rep) for E in elements_within(op, 1, members, 2,
+        (E, c) for E in elements_within(op, 1, members, 2,
                                             lambda h: tuple(x.n for x in ends(h)), 2)
-        if any(lz.class_of(h).rep is not h for h in E.xs)
+        if any(lz.class_of(h) is not h for h in E.xs)
         for c in lz.hom(*ends(adjoint.hat_xi1(op, M, E)))
         if c != lz.class_of(adjoint.hat_xi1(op, M, E)))
     inner = adjoint.hat_xi1
@@ -775,3 +776,69 @@ def test_coeq_fork_witnesses_a_section_that_moves_a_morphism(monkeypatch):
         (k.phi, inner(M_, phi, taus)[1]) if phi == h.phi else inner(M_, phi, taus)))
     rep = validate_coeq_fork(M, a, a)
     assert rep["failures"] == [("identity data is not a common section", h)]
+
+
+# ---------------------------------------------------------------------------
+# malformed provisional data, refused as a StructuralError
+
+def composable_pair(M, pred):
+    """The first (f, g) of L(M)'s bound-2 walk with f after g defined and pred(f, g)."""
+    walk = L(M).morphisms_upto(2)
+    return next((f, g) for _, b, g in walk for b2, _, f in walk
+                if b2 == b and pred(f, g))
+
+
+def other_orbit(op, lst):
+    """lst with its datum moved to another orbit of its level."""
+    return canonicalize(op, 0, lst.n, next(
+        d for d in op.elements(0, lst.n)
+        if opmonad.align_sigma(op, 0, lst.n, d, lst.d) is None), lst.xs)
+
+
+@pytest.mark.parametrize("make, pred, plant, message", [
+    # over ASS x BE(2) the binary level has two orbits of data
+    (lambda: terminal_multicat(ass_x_be(2)), lambda f, g: g.phi.n == 2,
+     other_orbit, "regrouping failed: flat list off the orbit"),
+    # over U(z2) the two multimorphisms of g have different targets
+    (lambda: underlying(z2_discrete_algebra(BE3), 2),
+     lambda f, g: g.phi.n == 2 and g.phi.xs[0][0] != g.phi.xs[1][0],
+     lambda op, lst: canonicalize(op, 0, lst.n, lst.d, lst.xs[::-1]),
+     "regrouping failed: targets disagree"),
+], ids=["off-the-orbit", "targets-disagree"])
+def test_a_planted_interchange_fault_is_refused(monkeypatch, make, pred, plant,
+                                                message):
+    # the interchange lift returns a list that does not regroup under f's
+    # list: a StructuralError, and nothing is memoized
+    M = make()
+    op = M.operad
+    f, g = composable_pair(M, pred)
+    monkeypatch.setattr(adjoint, "chi", lambda *args: (
+        plant(op, chi(*args)[0]), chi(*args)[1]))
+    with pytest.raises(StructuralError, match=message):
+        hat_compose(op, M, f, g)
+    assert not M.lifts and not M.regroupings
+    monkeypatch.undo()
+    assert hat_compose(op, M, f, g) in L(M).hom_hat(L(M).src(g), L(M).tgt(f))
+
+
+def test_a_morphism_outside_its_hom_set_is_refused():
+    # binary lists with ternary data: make_hat refuses the pair, and L finds
+    # no class for it, while the provisional construction has no relation
+    op, lz = BE3, L(terminal_multicat(BE3))
+    h2 = lz.hom_hat(obj(op, lz.M, 2), obj(op, lz.M, 1))[0]
+    h3 = lz.hom_hat(obj(op, lz.M, 3), obj(op, lz.M, 1))[0]
+    bad = HatMorphism(h2.phi, h3.sigma)
+    with pytest.raises(StructuralError, match="hat morphism condition fails"):
+        make_hat(op, lz.M, bad.phi, bad.sigma)
+    with pytest.raises(StructuralError,
+                       match="morphism missing from its hom-set closure"):
+        lz.members(bad)
+    assert hat_L(lz.M).members(bad) == (bad,)
+
+
+def test_hat_parts_of_the_wrong_level_are_refused():
+    h = L(MB).hom_hat(obj(BE, MB, 2), obj(BE, MB, 1))[0]
+    for phi, sigma in ((h.sigma, h.phi), (h.phi, h.phi), (h.sigma, h.sigma)):
+        with pytest.raises(StructuralError, match=r"needs \(object-level, "
+                                                  r"morphism-level\) parts"):
+            make_hat(BE, MB, phi, sigma)

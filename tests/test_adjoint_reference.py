@@ -37,7 +37,7 @@ def reference_counit_report(A, bound=2):
             for cls in LU.hom(a, b):
                 classes_seen += 1
                 try:
-                    values = {counit_hat(A, m) for m in cls.members}
+                    values = {counit_hat(A, m) for m in LU.members(cls)}
                 except BoundExceeded:
                     bounded += 1
                     continue
@@ -98,7 +98,7 @@ def reference_check_triangles(M, A, bound=2):
     for w in UA.morphisms:
         try:
             cls, units = unit_map(LUA, w)
-            back = (counit_hat(A, cls.rep), map_elem(UA.operad, A.xi0, units))
+            back = (counit_hat(A, cls), map_elem(UA.operad, A.xi0, units))
             if back != w:
                 fail_U.append(("round trip moves a multimorphism", w, back))
         except BoundExceeded:
@@ -112,9 +112,8 @@ def reference_check_triangles(M, A, bound=2):
         for b in objs:
             for cls in LM.hom(a, b):
                 try:
-                    rep = cls.rep
-                    phi2 = map_elem(op, lambda g: unit_map(LM, g), rep.phi)
-                    hat2 = HatMorphism(phi2, map_elem(op, e0, rep.sigma))
+                    phi2 = map_elem(op, lambda g: unit_map(LM, g), cls.phi)
+                    hat2 = HatMorphism(phi2, map_elem(op, e0, cls.sigma))
                     if counit_hat(LM, hat2) != cls:
                         fail_L.append(("round trip moves a class", cls))
                 except BoundExceeded:
@@ -140,15 +139,15 @@ def reference_descent_report(M, bound=2):
                     for cg in lz.hom(a, b):
                         expected = lz.compose(cf, cg)
                         pairs += 1
-                        for f in cf.members:
-                            for g in cg.members:
+                        for f in lz.members(cf):
+                            for g in lz.members(cg):
                                 got = lz.class_of(hat_compose(op, M, f, g))
                                 if got != expected:
                                     failures.append(
                                         ("composite depends on members",
                                          (cf, cg, f, g)))
     members = tuple(h for a in objs for b in objs
-                    for cls in lz.hom(a, b) for h in cls.members)
+                    for cls in lz.hom(a, b) for h in lz.members(cls))
     acted = 0
     for E in elements_within(
             op, 1, members, 2,

@@ -701,6 +701,38 @@ def test_cli_unusable_input_exits_2(argv, message, tmp_path, capsys, monkeypatch
     assert message in capsys.readouterr().err
 
 
+def one_object_classical(label):
+    """A classical multicategory file whose one object is the JSON token label."""
+    x, f = "@x@", ["id", "@x@"]
+    doc = {"kind": "classical_multicat", "symmetric": True, "objects": [x],
+           "morphisms": [f], "src": [[f, [x]]], "tgt": [[f, x]],
+           "ident": [[x, f]], "comp": [[f, [f], f]], "act": [[f, [1], f]]}
+    return json.dumps(doc).replace('"@x@"', label)
+
+
+def tabulated_operad_file(max_level):
+    """ASS(2) as explicit tables, with the JSON token max_level."""
+    base = associativity_operad(2)
+    doc = jsonio.encode_operad(tabulated_operad(
+        "word2", 2, base.levels, base.unit, *operad_tables(base)))
+    return json.dumps({**doc, "max_level": "@n@"}).replace('"@n@"', max_level)
+
+
+@pytest.mark.parametrize("command, text, token", [
+    ("multicat", one_object_classical("1.5"), "1.5"),
+    ("multicat", one_object_classical("NaN"), "NaN"),
+    ("operad", tabulated_operad_file("1.0"), "1.0"),
+], ids=["float-label", "nan-label", "float-max-level"])
+def test_cli_non_integer_number_exits_2(command, text, token, tmp_path, capsys):
+    # a float label crashed the canonical order (exit 4), NaN != NaN failed
+    # the identity law (exit 1), a float level count crashed range (exit 4)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, rep = run(["validate", command, str(path)], tmp_path)
+    assert code == 2 and rep is None
+    assert f"JSON number {token} is not an integer" in capsys.readouterr().err
+
+
 def test_cli_algebra_file_past_its_bound_exits_3(tmp_path):
     # the file tabulates the action up to arity 2; arity 3 is bounded, not failed
     path = tmp_path / "z2.json"

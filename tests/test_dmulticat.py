@@ -623,10 +623,11 @@ def test_free_hom_sets_come_out_in_canon_key_order(name):
                 assert h.phi is op.elems[(0, h.phi.d, h.phi.xs)]
                 assert h.sigma is op.elems[(1, h.sigma.d, h.sigma.xs)]
             classes = lz.hom(a, b)
-            assert list(classes) == sorted(classes, key=lambda c: canon_key(c.rep))
+            assert list(classes) == sorted(classes, key=canon_key)
             for cls in classes:
-                assert cls.members == tuple(sorted(cls.members, key=canon_key))
-                assert cls.rep == min(cls.members, key=canon_key)
+                members = lz.members(cls)
+                assert members == tuple(sorted(members, key=canon_key))
+                assert cls is members[0] == min(members, key=canon_key)
 
 
 @pytest.mark.parametrize("A, bound", [

@@ -47,6 +47,8 @@ def test_block_perm_frozen_example():
     assert block_perm(SWAP, (2, 1)).images == (2, 3, 1)
     assert block_sum([SWAP, SWAP]).images == (2, 1, 4, 3)
     assert block_perm(identity_perm(3), (1, 1, 1)).is_identity
+    with pytest.raises(StructuralError, match="block_perm: arity mismatch"):
+        block_perm(SWAP, (1, 1, 1))
 
 
 sizes_st = st.lists(st.integers(0, 3), min_size=1, max_size=4)
@@ -123,6 +125,14 @@ def test_pullback_frozen_example():
     assert set(P) == {("b", "a"), ("b", "b")}
     ok, witness = is_pullback(P, p1, p2, f, g)
     assert ok, witness
+    # a stray point, a doubled point and a missing point, each over the cospan
+    stray, double = finset([*P, ("a", "a")]), finset([*P, ("b", "b", 2)])
+    for Q, witness in (
+            (stray, ("square does not commute", ("a", "a"))),
+            (double, ("lift not unique", ("b", "b"))),
+            (finset([("b", "a")]), ("lift missing", ("b", "b")))):
+        q1, q2 = fn(Q, A, lambda w: w[0]), fn(Q, A, lambda w: w[1])
+        assert is_pullback(Q, q1, q2, f, g) == (False, witness)
 
 
 small_fn_pair = st.tuples(st.integers(1, 4), st.integers(1, 4), st.data())
@@ -245,6 +255,17 @@ def test_group_action_law_enforced():
     bad = {(G[0], "x"): "x", (G[0], "y"): "y", (G[1], "x"): "x", (G[1], "y"): "x"}
     with pytest.raises(StructuralError):
         GroupAction(G, ("x", "y"), bad)
+    # the identity swapping the two points, and the regular action of Sym(3)
+    # read on a set of permutations that is not a group
+    swapped = {(s, x): x if s == SWAP else "xy".replace(x, "") for s in G for x in "xy"}
+    S3, cycle = perms(3), Perm((2, 3, 1))
+    regular = {(s, p): s.compose(p) for s in S3 for p in S3}
+    for group, carrier, table, failure in (
+            (G, ("x", "y"), swapped, "identity moves 'x'"),
+            ((cycle, cycle.compose(cycle)), S3, regular, "identity missing from group"),
+            ((identity_perm(3), cycle), S3, regular, "group not closed under")):
+        with pytest.raises(StructuralError, match=f"invalid group action: {failure}"):
+            GroupAction(group, carrier, table)
 
 
 def test_orbit_quotient_of_two_regular_orbits():

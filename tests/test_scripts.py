@@ -33,3 +33,23 @@ def test_unit_defect_demo():
     out = run_script("unit_defect_demo.py", "--truncate", "3")
     symmetric = out.split("associativity:")[0]
     assert "identified by the quotient: True" in symmetric
+
+
+def test_unreached_lists_the_statements_a_run_never_reaches(tmp_path):
+    # one passing and one failing test: the failure does not stop the listing
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("from gmcat.finset import canon_key\n\n"
+                     "def test_none():\n    assert canon_key(None) == (0,)\n\n"
+                     "def test_fails():\n    assert canon_key(1) == (0,)\n")
+    out = run_script("unreached.py", str(probe))
+    assert "pytest exit code 1 under tracing" in out
+    listed = out.split("under tracing")[1]
+    # canon_key returned at None and at an int, and nothing else ran
+    finset = {line.split(": ", 1)[1] for line in listed.splitlines()
+              if line.startswith("  finset.py:")}
+    assert "return (3, x)" in finset
+    assert not {"return (0,)", "return (2, x)"} & finset
+    adjoint = next(line for line in listed.splitlines() if line.startswith("adjoint:"))
+    missed, _, of = adjoint.split()[1:4]
+    assert missed == of != "0"
+    assert listed.rstrip().endswith("statements unreached")
