@@ -230,7 +230,8 @@ def kappa(A, n):
 
 
 def kappa_report(A, bound=3):
-    """The inductive squares tying the comparison maps to the nerve."""
+    """The inductive squares tying the comparison maps to the nerve; two hold
+    by construction: k2(w) starts with k1(w[0]), and k3(w) with k2(w[0])."""
     op, C = A.operad, A.carrier
     U = underlying(A, bound)
     k1, k2, k3 = kappa(A, 1), kappa(A, 2), kappa(A, 3)
@@ -240,8 +241,6 @@ def kappa_report(A, bound=3):
         g1, g2 = k2(w)
         if C.src[g1] != C.tgt[g2]:
             failures.append(("comparison chain not composable", w))
-        if C.tgt[g1] != C.tgt[k1(w[0])]:
-            failures.append(("target square fails", w))
         if C.src[g2] != A.xi0(mu(op, map_elem(op, U.src.get, w[1]))):
             failures.append(("source/action square fails", w))
         if k1(U.composition[w]) != C.comp[(g1, g2)]:
@@ -255,8 +254,6 @@ def kappa_report(A, bound=3):
         g1, g2, g3 = k3(w)
         if C.src[g2] != C.tgt[g3]:
             failures.append(("triple chain not composable", w))
-        if (g1, g2) != k2(w[0]):
-            failures.append(("triple chain restriction fails", w))
         if k2(gamma_T(U, w)) != (C.comp[(g1, g2)], g3):
             failures.append(("outer-first face fails", w))
         if k2(gamma_S(U, w)) != (g1, C.comp[(g2, g3)]):

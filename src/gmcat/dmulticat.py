@@ -238,15 +238,14 @@ def validate_multicat(M, coherence_budget=2000, seed=0):
 
 def _coherence_triples(M, budget, seed):
     """Pairs from M2 with one action morphism chosen per source slot, among
-    the action entries M has (validate_presheaf reports the missing ones)."""
+    the action entries M has (validate_presheaf reports the missing ones).
+    validate_multicat calls this only when every pair has a composite."""
     op = M.operad
     deltas_at = fibres(all_elements(op, 1, M.objects, M.cap), lambda d: T_D(op, d))
     acting = {g: [t for t in deltas_at.get(M.src[g], ()) if (g, t) in M.source_action]
               for g in M.morphisms}
     combos = []
     for f, Phi in enumerate_M2(M):
-        if (f, Phi) not in M.composition:
-            continue
         slots = [acting[g] for g in Phi.xs]
         if any(not s for s in slots):
             continue

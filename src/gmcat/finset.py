@@ -312,8 +312,14 @@ class GroupAction:
                 if s.compose(t) not in gset:
                     failures.append(f"group not closed under {s}, {t}")
                     break
+        carrier = set(self.carrier)
+        failures += [f"{s} sends {x!r} to no point of the carrier"
+                     for s in self.group for x in self.carrier
+                     if (s, x) not in self.table or self.table[(s, x)] not in carrier]
+        if failures:  # the laws below read the table at every product and image
+            return {"ok": False, "failures": failures}
         for x in self.carrier:
-            if ident is not None and self.act(ident, x) != x:
+            if self.act(ident, x) != x:
                 failures.append(f"identity moves {x!r}")
         for s in self.group:
             for t in self.group:

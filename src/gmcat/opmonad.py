@@ -12,10 +12,10 @@ default to the discrete carrier, whose labels pass unchanged: {D0 X, D1 X}
 over a label set X is D of the discrete category on X, with gamma_D its
 memoized composite. Composition (so DC and its validators) and chi realign
 arrangements and demand freeness; S_D, T_D, I_D and the plain monad
-structure (eta, mu, map_elem) work for any operad. Multicategories require
-a free operad when they are built, so the free constructions build their
-elements directly: with d least in its orbit, [d; xs] is canonical for
-every xs.
+structure (eta, mu, map_elem) work for any operad. One generator,
+`_elements`, enumerates every D_j over a label set: over a free operad,
+[d; xs] with d least in its orbit is canonical for every xs, so it builds
+elements directly; over any other operad it canonicalizes and sorts.
 
 The memos live on the operad. Orbit data is memoized per element:
 `op.orbits[(j, n, d)]` is ({d.sigma: sigma}, least d.sigma, every sigma
@@ -24,8 +24,9 @@ action has exactly one such sigma; otherwise canonicalize takes the least
 relabelling over all of them, so one canonical form serves every operad.
 "Least" is canon_key order, read off positions: category() stores every
 level in that order, and `op.ranks[(j, n)]` is {x: position in level n}.
-Only a translate outside its level, which an invalid tabulated operad can
-produce, sends the choice back to canon_key, with the same result.
+The orbit table alone decides a canonical element. It reads the ranks
+first, so an arity past the truncation raises BoundExceeded, and it
+refuses a translate outside its level (an invalid tabulated action).
 `op.elems[(j, d, xs)]` is the canonical element, `op.nested` holds
 nested_elements results, `op.composites` the composite of each shape
 that mu_raw flattens and `op.data_composites` the composite gamma_D(E, E2)
@@ -48,7 +49,7 @@ from functools import cache, partial
 from itertools import product
 from operator import itemgetter
 
-from .errors import BoundExceeded, FreenessError, StructuralError
+from .errors import FreenessError, StructuralError
 from .fincat import (category, is_source_cover, is_target_cover,
                      validate_category)
 from .finset import (canon_key, fibre_product, lifts_over, perms,
@@ -93,12 +94,12 @@ def _require_free(op, what):
 
 
 def _rank(op, j, n):
-    """Position in level n, whose elements category() stores in canon_key
-    order: {x: position}, read through __getitem__."""
+    """{x: position in level n}, whose elements category() stores in
+    canon_key order."""
     ranks = op.ranks.get((j, n))
     if ranks is None:
         ranks = op.ranks[(j, n)] = {x: i for i, x in enumerate(op.elements(j, n))}
-    return ranks.__getitem__
+    return ranks
 
 
 def _orbit(op, j, n, d):
@@ -107,12 +108,14 @@ def _orbit(op, j, n, d):
     key = (j, n, d)
     hit = op.orbits.get(key)
     if hit is None:
+        rank = _rank(op, j, n)
         pairs = [(op.act(j, n, s, d), s) for s in perms(n)]
+        for t, s in pairs:
+            if t not in rank:
+                raise StructuralError(f"the action of {s.images} sends {d!r} "
+                                      f"outside level {n}: {t!r}")
         translates = dict(pairs)
-        try:
-            least = min(translates, key=_rank(op, j, n))
-        except KeyError:  # a translate outside the level: an invalid table
-            least = min(translates, key=canon_key)
+        least = min(translates, key=rank.__getitem__)
         hit = op.orbits[key] = (translates, least,
                                 tuple(s for t, s in pairs if t == least))
     return hit
@@ -125,8 +128,6 @@ def align_sigma(op, j, n, d_from, d_to):
 
 
 def canonicalize(op, j, n, d, xs):
-    if n > op.max_level:
-        raise BoundExceeded(f"arity {n} exceeds truncation {op.max_level}")
     key = (j, d, xs)
     hit = op.elems.get(key)
     if hit is None:
@@ -239,43 +240,45 @@ def gamma_D(op, E, E2):
 def _least_translates(op, j, n):
     """The least member of every level-n orbit, sorted."""
     leasts = {_orbit(op, j, n, d)[1] for d in op.elements(j, n)}
-    try:
-        return tuple(sorted(leasts, key=_rank(op, j, n)))
-    except KeyError:  # a least translate outside the level: an invalid table
-        return sort_labels(leasts)
+    return tuple(sorted(leasts, key=_rank(op, j, n).__getitem__))
+
+
+def _elements(op, j, labels, arities, weight=None, budget=None):
+    """(element, weight sums) for every canonical element over labels, arity
+    by arity: [d; xs] for d least in its orbit (sorted), xs in product order
+    (with a weight, only those within budget: finset.product_within). That
+    is canon_key order when labels are in it. Over a non-free operad
+    canonicalize merges permuted tuples, whose weights agree, then each
+    arity is sorted."""
+    free = op.is_free
+    for n in arities:
+        rows = ([(xs, ()) for xs in product(labels, repeat=n)] if weight is None
+                else product_within([labels] * n, weight, budget))
+        leasts = _least_translates(op, j, n)
+        if free:
+            yield from ((MonadElem(j, n, d, xs), ws) for d in leasts for xs, ws in rows)
+            continue
+        merged = {canonicalize(op, j, n, d, xs): ws for d in leasts for xs, ws in rows}
+        yield from sorted(merged.items(), key=lambda ew: canon_key(ew[0]))
 
 
 def elements_of(op, j, labels, n):
-    """All canonical elements of arity n over the given labels. The free path
-    emits [d; xs] for d least (sorted) and xs in product order, so it is in
-    canon_key order by construction when labels are; the other path sorts."""
-    labels = tuple(labels)
-    if op.is_free:
-        return tuple(MonadElem(j, n, d, xs) for d in _least_translates(op, j, n)
-                     for xs in product(labels, repeat=n))
-    seen = {canonicalize(op, j, n, d, xs)
-            for d in op.elements(j, n) for xs in product(labels, repeat=n)}
-    return tuple(sorted(seen, key=canon_key))
+    """All canonical elements of arity n over the given labels (_elements)."""
+    return tuple(e for e, _ in _elements(op, j, tuple(labels), (n,)))
 
 
 def all_elements(op, j, labels, bound):
-    out = []
-    for n in range(min(bound, op.max_level) + 1):
-        out.extend(elements_of(op, j, labels, n))
-    return tuple(out)
+    return tuple(e for e, _ in _elements(op, j, tuple(labels),
+                                         range(min(bound, op.max_level) + 1)))
 
 
 def elements_within(op, j, labels, bound, weight, budget):
     """all_elements(op, j, labels, bound) restricted to the elements whose
     label weights sum within budget (finset.product_within), in the same
-    order; free operads only."""
-    _require_free(op, "weight-bounded enumeration")
-    out = []
-    for n in range(min(bound, op.max_level) + 1):
-        rows = product_within([labels] * n, weight, budget)
-        out.extend(MonadElem(j, n, d, xs)
-                   for d in _least_translates(op, j, n) for xs, _ in rows)
-    return tuple(out)
+    order."""
+    return tuple(e for e, _ in _elements(op, j, tuple(labels),
+                                         range(min(bound, op.max_level) + 1),
+                                         weight, budget))
 
 
 def nested_elements(op, j, labels, layers, budget):
@@ -283,11 +286,8 @@ def nested_elements(op, j, labels, layers, budget):
 
     Returns (elem, weights) pairs where weights[t] is the arity of the t-th
     flattening (weights[0] = top arity, last = leaf count). Layer 1 is
-    all_elements; every layer above it is in canon_key order. Over a free
-    operad that order is the order of construction: k ascending, d least in
-    its orbit (sorted), then the inner elements in product order over the
-    sorted layer below. [d; xs] with d least is canonical, so nothing is
-    canonicalized, deduplicated or sorted afterwards.
+    all_elements; every layer above it is in canon_key order, built over
+    the sorted layer below (_elements).
     """
     labels = tuple(labels)
     memo_key = (j, labels, layers, budget)
@@ -297,24 +297,15 @@ def nested_elements(op, j, labels, layers, budget):
     cap = min(budget, op.max_level)
     if layers == 1:
         out = tuple((e, (e.n,)) for e in all_elements(op, j, labels, cap))
-        op.nested[memo_key] = out
-        return out
-    inner = dict(nested_elements(op, j, labels, layers - 1, budget))
-    free = op.is_free
-    # layers >= 2 of a free operad come out sorted; the label layer may not
-    ordered = sort_labels(inner) if free and layers == 2 else tuple(inner)
-    out = []
-    for k in range(cap + 1):
-        rows = product_within([ordered] * k, inner.__getitem__, cap)
-        for d in _least_translates(op, j, k):
-            for xs, ws in rows:
-                e = MonadElem(j, k, d, xs) if free else canonicalize(op, j, k, d, xs)
-                # the empty product has no weights
-                out.append((e, (k,) + (ws or (0,) * (layers - 1))))
-    if not free:  # canonicalize merges permuted tuples, whose weights agree
-        out = sorted(dict(out).items(), key=lambda ew: canon_key(ew[0]))
-    result = op.nested[memo_key] = tuple(out)
-    return result
+    else:
+        inner = dict(nested_elements(op, j, labels, layers - 1, budget))
+        # layers >= 2 come out sorted; the label layer may not
+        ordered = sort_labels(inner) if layers == 2 else tuple(inner)
+        # the empty product has no weights
+        out = tuple((e, (e.n,) + (ws or (0,) * (layers - 1))) for e, ws in
+                    _elements(op, j, ordered, range(cap + 1), inner.__getitem__, cap))
+    op.nested[memo_key] = out
+    return out
 
 
 def monad_set_category(op, labels, bound):
@@ -412,6 +403,8 @@ def validate_monad_category(op, labels, bound):
     for X2, _ in nested_elements(op, 0, labels, 2, bound):
         if I_D(op, mu(op, X2)) != mu(op, I_D(op, X2, ident)):
             failures.append(("mu breaks I_D", X2))
+    if failures:  # the law below composes flattened pairs, so rests on these
+        return {"ok": False, "failures": failures}
     # mu is functorial: flattening a composite of nested morphisms, over
     # the pairs whose endpoints meet
     for E, E2 in fibre_product(nested2, lambda E: S_D(op, E, src),

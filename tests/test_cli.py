@@ -456,7 +456,41 @@ def test_cli_operad_table_defect_exits_1(edit, tmp_path):
     assert rep["checks"][0]["witnesses"] == [witness]
 
 
-@pytest.mark.parametrize("table, row", [("xi0", 0), ("xi0", -1), ("xi1", 0), ("xi1", -1)],
+@pytest.mark.parametrize("command", [
+    ["validate", "algebra", "z2"], ["validate", "algebra", "terminal"],
+    ["validate", "algebra", "free"], ["underlying", "z2"],
+    ["free", "terminal", "--hom", "2", "2"],
+    ["validate", "multicat", "pairing.json"],
+    ["check-adjunction", "terminal", "z2"],
+], ids=["validate-algebra-z2", "validate-algebra-terminal",
+        "validate-algebra-free", "underlying-z2", "free-terminal",
+        "validate-multicat-pairing", "check-adjunction"])
+def test_cli_action_leaving_its_level_exits_2(command, tmp_path, capsys,
+                                              monkeypatch):
+    # each command reads the orbit table before anything else of the
+    # operad's monad, so each is refused (exit 2) for the translate itself
+    base = barratt_eccles(2)
+    act_table, comp_table = operad_tables(base)
+    act_table[(0, 2, (2, 1), (1, 2))] = (0, 0)
+    jsonio.save(jsonio.encode_operad(tabulated_operad(
+        "be2_fault", 2, base.levels, base.unit, act_table, comp_table)),
+        tmp_path / "bad.json")
+    jsonio.save(jsonio.encode_classical(pairing_classical(), True),
+                tmp_path / "pairing.json")
+    monkeypatch.chdir(tmp_path)
+    code, rep = run([*command, "--operad", "bad.json", "--truncate", "2",
+                     "--bound", "2"], tmp_path)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == ("error: the action of (2, 1) sends "
+                                       "(1, 2) outside level 2: (0, 0)\n")
+    # validate operad reads the table itself and reports the entry
+    code, rep = run(["validate", "operad", "bad.json"], tmp_path)
+    assert code == 1
+    assert rep["checks"][0]["witnesses"] == [
+        ["action value outside the level", [2, 0, [2, 1], [1, 2]]]]
+
+
+@pytest.mark.parametrize("table, row",[("xi0", 0), ("xi0", -1), ("xi1", 0), ("xi1", -1)],
                          ids=["xi0_first", "xi0_last", "xi1_first", "xi1_last"])
 def test_cli_algebra_value_outside_carrier_exits_1(table, row, tmp_path):
     # the carrier's tables are read at every action value: one that is not a

@@ -19,6 +19,7 @@ from gmcat.opmonad import eta, melem, mu
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
+ASS2 = associativity_operad(2)
 
 
 def test_z2_algebra_valid():
@@ -171,6 +172,62 @@ def test_kappa_report_catches_a_wrong_composite():
     rep = kappa_report(A, bound=2)
     assert not rep["ok"]
     assert ("comparison misses the composite", w) in rep["failures"]
+
+
+# the poset a < b as a category, acting on itself by max
+ARROW = {("a", "a"): "ia", ("b", "b"): "ib", ("a", "b"): "f"}
+ARROW_SRC = {m: s for (s, _), m in ARROW.items()}
+ARROW_TGT = {m: t for (_, t), m in ARROW.items()}
+
+
+def max_algebra(op, fault=None):
+    """max on a < b, lawful; a fault moves what xi1 returns. Its carrier
+    then composes every pair (a non-composable one to its left factor), so
+    the underlying multicategory still builds."""
+    comp = {(g, h): ARROW[(ARROW_SRC[h], ARROW_TGT[g])] for g in ARROW.values()
+            for h in ARROW.values() if ARROW_SRC[g] == ARROW_TGT[h]}
+    if fault is not None:
+        comp = {(g, h): comp.get((g, h), g) for g in ARROW.values()
+                for h in ARROW.values()}
+    top = lambda xs: max(xs, default="a")
+
+    def xi1(e):
+        s = top(ARROW_SRC[h] for h in e.xs)
+        t = top(ARROW_TGT[h] for h in e.xs)
+        if fault == "unit moves a morphism" and e.n == 1:
+            t = s
+        elif fault == "target moved" and e.n >= 2:
+            t = s
+        elif fault == "source moved" and e.n >= 2:
+            s = t
+        return ARROW[(s, t)]
+
+    C = category("ab", ARROW.values(), ARROW_SRC, ARROW_TGT,
+                 {"a": "ia", "b": "ib"}, comp)
+    return DAlgebra(op, C, lambda e: top(e.xs), xi1)
+
+
+def test_kappa_squares_of_the_max_algebra():
+    A = max_algebra(ASS2)
+    assert validate_algebra(A, 2)["ok"]
+    rep = kappa_report(A, bound=2)
+    assert rep["ok"] and (rep["m2"], rep["m3"]) == (66, 448)
+
+
+@pytest.mark.parametrize("fault, kinds", [
+    ("unit moves a morphism", {"comparison breaks the unit section",
+                               "comparison chain not composable",
+                               "triple chain not composable",
+                               "inner-first face fails"}),
+    ("target moved", {"comparison chain not composable",
+                      "triple chain not composable", "inner-first face fails"}),
+    ("source moved", {"source/action square fails",
+                      "triple chain not composable", "inner-first face fails"}),
+])
+def test_kappa_report_witnesses_a_planted_action_fault(fault, kinds):
+    rep = kappa_report(max_algebra(ASS2, fault), bound=2)
+    assert not rep["ok"]
+    assert {kind for kind, _ in rep["failures"]} == kinds
 
 
 def test_unit_laws_of_action():

@@ -241,6 +241,27 @@ def test_planted_identity_and_action_faults_are_witnessed():
     assert ("source action moved a target", key) in rep["failures"]
 
 
+def test_a_slot_without_action_entries_is_left_to_the_presheaf_check():
+    # terminal BE(3) without the identity action entry of ('t', 1): the
+    # presheaf check reports it, and the inner interchange skips every pair
+    # with a ('t', 1) slot instead of reading the missing entry
+    M = terminal_multicat(barratt_eccles(3))
+    assert validate_multicat(M)["coherence_checked"] == 79
+    key = (("t", 1), I_D(M.operad, M.src[("t", 1)]))
+    actions = {k: g for k, g in M.source_action.items() if k != key}
+    assert len(actions) == len(M.source_action) - 1
+    M = replace(M, source_action=actions)
+    rep = validate_multicat(M)
+    assert rep["coherence_checked"] == 52
+    assert rep["failures"][0] == ("source action: action domain mismatch", key)
+    assert "action does not interchange with composition" not in {
+        kind for kind, _ in rep["failures"]}
+    # a sample draws among the pairs whose every slot has an action entry
+    sampled = _coherence_triples(M, 20, seed=7)
+    assert len(sampled) == 20
+    assert set(sampled) <= set(_coherence_triples(M, 2000, seed=0))
+
+
 def test_corrupted_equivariance_is_rejected():
     cm = pairing_classical()
     bad = dict(cm.comp)

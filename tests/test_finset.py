@@ -260,10 +260,21 @@ def test_group_action_law_enforced():
     swapped = {(s, x): x if s == SWAP else "xy".replace(x, "") for s in G for x in "xy"}
     S3, cycle = perms(3), Perm((2, 3, 1))
     regular = {(s, p): s.compose(p) for s in S3 for p in S3}
+    # a table with rows for the given permutations alone has no entry at the
+    # missing identity or product: reported, not looked up
+    rows_of = lambda group: {(s, p): s.compose(p) for s in group for p in S3}
+    not_closed = (identity_perm(3), Perm((1, 3, 2)), cycle)
     for group, carrier, table, failure in (
             (G, ("x", "y"), swapped, "identity moves 'x'"),
             ((cycle, cycle.compose(cycle)), S3, regular, "identity missing from group"),
-            ((identity_perm(3), cycle), S3, regular, "group not closed under")):
+            ((identity_perm(3), cycle), S3, regular, "group not closed under"),
+            ((SWAP,), ("x", "y"), {(SWAP, "x"): "y", (SWAP, "y"): "x"},
+             "identity missing from group"),
+            (not_closed, S3, rows_of(not_closed), "group not closed under"),
+            (G, ("x", "y"), {**swapped, (SWAP, "y"): "z"},
+             r"Perm\(2, 1\) sends 'y' to no point of the carrier"),
+            (G, ("x", "y", "z"), swapped,
+             r"Perm\(1, 2\) sends 'z' to no point of the carrier")):
         with pytest.raises(StructuralError, match=f"invalid group action: {failure}"):
             GroupAction(group, carrier, table)
 

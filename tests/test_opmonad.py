@@ -14,26 +14,27 @@ from hypothesis import strategies as st
 
 import gmcat.opmonad
 from gmcat import jsonio
-from gmcat.catoperad import (associativity_operad, barratt_eccles,
+from gmcat.catoperad import (CatOperad, associativity_operad, barratt_eccles,
                              commutative_operad, operad_tables,
                              tabulated_operad)
 from gmcat.dmulticat import fillings, terminal_multicat
 from gmcat.errors import BoundExceeded, FreenessError, StructuralError
 from gmcat.dalgebra import free_algebra, validate_algebra, z2_discrete_algebra
-from gmcat.fincat import (CatFunctor, discrete_category, is_target_cover,
-                          terminal_category, validate_category,
-                          validate_functor)
+from gmcat.fincat import (CatFunctor, category, discrete_category,
+                          is_target_cover, terminal_category,
+                          validate_category, validate_functor)
 from gmcat.finset import (Perm, canon_key, fibre_product, fibres, perms,
                           product_within, sort_labels)
 from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            canonicalize, check_cartesian,
                            check_preserves_cover, chi,
                            elements_of, elements_within, eta, gamma_D,
-                           map_elem, melem, monad_category, mu,
-                           nested_elements,
+                           map_elem, melem, monad_category,
+                           monad_set_category, mu, nested_elements,
                            validate_monad_category, validate_monad_laws)
 from gmcat.opmonad import _least_translates, _orbit, _random_sets
 from product_operad import product_operad
+from test_catoperad import corrupted_compose
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -131,6 +132,72 @@ def test_monad_laws_morphisms():
 
 def test_monad_laws_need_no_freeness():
     assert validate_monad_laws(COMM, 0, ("x", "y"), 3)["ok"]
+
+
+I1, ID2, SW2 = ((1,), (1,)), (1, 2), (2, 1)
+
+
+@pytest.mark.parametrize("key, kinds", [
+    # gamma(unit; (1,2)) moves its one slot
+    ((0, 1, (1,), ((2, ID2),)), {"mu . eta fails", "mu associativity fails"}),
+    # gamma((1,2); unit, unit) moves its two slots
+    ((0, 2, ID2, ((1, (1,)), (1, (1,)))),
+     {"mu . D eta fails", "mu associativity fails"}),
+    # no unit among the slots
+    ((0, 2, ID2, ((2, ID2), (0, ()))), {"mu associativity fails"}),
+], ids=["unit-outer", "unit-inner", "no-unit"])
+def test_a_wrong_composite_breaks_the_monad_laws(key, kinds):
+    op = corrupted_compose(associativity_operad(2), key, SW2)
+    rep = validate_monad_laws(op, 0, ("x", "y"), 2)
+    assert not rep["ok"]
+    assert {f[0] for f in rep["failures"]} == kinds
+
+
+@pytest.mark.parametrize("key, value, kinds", [
+    ((1, 2, (ID2, SW2), ((1, I1), (1, I1))), (SW2, SW2), {"mu breaks S_D"}),
+    ((1, 2, (ID2, SW2), ((1, I1), (1, I1))), (ID2, ID2), {"mu breaks T_D"}),
+    # the composite of identities is no identity
+    ((1, 2, (ID2, ID2), ((1, I1), (1, I1))), (ID2, SW2),
+     {"mu breaks I_D", "mu breaks T_D"}),
+], ids=["source", "target", "identity"])
+def test_a_wrong_morphism_composite_breaks_the_monad_category(key, value, kinds):
+    # the functoriality law composes flattened pairs, so it is not read
+    # once mu breaks a structure map (it would raise, not fail)
+    op = corrupted_compose(barratt_eccles(2), key, value)
+    rep = validate_monad_category(op, ("x", "y"), 2)
+    assert not rep["ok"]
+    assert {f[0] for f in rep["failures"]} == kinds
+
+
+def z3_unit_operad():
+    """Truncation 1, with level 1 the group Z/3 on one object, on which the
+    identity permutation acts by +1 (an invalid action). DX is still a
+    category: its identity is [1; x], so it is not eta = [0; x]."""
+    L1 = category([(1,)], [0, 1, 2], dict.fromkeys(range(3), (1,)),
+                  dict.fromkeys(range(3), (1,)), {(1,): 0},
+                  {(a, b): (a + b) % 3 for a in range(3) for b in range(3)})
+
+    def act(j, n, sigma, x):
+        return (x + 1) % 3 if (j, n) == (1, 1) else x
+
+    def compose(j, k, x, inners):
+        if k == 0:
+            return x
+        (n, y), = inners
+        return y if j == 0 or n == 0 else (x + y) % 3
+
+    return CatOperad("z3_unit", 1, (barratt_eccles(1).levels[0], L1), (1,),
+                     act, compose)
+
+
+def test_an_identity_action_that_moves_the_unit_breaks_eta():
+    op = z3_unit_operad()
+    assert op.is_free
+    assert validate_category(monad_set_category(op, ("x", "y"), 1))["ok"]
+    rep = validate_monad_category(op, ("x", "y"), 1)
+    assert ("I_D does not match eta on morphisms", "x") in rep["failures"]
+    assert {f[0] for f in rep["failures"]} == {
+        "I_D does not match eta on morphisms", "mu breaks I_D"}
 
 
 def test_category_object_laws():
@@ -498,6 +565,17 @@ def test_non_free_nested_elements_keep_the_sorted_path(labels):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize("op", [commutative_operad(3), barratt_eccles(3)],
+                         ids=["COMM(3)", "BE(3)"])
+def test_bounded_elements_are_the_filtered_elements(op):
+    # one enumeration serves both, so a non-free operad needs no demand
+    weight = {"x": (0,), "y": (1,), "z": (2,)}.__getitem__
+    within = elements_within(op, 0, ("x", "y", "z"), 3, weight, 2)
+    assert within == tuple(e for e in all_elements(op, 0, ("x", "y", "z"), 3)
+                           if sum(weight(x)[0] for x in e.xs) <= 2)
+    assert len(set(within)) == len(within) > 0
+
+
 def _draws(seed, squares):
     """check_cartesian's seeded draws: the accepted squares, then the
     naturality functions."""
@@ -812,13 +890,9 @@ def _least_by_canon_key(op, j, n, d):
     return least, tuple(s for t, s in pairs if t == least)
 
 
-ORBIT_TABLES = {**STORED_LEVELS,
-                "BE(2) acting outside a level": _be2_acting_outside_a_level}
-
-
-@pytest.mark.parametrize("name", ORBIT_TABLES)
+@pytest.mark.parametrize("name", STORED_LEVELS)
 def test_orbit_table_least_translates_match_the_canon_key_minimum(name):
-    op = ORBIT_TABLES[name]()
+    op = STORED_LEVELS[name]()
     for n in range(op.max_level + 1):
         for j in (0, 1):
             leasts = set()
@@ -830,7 +904,27 @@ def test_orbit_table_least_translates_match_the_canon_key_minimum(name):
             assert _least_translates(op, j, n) == sort_labels(leasts), (j, n)
 
 
-def test_a_translate_outside_its_level_falls_back_to_canon_key():
+def test_a_translate_outside_its_level_is_refused():
+    # the orbit table decides every canonical element, so each path to one
+    # raises, and nothing is memoized
     op = _be2_acting_outside_a_level()
-    assert _orbit(op, 0, 2, (1, 2))[1] == (0, 0)
-    assert _least_translates(op, 0, 2) == ((0, 0), (1, 2))
+    message = r"the action of \(2, 1\) sends \(1, 2\) outside level 2: \(0, 0\)"
+    for call in (lambda: _orbit(op, 0, 2, (1, 2)),
+                 lambda: _least_translates(op, 0, 2),
+                 lambda: canonicalize(op, 0, 2, (1, 2), ("x", "y")),
+                 lambda: elements_of(op, 0, ("x",), 2)):
+        with pytest.raises(StructuralError, match=message):
+            call()
+    assert (0, 2, (1, 2)) not in op.orbits and not op.elems
+
+
+@pytest.mark.parametrize("make", [lambda: barratt_eccles(3), _be3_table],
+                         ids=["builtin BE(3)", "tabulated BE(3)"])
+def test_canonicalize_past_the_truncation_is_bounded(make):
+    # the level's ranks are read before the action, so a tabulated operad,
+    # whose table has no entry past the truncation, is bounded too
+    op = make()
+    for j, d in ((0, (1, 2, 3, 4)), (1, ((1, 2, 3, 4), (1, 2, 3, 4)))):
+        with pytest.raises(BoundExceeded, match="level 4 outside truncation 3"):
+            canonicalize(op, j, 4, d, ("x",) * 4)
+    assert not op.orbits and not op.elems
