@@ -252,9 +252,9 @@ def validate_operad(op, total_arity=None):
     Each call wraps op.act and op.compose in a functools.cache of its own,
     keyed by the exact arguments (a permutation by its images), and reads the
     group law from one row of morphism images per permutation; none outlives
-    the call, like the flattened elements of opmonad.check_cartesian. A call
-    that raises is not cached, so failures, witnesses and their order are
-    those of evaluating every instance in turn.
+    the call, like the memos of opmonad.check_cartesian. A call that raises
+    is not cached, so failures, witnesses and their order are those of
+    evaluating every instance in turn.
 
     Before the laws, every family they read (`_law_families`) is composed
     once, and a composite outside its level is a failure with the family as

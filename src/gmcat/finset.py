@@ -62,7 +62,8 @@ def fibre_product(A, f, B, g):
 def lifts_over(xs, key, A, f, B, g):
     """(a, b, [the x in xs with key(x) == (a, b)]) for each pair (a, b) of
     fibre_product(A, f, B, g), in its order; xs is indexed first. The loop
-    is fibre_product's, inline: a nested generator costs about 2% of check_cartesian."""
+    is fibre_product's, inline: a nested generator adds about 70 ns a pair,
+    about 2% of check_cartesian over the builtins at truncation 4."""
     over, under = fibres(xs, key), fibres(B, g)
     for a in A:
         for b in under.get(f(a), ()):
@@ -73,13 +74,20 @@ def product_within(slots, weight, budget):
     """The (xs, sums) for the xs in itertools.product(*slots) whose weight
     tuples, summed componentwise, are all at most budget, in product order.
     Weights are non-negative, so a prefix over budget is dropped as it is
-    built; weight runs once per slot entry. The empty product has no
-    weights: it is ((), ())."""
+    built; weight runs once per slot entry, and the entries that fit after
+    a prefix are found once per distinct prefix sum. The empty product has
+    no weights: it is ((), ())."""
     rows = [((), ())]
     for slot in slots:
         weighed = [(x, weight(x)) for x in slot]
-        rows = [(xs + (x,), sums) for xs, acc in rows for x, w in weighed
-                if max(sums := tuple(map(add, acc, w)) if acc else w) <= budget]
+        fits, out = {}, []  # fits: prefix sums -> [(x, sums with x) within budget]
+        for xs, acc in rows:
+            fit = fits.get(acc)
+            if fit is None:
+                fit = fits[acc] = [(x, sums) for x, w in weighed if max(
+                    sums := tuple(map(add, acc, w)) if acc else w) <= budget]
+            out += [(xs + (x,), sums) for x, sums in fit]
+        rows = out
     return rows
 
 

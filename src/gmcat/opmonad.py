@@ -40,13 +40,20 @@ them directly), so equal elements may be distinct objects, and an element
 of a builtin operad equals the one of its tabulated copy.
 
 Cartesianness (D of a pullback, the eta and mu squares) and cover
-preservation are unique-lifting checks, each one lift count (finset.lifts_over).
+preservation are unique-lifting checks, each one lift count
+(finset.lifts_over). Over a free operad whose orbit table gives each entry
+one sigma, check_cartesian keys elements by rows (rank of d, xs), read from
+a table per representative or per shape (_RowKeys): an orbit entry's
+(least, sigma) relabels every xs over it, and one mu_raw call flattens
+every nested element of a shape. Any other operad is keyed by canonical
+elements (_ElementKeys), and so is one with an entry of two sigmas, whose
+relabelling depends on the labels.
 """
 
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 
 from .errors import FreenessError, StructuralError
@@ -428,36 +435,230 @@ def _random_sets(rng):
     return A, B, Z, f, g
 
 
-def _square_preserved(op, j, DA, DB, f, g, P, bound):
-    """D of the pullback square P of f and g is again a pullback: unique joint
-    lifts. DA and DB are the elements over the domains of f and g. Where the
-    projections are not jointly injective, a pair has an ambiguous lift."""
-    first, second = itemgetter(0), itemgetter(1)
-    return [("missing lift" if not ws else "ambiguous lift", (u, v))
-            for u, v, ws in lifts_over(
-                all_elements(op, j, P, bound),
-                lambda w: (map_elem(op, first, w), map_elem(op, second, w)),
-                DA, lambda u: map_elem(op, f.__getitem__, u),
-                DB, lambda v: map_elem(op, g.__getitem__, v))
-            if len(ws) != 1]
+class _LabelDependent(Exception):
+    """An orbit entry with more than one sigma: canonicalize takes the least
+    relabelling, so the canonical form of [d; xs] depends on xs."""
+
+
+def _relabelling(op, j, n, d):
+    """(least, move) with canonicalize(op, j, n, d, xs) = [least; move(xs)]
+    for every xs: move is None for the identity sigma, else an itemgetter of
+    its positions. Raises _LabelDependent where the orbit table gives d more
+    than one sigma."""
+    _, least, sigmas = _orbit(op, j, n, d)
+    if len(sigmas) != 1:
+        raise _LabelDependent
+    s, = sigmas  # other than the identity only for n >= 2: itemgetter gives a tuple
+    return least, None if s.is_identity else itemgetter(*(i - 1 for i in s.images))
+
+
+class _ElementKeys:
+    """check_cartesian's keys over any operad: canonical MonadElems, built
+    and canonicalized one element at a time. DX is the truncated D_j X of
+    each label tuple X as canonical (op.elems) objects, so its lookups meet
+    the very keys map_elem returns; mu flattens each nested element once."""
+
+    def __init__(self, op, j, bound):
+        self.op, self.j, self.bound = op, j, bound
+        self.DX = cache(lambda labels: tuple(
+            canonicalize(op, j, e.n, e.d, e.xs) for e in all_elements(op, j, labels, bound)))
+        self.mu = cache(partial(mu, op))
+
+    def elem(self, e):
+        return e
+
+    nested_elem = elem
+
+    def eta(self, x):
+        return eta(self.op, self.j, x)
+
+    def image(self, fmap):
+        return cache(partial(map_elem, self.op, fmap.__getitem__))
+
+    def pullback(self, P):
+        """D_j P and its key (D first, D second), for lifts_over."""
+        op, first, second = self.op, itemgetter(0), itemgetter(1)
+        return (all_elements(op, self.j, P, self.bound),
+                lambda w: (map_elem(op, first, w), map_elem(op, second, w)))
+
+    def nested(self, labels):
+        return [v for v, _ in nested_elements(self.op, self.j, labels, 2, self.bound)]
+
+    def flattenings(self, labels, Df):
+        """D D_j X and its key (mu, D D f), for lifts_over."""
+        return (self.nested(labels),
+                lambda v: (self.mu(v), map_elem(self.op, Df, v)))
+
+
+class _RowKeys:
+    """_ElementKeys' keys as plain tuples, over a free operad whose orbit
+    table gives every entry the check reads one sigma (_relabelling).
+
+    An element [d; xs] is the row (rank of d in its level, xs): equal rows
+    are equal elements, and a row hashes over ints and labels. A nested
+    element of nested_elements is (rank of d, its inner rows), enumerated in
+    that order from rows alone. Each key comes from a table: the (least,
+    move) of a representative, read once from the orbit table, relabels
+    every xs over it; the flattening of a shape (k, d, ((n_i, d_i), ...)) is
+    the (least, move) of its composite, from one mu_raw call on positional
+    leaves. A MonadElem is built only for a witness or a shape's probe, and
+    op.elems and op.nested gain nothing."""
+
+    def __init__(self, op, j, bound):
+        self.op, self.j = op, j
+        cap = self.cap = min(bound, op.max_level)
+        self.levels = [op.elements(j, n) for n in range(cap + 1)]
+        self.ranks = [_rank(op, j, n) for n in range(cap + 1)]
+        self.leasts = [[rank[d] for d in _least_translates(op, j, n)]
+                       for n, rank in enumerate(self.ranks)]
+        # a unit outside level 1 is no canonical element's
+        self.unit = (_rank(op, j, 1).get(op.unit if j == 0 else op.unit_mor)
+                     if op.max_level else None)
+        self.moves = [[None] * len(level) for level in self.levels]  # _relabelling by rank
+        self.shapes = {}  # (k, rank, ((n_i, rank_i), ...)): its composite's _relabelling
+        self.flat = {}  # nested row: the row of its flattening
+        self.mu = self.flat.__getitem__
+        self.DX = cache(self._DX)
+        self.nested = cache(self._nested)
+        self._blocks = cache(self._nested_blocks)
+
+    def elem(self, row):
+        r, xs = row
+        return MonadElem(self.j, len(xs), self.levels[len(xs)][r], xs)
+
+    def nested_elem(self, row):
+        """The nested element of a row, or of a flattenings entry."""
+        r, inner = row[:2]
+        return MonadElem(self.j, len(inner), self.levels[len(inner)][r],
+                         tuple(map(self.elem, inner)))
+
+    def eta(self, x):
+        return self.unit, (x,)
+
+    def _move(self, n, r):
+        """_relabelling of the rank-r element of level n, its least as a rank."""
+        hit = self.moves[n][r]
+        if hit is None:
+            least, move = _relabelling(self.op, self.j, n, self.levels[n][r])
+            hit = self.moves[n][r] = (self.ranks[n][least], move)
+        return hit
+
+    def _relabelled(self, n, r, tuples):
+        """The canonical rows of [d; xs] for the n-tuples xs, d of rank r."""
+        least, move = self._move(n, r)
+        if move is None:
+            return [(least, xs) for xs in tuples]
+        return [(least, move(xs)) for xs in tuples]
+
+    def _DX(self, labels):
+        return [row for n, leasts in enumerate(self.leasts)
+                for tuples in (list(product(labels, repeat=n)),)
+                for r in leasts for row in self._relabelled(n, r, tuples)]
+
+    def image(self, fmap):
+        f, move = fmap.__getitem__, self._move
+
+        def Df(row):
+            r, xs = row
+            least, mv = move(len(xs), r)
+            ys = tuple(map(f, xs))
+            return least, ys if mv is None else mv(ys)
+        return cache(Df)
+
+    def pullback(self, P):
+        """The (D first, D second) rows of D_j P, each its own key."""
+        firsts, seconds = [p[0] for p in P], [p[1] for p in P]
+        keys = []
+        for n, leasts in enumerate(self.leasts):
+            us, vs = list(product(firsts, repeat=n)), list(product(seconds, repeat=n))
+            for r in leasts:
+                keys += zip(self._relabelled(n, r, us), self._relabelled(n, r, vs))
+        return keys, itemgetter(0, 1)
+
+    def _flatten(self, k, r, shape, leaves):
+        key = (k, r, shape)
+        hit = self.shapes.get(key)
+        if hit is None:
+            probe, start = [], 0
+            for n, ri in shape:
+                probe.append(MonadElem(self.j, n, self.levels[n][ri],
+                                       tuple(range(start, start + n))))
+                start += n
+            n, composed, _ = mu_raw(self.op, self.j, k, self.levels[k][r], probe)
+            least, move = _relabelling(self.op, self.j, n, composed)
+            hit = self.shapes[key] = (self.ranks[n][least], move)
+        least, move = hit
+        return least, leaves if move is None else move(leaves)
+
+    def _nested_blocks(self, labels):
+        """nested_elements(op, j, labels, 2, cap) by arity k: (k, the inner
+        row tuples p, [(rank of d, the flattening rows of [d; each p]) for
+        the least d]); its elements are the (rank, p) in that order."""
+        cap, levels = self.cap, self.levels
+        # the free path of _elements, the canon_key sort of layer 1, then
+        # layer 2 within cap over the layer-1 arities
+        layer = sorted(dict.fromkeys((r, xs) for n, leasts in enumerate(self.leasts)
+                                     for r in leasts for xs in product(labels, repeat=n)),
+                       key=lambda row: (len(row[1]), canon_key(levels[len(row[1])][row[0]]),
+                                        canon_key(row[1])))
+        blocks = []
+        for k, leasts in enumerate(self.leasts):
+            tuples = [p for p, _ in product_within([layer] * k,
+                                                   lambda row: (len(row[1]),), cap)]
+            shapes = [tuple((len(xs), r) for r, xs in p) for p in tuples]
+            leaves = [tuple(x for _, xs in p for x in xs) for p in tuples]
+            blocks.append((k, tuples, [(r, [self._flatten(k, r, sh, lv)
+                                            for sh, lv in zip(shapes, leaves)])
+                                       for r in leasts]))
+        return blocks
+
+    def _nested(self, labels):
+        out = []
+        for _, tuples, flats in self._blocks(labels):
+            for r, keys in flats:
+                rows = [(r, p) for p in tuples]
+                self.flat.update(zip(rows, keys))
+                out += rows
+        return out
+
+    def flattenings(self, labels, Df):
+        """(rank, inner rows, mu row, D D f row) per nested element, keyed
+        by [2:]; the hits keep their nested row as [:2]."""
+        out = []
+        for k, tuples, flats in self._blocks(labels):
+            images = [tuple(map(Df, p)) for p in tuples]
+            for r, keys in flats:
+                out += zip(repeat(r), tuples, keys, self._relabelled(k, r, images))
+        return out, itemgetter(2, 3)
 
 
 def check_cartesian(op, j, seed=0, squares=100, bound=3):
     """Sampled pullback preservation plus fiberwise eta/mu naturality squares.
 
-    Each call builds, and drops on return, three functools.cache memos:
-    DX, the truncated D_j X of each label tuple X as canonical (op.elems)
-    objects, so every square and naturality map over X reads one list and
-    its lookups meet the very keys map_elem returns; mu_once, the flattening
-    of each nested element; and per naturality map f, Df, the image D f(u)
-    of each element u, shared by the eta and mu keys and by D D f."""
+    One loop (_cartesian) runs on either of two keyings: rows (_RowKeys)
+    over a free operad whose orbit table gives every entry the call reads
+    one sigma, else canonical elements (_ElementKeys); a row call that
+    meets an entry with two sigmas starts again by elements. Its memos die
+    with the call: DX, the truncated D_j X of each label tuple X, one list
+    that every square and naturality map over X reads; the flattening of
+    each nested element (by rows, of each shape); and per map f, Df, the
+    image D f(u) of each element u, shared by the eta and mu keys and by
+    D D f. Where the projections of D P are not jointly injective, a pair
+    has an ambiguous lift."""
+    if op.is_free:
+        try:
+            return _cartesian(op, j, seed, squares, _RowKeys(op, j, bound))
+        except _LabelDependent:
+            pass
+    return _cartesian(op, j, seed, squares, _ElementKeys(op, j, bound))
+
+
+def _cartesian(op, j, seed, squares, D):
     rng = random.Random(seed)
     report = {"operad": op.name, "j": j, "seed": seed, "ok": True,
               "squares": {"checked": 0, "failures": []},
               "eta_naturality": {"checked": 0, "failures": []},
               "mu_naturality": {"checked": 0, "failures": []}}
-    DX = cache(lambda labels: tuple(canonicalize(op, j, e.n, e.d, e.xs)
-                                    for e in all_elements(op, j, labels, bound)))
 
     done = 0
     while done < squares:
@@ -465,12 +666,17 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         P = tuple(fibre_product(A, f.__getitem__, B, g.__getitem__))
         if len(P) > 10:
             continue  # keep the enumeration tractable; seeded, so still deterministic
-        fails = _square_preserved(op, j, DX(A), DX(B), f, g, P, bound)
+        # D of the pullback square P is again a pullback: unique joint lifts
+        fails = [("missing lift" if not ws else "ambiguous lift", (u, v))
+                 for u, v, ws in lifts_over(*D.pullback(P), D.DX(A), D.image(f),
+                                            D.DX(B), D.image(g))
+                 if len(ws) != 1]
         report["squares"]["checked"] += 1
         done += 1
         if fails:
             report["squares"]["failures"].append(
-                {"sets": (A, B, Z), "maps": (f, g), "witnesses": fails[:3]})
+                {"sets": (A, B, Z), "maps": (f, g),
+                 "witnesses": [(kind, (D.elem(u), D.elem(v))) for kind, (u, v) in fails[:3]]})
 
     # one fixed collapse plus seeded random functions
     functions = [(("x", "y"), ("z",), {"x": "z", "y": "z"})]
@@ -480,29 +686,24 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         B = tuple(f"z{i}" for i in range(nb))
         functions.append((A, B, {a: rng.choice(B) for a in A}))
 
-    mu_once = cache(lambda v: mu(op, v))  # each nested element flattened once per call
-
     for A, B, fmap in functions:
-        fl = fmap.__getitem__
-        Df = cache(lambda u: map_elem(op, fl, u))
-        DA = DX(A)
+        Df = D.image(fmap)
+        DA = D.DX(A)
         # eta square: pairs (x in D A, b in B) with D f(x) = eta(b) lift uniquely to A
-        for x, b, hits in lifts_over(A, lambda a: (eta(op, j, a), fmap[a]),
-                                     DA, Df, B, lambda b: eta(op, j, b)):
+        for x, b, hits in lifts_over(A, lambda a: (D.eta(a), fmap[a]),
+                                     DA, Df, B, D.eta):
             report["eta_naturality"]["checked"] += 1
             if len(hits) != 1:
                 report["eta_naturality"]["failures"].append(
-                    {"map": fmap, "pair": (x, b), "lifts": len(hits)})
+                    {"map": fmap, "pair": (D.elem(x), b), "lifts": len(hits)})
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
-        for u, w, hits in lifts_over(
-                (v for v, _ in nested_elements(op, j, A, 2, bound)),
-                lambda v: (mu_once(v), map_elem(op, Df, v)),
-                DA, Df, (w for w, _ in nested_elements(op, j, B, 2, bound)), mu_once):
+        for u, w, hits in lifts_over(*D.flattenings(A, Df), DA, Df,
+                                     D.nested(B), D.mu):
             report["mu_naturality"]["checked"] += 1
             if len(hits) != 1:
                 report["mu_naturality"]["failures"].append(
-                    {"map": fmap, "pair": (u, w),
-                     "lifts": [repr(v) for v in hits]})
+                    {"map": fmap, "pair": (D.elem(u), D.nested_elem(w)),
+                     "lifts": [repr(D.nested_elem(v)) for v in hits]})
 
     report["ok"] = not (report["squares"]["failures"] or
                         report["eta_naturality"]["failures"] or

@@ -33,7 +33,7 @@ from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            monad_set_category, mu, nested_elements,
                            validate_monad_category, validate_monad_laws)
 from gmcat.opmonad import _least_translates, _orbit, _random_sets
-from product_operad import product_operad
+from product_operad import ass_x_be, product_operad
 from test_catoperad import corrupted_compose
 
 BE = barratt_eccles(4)
@@ -169,16 +169,17 @@ def test_a_wrong_morphism_composite_breaks_the_monad_category(key, value, kinds)
     assert {f[0] for f in rep["failures"]} == kinds
 
 
-def z3_unit_operad():
+def z3_unit_operad(identity_action=lambda x: (x + 1) % 3):
     """Truncation 1, with level 1 the group Z/3 on one object, on which the
-    identity permutation acts by +1 (an invalid action). DX is still a
-    category: its identity is [1; x], so it is not eta = [0; x]."""
+    identity permutation acts by identity_action, +1 by default (an invalid
+    action). DX is still a category: its identity is [1; x], so it is not
+    eta = [0; x]."""
     L1 = category([(1,)], [0, 1, 2], dict.fromkeys(range(3), (1,)),
                   dict.fromkeys(range(3), (1,)), {(1,): 0},
                   {(a, b): (a + b) % 3 for a in range(3) for b in range(3)})
 
     def act(j, n, sigma, x):
-        return (x + 1) % 3 if (j, n) == (1, 1) else x
+        return identity_action(x) if (j, n) == (1, 1) else x
 
     def compose(j, k, x, inners):
         if k == 0:
@@ -665,49 +666,57 @@ def _reference_mu_naturality(op, j, seed, squares, bound=3):
     return sec
 
 
-@pytest.mark.parametrize("make,j", [(barratt_eccles, 0), (barratt_eccles, 1),
-                                    (associativity_operad, 0),
-                                    (associativity_operad, 1),
-                                    (commutative_operad, 0)],
-                         ids=["BE-0", "BE-1", "ASS-0", "ASS-1", "COMM-0"])
-def test_cartesian_squares_and_eta_match_the_per_square_loops(make, j):
-    rep = check_cartesian(make(4), j, seed=2027, squares=20)
-    assert rep["squares"] == _reference_squares(make(4), j, seed=2027, squares=20)
+def _cases(rows):
+    return [pytest.param(make, N, j, id=f"{name}-{j}")
+            for name, make, N, js in rows for j in js]
+
+
+# operads whose reference loops stay fast; ASS x BE has several orbits per level
+_SMALL = _cases([("BE3", barratt_eccles, 3, (0, 1)),
+                 ("ASS3", associativity_operad, 3, (0, 1)),
+                 ("ASSxBE2", ass_x_be, 2, (0, 1))])
+
+
+@pytest.mark.parametrize("make,N,j", _cases([("BE", barratt_eccles, 4, (0, 1)),
+                                             ("ASS", associativity_operad, 4, (0, 1)),
+                                             ("COMM", commutative_operad, 4, (0,))])
+                         + _SMALL)
+def test_cartesian_squares_and_eta_match_the_per_square_loops(make, N, j):
+    rep = check_cartesian(make(N), j, seed=2027, squares=20)
+    assert rep["squares"] == _reference_squares(make(N), j, seed=2027, squares=20)
     assert rep["eta_naturality"] == _reference_eta_naturality(
-        make(4), j, seed=2027, squares=20)
+        make(N), j, seed=2027, squares=20)
     assert rep["squares"]["checked"] == 20 and rep["eta_naturality"]["checked"] > 0
     assert bool(rep["squares"]["failures"]) == (make is commutative_operad)
 
 
+@pytest.mark.parametrize("make,N,j", _SMALL)
+def test_cartesian_mu_square_matches_the_per_function_loop(make, N, j):
+    rep = check_cartesian(make(N), j, seed=2027, squares=1)
+    assert rep["mu_naturality"] == _reference_mu_naturality(make(N), j, seed=2027,
+                                                            squares=1)
+    assert rep["mu_naturality"]["checked"] > 0 and rep["ok"]
+
+
 def test_cartesian_check_flattens_each_nested_element_once(monkeypatch):
+    # over a free operad the mu square flattens each shape once, by one
+    # mu_raw call on a probe, and builds no element per nested element
     op = barratt_eccles(4)
-    calls, read, images = Counter(), set(), Counter()
-    real_mu, real_nested = gmcat.opmonad.mu, gmcat.opmonad.nested_elements
-    real_map = gmcat.opmonad.map_elem
+    shapes, real_raw = Counter(), gmcat.opmonad.mu_raw
 
-    def counting_mu(op, e):
-        calls[e] += 1
-        return real_mu(op, e)
+    def counting_raw(op, j, k, d, inners):
+        shapes[(j, k, d, tuple((e.n, e.d) for e in inners))] += 1
+        return real_raw(op, j, k, d, inners)
 
-    def recording_nested(*args):
-        out = real_nested(*args)
-        read.update(e for e, _ in out)
-        return out
+    def no_mu(op, e):
+        raise AssertionError("an element flattened one at a time")
 
-    def counting_map(op, f, e):
-        # D f of a layer-1 element under a naturality map (labels x0, x1, ...)
-        fmap = getattr(f, "__self__", None)
-        if isinstance(fmap, dict) and min(fmap).startswith("x"):
-            images[id(fmap), e] += 1
-        return real_map(op, f, e)
-
-    monkeypatch.setattr(gmcat.opmonad, "mu", counting_mu)
-    monkeypatch.setattr(gmcat.opmonad, "nested_elements", recording_nested)
-    monkeypatch.setattr(gmcat.opmonad, "map_elem", counting_map)
+    monkeypatch.setattr(gmcat.opmonad, "mu_raw", counting_raw)
+    monkeypatch.setattr(gmcat.opmonad, "mu", no_mu)
     rep = check_cartesian(op, 1, seed=2027, squares=5)
-    assert calls and max(calls.values()) == 1
-    assert set(calls) <= read
-    assert images and max(images.values()) == 1
+    assert shapes and max(shapes.values()) == 1
+    assert set(shapes) == set(op.composites)
+    assert op.nested == {} and op.elems == {}
     monkeypatch.undo()
     assert rep["ok"]
     assert rep["mu_naturality"] == _reference_mu_naturality(
@@ -716,6 +725,153 @@ def test_cartesian_check_flattens_each_nested_element_once(monkeypatch):
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True, default=repr).encode())
     assert digest.hexdigest() == \
         "95304aa474e6833345c8b7233f4af4ae739e592cbfce152aca891a5f74e0371e"
+
+
+def _digest(rep):
+    return hashlib.sha256(json.dumps(rep, sort_keys=True, default=repr).encode()).hexdigest()
+
+
+def _by_elements(op, j, seed, squares):
+    """check_cartesian's report by its element path, which canonicalizes
+    each element and serves every operad."""
+    return gmcat.opmonad._cartesian(op, j, seed, squares,
+                                    gmcat.opmonad._ElementKeys(op, j, 3))
+
+
+def test_an_identity_that_moves_elements_breaks_the_eta_and_mu_squares():
+    # the least translate [0; x] is not canonical: the orbit table sends it
+    # to [1; x], so eta(b) = [0; b] is the image of no element. The mu
+    # reference loop pairs D f with the uncanonical [0; x] and so counts
+    # other lifts; the digest is the report of the per-element check.
+    rep = check_cartesian(z3_unit_operad(), 1, seed=3, squares=10)
+    assert rep == _by_elements(z3_unit_operad(), 1, 3, 10)
+    assert rep["squares"] == _reference_squares(z3_unit_operad(), 1, 3, 10)
+    assert rep["eta_naturality"] == _reference_eta_naturality(z3_unit_operad(), 1, 3, 10)
+    assert [f["lifts"] for f in rep["eta_naturality"]["failures"]] == [0] * 26
+    assert (len(rep["mu_naturality"]["failures"]), rep["mu_naturality"]["checked"]) \
+        == (234, 286)
+    assert _digest(rep) == \
+        "e6ede47cd18b47f49596909050024aac69c9e928f07b7b9f95093ab70b856ec4"
+    rep = check_cartesian(z3_unit_operad(), 0, seed=3, squares=10)
+    for name, reference in (("squares", _reference_squares),
+                            ("eta_naturality", _reference_eta_naturality),
+                            ("mu_naturality", _reference_mu_naturality)):
+        assert rep[name] == reference(z3_unit_operad(), 0, 3, 10), name
+    assert rep["ok"] and _digest(rep) == \
+        "f0ba9fd201c7b10ce8c9f922e84e12449ec659061b1b8874dd7281ebd549139d"
+
+
+def test_an_identity_that_merges_representatives_gives_ambiguous_lifts():
+    # two least representatives, 1 and 2, share the canonical form [2; x]:
+    # D of a pullback has two lifts of a pair, a nested pair two flattenings
+    def make():
+        return z3_unit_operad(lambda x: min(x + 1, 2))
+    op = make()
+    rep = check_cartesian(op, 1, seed=3, squares=10)
+    assert op.is_free and op.nested == {} and op.elems == {}
+    assert rep == _by_elements(make(), 1, 3, 10)
+    assert rep["eta_naturality"] == _reference_eta_naturality(make(), 1, 3, 10)
+    kinds = {w[0] for f in rep["squares"]["failures"] for w in f["witnesses"]}
+    assert kinds == {"ambiguous lift"}
+    assert {len(f["lifts"]) for f in rep["mu_naturality"]["failures"]} == {0, 2}
+    assert _digest(rep) == \
+        "18838c289e0383bd59599dfdeed0f64e45174065423fa2dcc3efe2affc519351"
+
+
+def two_sigma_operad():
+    """BE(2) but for its level-2 objects, which the identity sends to (2, 1),
+    and the transposition to each other. No permutation but the identity
+    fixes an object, so the operad is free, yet the transposition reaches
+    (2, 1) from (1, 2) too: that orbit entry has two sigmas."""
+    be = barratt_eccles(2)
+
+    def act(j, n, sigma, x):
+        if (j, n) == (0, 2):
+            return (2, 1) if sigma.is_identity or x == (1, 2) else (1, 2)
+        return be.act(j, n, sigma, x)
+    return CatOperad("two_sigma", 2, be.levels, be.unit, act, be._compose)
+
+
+def test_an_orbit_entry_with_two_sigmas_takes_the_element_path():
+    op = two_sigma_operad()
+    assert op.is_free and len(_orbit(op, 0, 2, (1, 2))[2]) == 2
+    rep = check_cartesian(op, 0, seed=3, squares=10)
+    assert op.nested  # nested_elements ran: each element was canonicalized
+    assert rep["squares"]["failures"] and rep["mu_naturality"]["failures"]
+    assert _digest(rep) == \
+        "134167c423066f8ffc85913bece8d75c78812588142eda55f24e7f6dd51ec4d0"
+    # at j = 1 the action is BE's: every entry has one sigma
+    op = two_sigma_operad()
+    rep = check_cartesian(op, 1, seed=3, squares=10)
+    assert rep["ok"] and op.nested == {} and op.elems == {}
+    assert rep == _by_elements(two_sigma_operad(), 1, 3, 10)
+
+
+def fixed_swap_operad():
+    """BE(2) but for its level-2 morphisms m0 < m1 < m2 < m3, on which the
+    identity sends m0 to m1 and the transposition fixes m0 and sends m1 to
+    m0, m2 to m3, m3 to m1. Not free, yet every orbit entry has one sigma:
+    the least representatives m0 and m1 share the canonical form of m0."""
+    be = barratt_eccles(2)
+    m = be.level(2).morphisms
+    ident = {m[0]: m[1], m[1]: m[1], m[2]: m[2], m[3]: m[3]}
+    swap = {m[0]: m[0], m[1]: m[0], m[2]: m[3], m[3]: m[1]}
+
+    def act(j, n, sigma, x):
+        if (j, n) == (1, 2):
+            return (ident if sigma.is_identity else swap)[x]
+        return be.act(j, n, sigma, x)
+    return CatOperad("fixed_swap", 2, be.levels, be.unit, act, be._compose)
+
+
+def test_a_non_free_operad_takes_the_element_path_whatever_its_sigmas():
+    # the element path merges the elements that canonicalize alike, as
+    # _elements does over a non-free operad; rows would count them twice
+    op = fixed_swap_operad()
+    assert not op.is_free
+    assert {len(_orbit(op, 1, 2, d)[2]) for d in op.level(2).morphisms} == {1}
+    rep = check_cartesian(op, 1, seed=3, squares=10)
+    assert op.nested and rep["ok"] and rep["mu_naturality"]["checked"] == 902
+    assert _digest(rep) == \
+        "c1116c750c4949a7987707276ce510c5e12ab6bce083f164fb0e6929d711dc92"
+
+
+def turned_swap_operad():
+    """BE(2) but for the transposition on the level-2 morphisms m0 < m1 < m2
+    < m3, which it turns in the cycle m3 -> m1 -> m0 -> m2 -> m3 (not an
+    involution, so not an action). It fixes nothing, so the operad is free
+    and every orbit entry has one sigma; but m1, the least translate of
+    m3, has the least translate m0, reached by the transposition."""
+    be = barratt_eccles(2)
+    m = be.level(2).morphisms
+    turn = {m[3]: m[1], m[1]: m[0], m[0]: m[2], m[2]: m[3]}
+
+    def act(j, n, sigma, x):
+        if (j, n) == (1, 2) and not sigma.is_identity:
+            return turn[x]
+        return be.act(j, n, sigma, x)
+    return CatOperad("turned_swap", 2, be.levels, be.unit, act, be._compose)
+
+
+def test_a_least_representative_moved_by_its_orbit_entry_relabels_its_labels():
+    op = turned_swap_operad()
+    m = op.level(2).morphisms
+    assert op.is_free and _orbit(op, 1, 2, m[1])[1:] == (m[0], (Perm((2, 1)),))
+    rep = check_cartesian(op, 1, seed=3, squares=10)
+    assert op.nested == {} and op.elems == {}
+    assert rep == _by_elements(turned_swap_operad(), 1, 3, 10)
+    assert rep["squares"]["failures"] and rep["mu_naturality"]["failures"]
+    assert _digest(rep) == \
+        "c843543610aaa84c6f1802ea2d6774efcc1a4b0d0a81fcaf8437042888e5d95d"
+
+
+@pytest.mark.parametrize("make", [barratt_eccles, associativity_operad,
+                                  commutative_operad])
+def test_only_a_non_free_builtin_canonicalizes_each_element(make):
+    op = make(3)
+    for j in (0, 1):
+        check_cartesian(op, j, seed=5, squares=3)
+    assert (op.nested == {} and op.elems == {}) == (make is not commutative_operad)
 
 
 def test_cartesian_failures_match_the_per_function_flattening():
