@@ -8,7 +8,9 @@ of its own (its header, for a compound statement) ran. Docstrings,
 `pass`, `global`/`nonlocal` and `try:` headers compile to no traced line
 and are not listed. Tests that fail under tracing (a time budget, a
 hypothesis deadline) do not stop the listing; pytest's exit code is
-printed with it.
+printed with it. Hypothesis draws from seed 0 unless the arguments give
+--hypothesis-seed, so two runs on one tree list the same statements; the
+seed is printed too.
 
     python scripts/unreached.py tests/test_finset.py
     python scripts/unreached.py tests --deselect tests/test_acceptance.py::test_criterion_7_adjunction_suite
@@ -75,15 +77,26 @@ def trace(pytest_args):
     return code, ran
 
 
+def with_hypothesis_seed(pytest_args):
+    """(pytest_args, the hypothesis seed they give), adding seed 0 if none."""
+    for i, arg in enumerate(pytest_args):
+        if arg.startswith("--hypothesis-seed="):
+            return pytest_args, arg.split("=", 1)[1]
+        if arg == "--hypothesis-seed" and i + 1 < len(pytest_args):
+            return pytest_args, pytest_args[i + 1]
+    return [*pytest_args, "--hypothesis-seed=0"], "0"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("pytest_args", nargs=argparse.REMAINDER,
                     help="test paths and pytest options")
     args = ap.parse_args()
-    code, ran = trace(args.pytest_args)
+    pytest_args, seed = with_hypothesis_seed(args.pytest_args)
+    code, ran = trace(pytest_args)
     total = 0
-    print(f"\npytest exit code {int(code)} under tracing")
+    print(f"\npytest exit code {int(code)} under tracing, hypothesis seed {seed}")
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()

@@ -9,9 +9,16 @@ Tables whose keys are not strings are stored as entry lists
 ([key parts..., value]) rather than JSON objects. Operads over a builtin
 are stored by reference ({"builtin": name, "truncate": N}); anything else
 gets explicit tables, which only scales to small truncations.
+
+Each encoder dumps each distinct label once: its dump is a functools.cache
+of dump_label local to the call, so the document may share a label's list
+among entries (it is still plain JSON). Labels equal under == are one
+label, as everywhere in gmcat. save writes through json's C encoder, one
+line per table entry; load reads any layout.
 """
 
 import json
+from functools import cache
 
 from .catoperad import BUILTIN_OPERADS, operad_tables, tabulated_operad
 from .dalgebra import DAlgebra
@@ -30,18 +37,21 @@ def dump_label(v):
 
 
 def load_label(v, op=None):
+    if isinstance(v, list):
+        # a list of scalars converts at once; only lists and elements recurse
+        for x in v:
+            if isinstance(x, (list, dict)):
+                return tuple([load_label(x, op) for x in v])
+        return tuple(v)
     if isinstance(v, dict):
         if op is None or "elem" not in v:
             raise StructuralError(f"label {v!r} needs an ambient operad")
         return decode_elem(op, v["elem"])
-    if isinstance(v, list):
-        return tuple(load_label(x, op) for x in v)
     return v
 
 
-def _entries(table):
-    return sorted(([dump_label(k), dump_label(v)] for k, v in table.items()),
-                  key=repr)
+def _entries(table, dump):
+    return sorted(([dump(k), dump(v)] for k, v in table.items()), key=repr)
 
 
 def encode_elem(e):
@@ -58,13 +68,14 @@ def decode_elem(op, doc):
 # categories
 
 def encode_category(C):
+    dump = cache(dump_label)
     return {"kind": "category",
-            "objects": [dump_label(x) for x in C.objects],
-            "morphisms": [dump_label(f) for f in C.morphisms],
-            "src": _entries(C.src),
-            "tgt": _entries(C.tgt),
-            "ident": _entries(C.ident),
-            "comp": [[dump_label(f), dump_label(g), dump_label(h)]
+            "objects": [dump(x) for x in C.objects],
+            "morphisms": [dump(f) for f in C.morphisms],
+            "src": _entries(C.src, dump),
+            "tgt": _entries(C.tgt, dump),
+            "ident": _entries(C.ident, dump),
+            "comp": [[dump(f), dump(g), dump(h)]
                      for (f, g), h in sorted(C.comp.items(), key=repr)]}
 
 
@@ -94,14 +105,14 @@ def encode_operad(op):
             ref.levels == op.levels:
         return {"kind": "operad", "builtin": op.name, "truncate": op.max_level}
     act_table, comp_table = operad_tables(op)
+    dump = cache(dump_label)
     return {"kind": "operad", "name": op.name, "max_level": op.max_level,
-            "unit": dump_label(op.unit),
+            "unit": dump(op.unit),
             "levels": [encode_category(L) for L in op.levels],
-            "action": [[j, n, list(s), dump_label(x), dump_label(y)]
+            "action": [[j, n, list(s), dump(x), dump(y)]
                        for (j, n, s, x), y in sorted(act_table.items(), key=repr)],
-            "composition": [[j, k, dump_label(x),
-                             [[m, dump_label(y)] for m, y in inners],
-                             dump_label(z)]
+            "composition": [[j, k, dump(x), [[m, dump(y)] for m, y in inners],
+                             dump(z)]
                             for (j, k, x, inners), z
                             in sorted(comp_table.items(), key=repr)]}
 
@@ -126,18 +137,19 @@ def decode_operad(doc):
 # multicategories
 
 def encode_multicat(M):
+    dump = cache(dump_label)
+    elem = lambda e: dump(e)["elem"]
     return {"kind": "dmulticat",
             "operad": encode_operad(M.operad),
-            "objects": [dump_label(x) for x in M.objects],
-            "morphisms": [dump_label(f) for f in M.morphisms],
-            "tgt": _entries(M.tgt),
-            "src": [[dump_label(f), encode_elem(e)]
-                    for f, e in sorted(M.src.items(), key=repr)],
-            "ident": _entries(M.ident),
-            "source_action": [[dump_label(f), encode_elem(d), dump_label(g)]
+            "objects": [dump(x) for x in M.objects],
+            "morphisms": [dump(f) for f in M.morphisms],
+            "tgt": _entries(M.tgt, dump),
+            "src": [[dump(f), elem(e)] for f, e in sorted(M.src.items(), key=repr)],
+            "ident": _entries(M.ident, dump),
+            "source_action": [[dump(f), elem(d), dump(g)]
                               for (f, d), g in sorted(M.source_action.items(),
                                                       key=repr)],
-            "composition": [[dump_label(f), encode_elem(p), dump_label(g)]
+            "composition": [[dump(f), elem(p), dump(g)]
                             for (f, p), g in sorted(M.composition.items(),
                                                     key=repr)]}
 
@@ -159,17 +171,18 @@ def decode_multicat(doc):
 
 
 def encode_classical(cm, symmetric):
+    dump = cache(dump_label)
     return {"kind": "classical_multicat",
             "symmetric": symmetric,
-            "objects": [dump_label(x) for x in cm.objects],
-            "morphisms": [dump_label(f) for f in cm.morphisms],
-            "src": [[dump_label(f), [dump_label(x) for x in xs]]
+            "objects": [dump(x) for x in cm.objects],
+            "morphisms": [dump(f) for f in cm.morphisms],
+            "src": [[dump(f), [dump(x) for x in xs]]
                     for f, xs in sorted(cm.src.items(), key=repr)],
-            "tgt": _entries(cm.tgt),
-            "ident": _entries(cm.ident),
-            "comp": [[dump_label(f), [dump_label(g) for g in gs], dump_label(h)]
+            "tgt": _entries(cm.tgt, dump),
+            "ident": _entries(cm.ident, dump),
+            "comp": [[dump(f), [dump(g) for g in gs], dump(h)]
                      for (f, gs), h in sorted(cm.comp.items(), key=repr)],
-            "act": [[dump_label(f), list(s), dump_label(g)]
+            "act": [[dump(f), list(s), dump(g)]
                     for (f, s), g in sorted(cm.act.items(), key=repr)]}
 
 
@@ -191,16 +204,16 @@ def decode_classical(doc):
 # algebras (tabulated within a stated bound)
 
 def encode_algebra(A, bound):
-    C = A.carrier
+    C, dump = A.carrier, cache(dump_label)
     xi0, xi1 = [], []
     for e in all_elements(A.operad, 0, C.objects, bound):
         try:
-            xi0.append([encode_elem(e), dump_label(A.xi0(e))])
+            xi0.append([dump(e)["elem"], dump(A.xi0(e))])
         except BoundExceeded:
             pass
     for e in all_elements(A.operad, 1, C.morphisms, bound):
         try:
-            xi1.append([encode_elem(e), dump_label(A.xi1(e))])
+            xi1.append([dump(e)["elem"], dump(A.xi1(e))])
         except BoundExceeded:
             pass
     return {"kind": "algebra", "name": A.name, "bound": bound,
@@ -249,6 +262,20 @@ def load(path):
 
 
 def save(doc, path):
+    """Write doc with sorted keys through json's C encoder (which an indent
+    would turn off): an object one key a line, each entry of a list value
+    on a line of its own; any other value on one line."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    if isinstance(doc, dict) and doc:
+        lines = []
+        for key, value in sorted(doc.items()):
+            if isinstance(value, list) and value:
+                value = "[\n    " + ",\n    ".join(map(encode, value)) + "\n  ]"
+            else:
+                value = encode(value)
+            lines.append(f"  {encode(key)}: {value}")
+        text = "{\n" + ",\n".join(lines) + "\n}"
+    else:
+        text = encode(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -102,6 +102,49 @@ def test_algebra_round_trip_preserves_partiality():
     assert r2["ok"] and r2["bounded"] == r1["bounded"]
 
 
+def word2():
+    """ASS(2) as a table-backed operad, which encodes to explicit tables."""
+    base = associativity_operad(2)
+    return tabulated_operad("word2", 2, base.levels, base.unit, *operad_tables(base))
+
+
+@pytest.mark.parametrize("encode", [
+    lambda: jsonio.encode_operad(word2()),
+    # morphism labels that contain monad elements
+    lambda: jsonio.encode_multicat(underlying(z2_discrete_algebra(BE), bound=2)),
+    lambda: jsonio.encode_classical(xor_classical(), True),
+    lambda: jsonio.encode_algebra(z2_discrete_algebra(barratt_eccles(3)), 2),
+], ids=["operad", "dmulticat", "classical", "algebra"])
+def test_save_writes_one_line_per_entry_and_load_reads_any_layout(encode, tmp_path):
+    doc = encode()
+    assert doc == rt(doc)  # JSON-native: lists, not tuples
+    a, b, old = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "old.json"
+    jsonio.save(doc, a)
+    assert jsonio.load(a) == doc
+    jsonio.save(jsonio.load(a), b)
+    assert a.read_bytes() == b.read_bytes()
+    # each entry of a list-valued key on a line of its own
+    lines = a.read_text().splitlines()
+    entries = [json.loads(line.strip().rstrip(",")) for line in lines
+               if line.startswith("    ")]
+    tables = [v for _, v in sorted(doc.items()) if isinstance(v, list)]
+    assert entries == [entry for table in tables for entry in table]
+    assert len(lines) == 2 + len(doc) + sum(len(t) + 1 for t in tables if t)
+    # the layout written before: any layout loads to the same document
+    old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert jsonio.load(old) == doc
+
+
+@pytest.mark.parametrize("value", [[1, 2], [], 3, "x", None, {}, {"a": [], "b": 1}],
+                         ids=["list", "empty-list", "int", "str", "null",
+                              "empty-object", "empty-table"])
+def test_save_writes_any_json_value(value, tmp_path):
+    path = tmp_path / "v.json"
+    jsonio.save(value, path)
+    text = path.read_text()
+    assert json.loads(text) == value and text.endswith("\n")
+
+
 # ---------------------------------------------------------------------------
 # fixtures for the command line
 
@@ -765,6 +808,22 @@ def test_cli_non_integer_number_exits_2(command, text, token, tmp_path, capsys):
     code, rep = run(["validate", command, str(path)], tmp_path)
     assert code == 2 and rep is None
     assert f"JSON number {token} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("multicat", one_object_classical('[{"elem": {}}]')),
+    ("multicat", one_object_classical('["a", [1, {"elem": {}}]]')),
+    ("operad", json.dumps({**json.loads(tabulated_operad_file("2")),
+                           "unit": [{"elem": {}}]})),
+], ids=["in-a-list", "in-a-nested-list", "operad-unit"])
+def test_cli_element_label_without_an_operad_exits_2(command, text, tmp_path, capsys):
+    # a list of scalars converts at once; a dict inside a list still needs
+    # the ambient operad, which no label of these two formats has
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, rep = run(["validate", command, str(path)], tmp_path)
+    assert code == 2 and rep is None
+    assert "needs an ambient operad" in capsys.readouterr().err
 
 
 def test_cli_algebra_file_past_its_bound_exits_3(tmp_path):

@@ -53,3 +53,15 @@ def test_unreached_lists_the_statements_a_run_never_reaches(tmp_path):
     missed, _, of = adjoint.split()[1:4]
     assert missed == of != "0"
     assert listed.rstrip().endswith("statements unreached")
+
+
+@pytest.mark.parametrize("given, seed", [([], "0"), (["--hypothesis-seed=5"], "5"),
+                                         (["--hypothesis-seed", "7"], "7")],
+                         ids=["default", "equals", "separate"])
+def test_unreached_pins_the_hypothesis_seed_unless_given_one(given, seed, tmp_path):
+    # the probe passes only if pytest received the printed seed
+    probe = tmp_path / "test_seed.py"
+    probe.write_text("def test_seed(request):\n"
+                     f"    assert request.config.getoption('hypothesis_seed') == {seed!r}\n")
+    out = run_script("unreached.py", str(probe), *given)
+    assert f"pytest exit code 0 under tracing, hypothesis seed {seed}\n" in out
