@@ -178,6 +178,8 @@ def _object_spec(spec, M, op):
             raise StructuralError(
                 f"hom spec {spec!r} is neither an arity nor a JSON list")
     else:
+        if n < 0:
+            raise StructuralError(f"hom spec {spec!r} is a negative arity")
         if len(M.objects) != 1:
             raise StructuralError(
                 "arity shorthand needs a single-object multicategory")

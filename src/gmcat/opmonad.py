@@ -41,19 +41,17 @@ of a builtin operad equals the one of its tabulated copy.
 
 Cartesianness (D of a pullback, the eta and mu squares) and cover
 preservation are unique-lifting checks, each one lift count
-(finset.lifts_over). Over a free operad whose orbit table gives each entry
-one sigma, check_cartesian keys elements by rows (rank of d, xs), read from
-a table per representative or per shape (_RowKeys): an orbit entry's
-(least, sigma) relabels every xs over it, and one mu_raw call flattens
-every nested element of a shape. Any other operad is keyed by canonical
-elements (_ElementKeys), and so is one with an entry of two sigmas, whose
-relabelling depends on the labels.
+(finset.lifts_over). Over every operad check_cartesian keys elements by
+rows (place of d, xs), read from a table per representative or per shape
+(_RowKeys): an orbit entry's (least, sigma) relabels every xs over it, an
+entry with several sigmas relabels through canonicalize, and one mu_raw
+call flattens every nested element of a shape.
 """
 
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import product, repeat
+from itertools import groupby, product, repeat
 from operator import itemgetter
 
 from .errors import FreenessError, StructuralError
@@ -147,6 +145,8 @@ def canonicalize(op, j, n, d, xs):
 
 
 def melem(op, j, d, xs):
+    if j not in (0, 1):
+        raise StructuralError(f"element level {j!r} is neither 0 (objects) nor 1 (morphisms)")
     xs = tuple(xs)
     n = len(xs)
     if d not in op.elements(j, n):
@@ -435,87 +435,46 @@ def _random_sets(rng):
     return A, B, Z, f, g
 
 
-class _LabelDependent(Exception):
-    """An orbit entry with more than one sigma: canonicalize takes the least
-    relabelling, so the canonical form of [d; xs] depends on xs."""
-
-
 def _relabelling(op, j, n, d):
     """(least, move) with canonicalize(op, j, n, d, xs) = [least; move(xs)]
-    for every xs: move is None for the identity sigma, else an itemgetter of
-    its positions. Raises _LabelDependent where the orbit table gives d more
-    than one sigma."""
+    for every xs: move is None for the identity sigma, an itemgetter of the
+    positions of any other single sigma, and canonicalize itself (so its
+    op.elems memo) where the orbit table gives d several sigmas."""
     _, least, sigmas = _orbit(op, j, n, d)
-    if len(sigmas) != 1:
-        raise _LabelDependent
+    if len(sigmas) > 1:
+        return least, lambda xs: canonicalize(op, j, n, d, xs).xs
     s, = sigmas  # other than the identity only for n >= 2: itemgetter gives a tuple
     return least, None if s.is_identity else itemgetter(*(i - 1 for i in s.images))
 
 
-class _ElementKeys:
-    """check_cartesian's keys over any operad: canonical MonadElems, built
-    and canonicalized one element at a time. DX is the truncated D_j X of
-    each label tuple X as canonical (op.elems) objects, so its lookups meet
-    the very keys map_elem returns; mu flattens each nested element once."""
-
-    def __init__(self, op, j, bound):
-        self.op, self.j, self.bound = op, j, bound
-        self.DX = cache(lambda labels: tuple(
-            canonicalize(op, j, e.n, e.d, e.xs) for e in all_elements(op, j, labels, bound)))
-        self.mu = cache(partial(mu, op))
-
-    def elem(self, e):
-        return e
-
-    nested_elem = elem
-
-    def eta(self, x):
-        return eta(self.op, self.j, x)
-
-    def image(self, fmap):
-        return cache(partial(map_elem, self.op, fmap.__getitem__))
-
-    def pullback(self, P):
-        """D_j P and its key (D first, D second), for lifts_over."""
-        op, first, second = self.op, itemgetter(0), itemgetter(1)
-        return (all_elements(op, self.j, P, self.bound),
-                lambda w: (map_elem(op, first, w), map_elem(op, second, w)))
-
-    def nested(self, labels):
-        return [v for v, _ in nested_elements(self.op, self.j, labels, 2, self.bound)]
-
-    def flattenings(self, labels, Df):
-        """D D_j X and its key (mu, D D f), for lifts_over."""
-        return (self.nested(labels),
-                lambda v: (self.mu(v), map_elem(self.op, Df, v)))
-
-
 class _RowKeys:
-    """_ElementKeys' keys as plain tuples, over a free operad whose orbit
-    table gives every entry the check reads one sigma (_relabelling).
+    """check_cartesian's keys: canonical elements as plain tuples.
 
-    An element [d; xs] is the row (rank of d in its level, xs): equal rows
-    are equal elements, and a row hashes over ints and labels. A nested
-    element of nested_elements is (rank of d, its inner rows), enumerated in
-    that order from rows alone. Each key comes from a table: the (least,
-    move) of a representative, read once from the orbit table, relabels
-    every xs over it; the flattening of a shape (k, d, ((n_i, d_i), ...)) is
-    the (least, move) of its composite, from one mu_raw call on positional
-    leaves. A MonadElem is built only for a witness or a shape's probe, and
-    op.elems and op.nested gain nothing."""
+    An element [d; xs] is the row (R, xs), R the place of d among the
+    elements of levels 0..cap, by arity and then by canon_key, so canon_key
+    orders rows as it orders elements; a nested element is (R, its inner
+    rows). Each key comes from a table: the (least, move) of a
+    representative (_relabelling) relabels every xs over it, and that of a
+    shape (k, R, ((n_i, R_i), ...)) is its composite's, from one mu_raw
+    call on positional leaves. Over a free operad the lists are those of
+    _elements' free path; over any other each holds each canonical row
+    once, as _elements merges, DX and the nested ones sorted. A MonadElem
+    is built only for a witness or a shape's probe; op.nested gains
+    nothing, and op.elems only through an orbit entry with several sigmas."""
 
     def __init__(self, op, j, bound):
-        self.op, self.j = op, j
+        self.op, self.j, self.free = op, j, op.is_free
         cap = self.cap = min(bound, op.max_level)
-        self.levels = [op.elements(j, n) for n in range(cap + 1)]
-        self.ranks = [_rank(op, j, n) for n in range(cap + 1)]
+        self.ds, self.ranks = [], []  # R: d, and per level {d: R}
+        for n in range(cap + 1):
+            self.ranks.append({d: len(self.ds) + i for d, i in _rank(op, j, n).items()})
+            self.ds += op.elements(j, n)
         self.leasts = [[rank[d] for d in _least_translates(op, j, n)]
                        for n, rank in enumerate(self.ranks)]
         # a unit outside level 1 is no canonical element's
-        self.unit = (_rank(op, j, 1).get(op.unit if j == 0 else op.unit_mor)
-                     if op.max_level else None)
-        self.moves = [[None] * len(level) for level in self.levels]  # _relabelling by rank
-        self.shapes = {}  # (k, rank, ((n_i, rank_i), ...)): its composite's _relabelling
+        self.unit = self.ranks[1].get(op.unit if j == 0 else op.unit_mor) if cap else None
+        self.moves = [None] * len(self.ds)  # _relabelling by R
+        self.shapes = {}  # (k, R, ((n_i, R_i), ...)): its composite's _relabelling
         self.flat = {}  # nested row: the row of its flattening
         self.mu = self.flat.__getitem__
         self.DX = cache(self._DX)
@@ -524,36 +483,40 @@ class _RowKeys:
 
     def elem(self, row):
         r, xs = row
-        return MonadElem(self.j, len(xs), self.levels[len(xs)][r], xs)
+        return MonadElem(self.j, len(xs), self.ds[r], xs)
 
     def nested_elem(self, row):
         """The nested element of a row, or of a flattenings entry."""
         r, inner = row[:2]
-        return MonadElem(self.j, len(inner), self.levels[len(inner)][r],
-                         tuple(map(self.elem, inner)))
+        return MonadElem(self.j, len(inner), self.ds[r], tuple(map(self.elem, inner)))
 
     def eta(self, x):
         return self.unit, (x,)
 
     def _move(self, n, r):
-        """_relabelling of the rank-r element of level n, its least as a rank."""
-        hit = self.moves[n][r]
+        """_relabelling of the element R = r of level n, its least as an R."""
+        hit = self.moves[r]
         if hit is None:
-            least, move = _relabelling(self.op, self.j, n, self.levels[n][r])
-            hit = self.moves[n][r] = (self.ranks[n][least], move)
+            least, move = _relabelling(self.op, self.j, n, self.ds[r])
+            hit = self.moves[r] = (self.ranks[n][least], move)
         return hit
 
     def _relabelled(self, n, r, tuples):
-        """The canonical rows of [d; xs] for the n-tuples xs, d of rank r."""
+        """The canonical rows of [d; xs] for the n-tuples xs, d at R = r."""
         least, move = self._move(n, r)
         if move is None:
             return [(least, xs) for xs in tuples]
         return [(least, move(xs)) for xs in tuples]
 
-    def _DX(self, labels):
+    def _canonical(self, labels):
+        """The canonical row of [d; xs] for each least d and tuple xs."""
         return [row for n, leasts in enumerate(self.leasts)
                 for tuples in (list(product(labels, repeat=n)),)
                 for r in leasts for row in self._relabelled(n, r, tuples)]
+
+    def _DX(self, labels):
+        rows = self._canonical(labels)
+        return rows if self.free else sorted(set(rows), key=canon_key)
 
     def image(self, fmap):
         f, move = fmap.__getitem__, self._move
@@ -567,6 +530,10 @@ class _RowKeys:
 
     def pullback(self, P):
         """The (D first, D second) rows of D_j P, each its own key."""
+        if not self.free:  # one key per canonical row; only its lifts are counted
+            first, second = (self.image({p: p[i] for p in P}) for i in (0, 1))
+            return ([(first(w), second(w)) for w in dict.fromkeys(self._canonical(P))],
+                    itemgetter(0, 1))
         firsts, seconds = [p[0] for p in P], [p[1] for p in P]
         keys = []
         for n, leasts in enumerate(self.leasts):
@@ -581,35 +548,44 @@ class _RowKeys:
         if hit is None:
             probe, start = [], 0
             for n, ri in shape:
-                probe.append(MonadElem(self.j, n, self.levels[n][ri],
-                                       tuple(range(start, start + n))))
+                probe.append(MonadElem(self.j, n, self.ds[ri], tuple(range(start, start + n))))
                 start += n
-            n, composed, _ = mu_raw(self.op, self.j, k, self.levels[k][r], probe)
+            n, composed, _ = mu_raw(self.op, self.j, k, self.ds[r], probe)
             least, move = _relabelling(self.op, self.j, n, composed)
             hit = self.shapes[key] = (self.ranks[n][least], move)
         least, move = hit
         return least, leaves if move is None else move(leaves)
 
+    def _flattened(self, k, tuples, rs):
+        """[(r, the flattening rows of [d; p] for the inner row tuples p)] for
+        d at each R = r in rs."""
+        shapes = [tuple((len(xs), ri) for ri, xs in p) for p in tuples]
+        leaves = [tuple(x for _, xs in p for x in xs) for p in tuples]
+        return [(r, [self._flatten(k, r, sh, lv) for sh, lv in zip(shapes, leaves)])
+                for r in rs]
+
     def _nested_blocks(self, labels):
-        """nested_elements(op, j, labels, 2, cap) by arity k: (k, the inner
-        row tuples p, [(rank of d, the flattening rows of [d; each p]) for
-        the least d]); its elements are the (rank, p) in that order."""
-        cap, levels = self.cap, self.levels
-        # the free path of _elements, the canon_key sort of layer 1, then
-        # layer 2 within cap over the layer-1 arities
-        layer = sorted(dict.fromkeys((r, xs) for n, leasts in enumerate(self.leasts)
-                                     for r in leasts for xs in product(labels, repeat=n)),
-                       key=lambda row: (len(row[1]), canon_key(levels[len(row[1])][row[0]]),
-                                        canon_key(row[1])))
+        """nested_elements(op, j, labels, 2, cap) as blocks (k, the inner row
+        tuples p, [(R, the flattening rows of [d; each p]) for some d]); its
+        elements are the (R, p) in that order. Over a free operad a block
+        holds every least d of arity k, else one canonical d."""
+        cap = self.cap
+        # layer 1 is all_elements, sorted: the free path of _elements, or DX
+        layer = (sorted(dict.fromkeys((r, xs) for n, leasts in enumerate(self.leasts)
+                                      for r in leasts for xs in product(labels, repeat=n)),
+                        key=canon_key) if self.free else self.DX(labels))
         blocks = []
-        for k, leasts in enumerate(self.leasts):
+        for k, leasts in enumerate(self.leasts):  # layer 2 within cap
             tuples = [p for p, _ in product_within([layer] * k,
                                                    lambda row: (len(row[1]),), cap)]
-            shapes = [tuple((len(xs), r) for r, xs in p) for p in tuples]
-            leaves = [tuple(x for _, xs in p for x in xs) for p in tuples]
-            blocks.append((k, tuples, [(r, [self._flatten(k, r, sh, lv)
-                                            for sh, lv in zip(shapes, leaves)])
-                                       for r in leasts]))
+            if self.free:
+                blocks.append((k, tuples, self._flattened(k, tuples, leasts)))
+                continue
+            rows = sorted({row for r in leasts for row in self._relabelled(k, r, tuples)},
+                          key=canon_key)
+            for r, group in groupby(rows, itemgetter(0)):
+                ps = [p for _, p in group]
+                blocks.append((k, ps, self._flattened(k, ps, (r,))))
         return blocks
 
     def _nested(self, labels):
@@ -622,8 +598,8 @@ class _RowKeys:
         return out
 
     def flattenings(self, labels, Df):
-        """(rank, inner rows, mu row, D D f row) per nested element, keyed
-        by [2:]; the hits keep their nested row as [:2]."""
+        """(R, inner rows, mu row, D D f row) per nested element, keyed by
+        [2:]; the hits keep their nested row as [:2]."""
         out = []
         for k, tuples, flats in self._blocks(labels):
             images = [tuple(map(Df, p)) for p in tuples]
@@ -635,25 +611,15 @@ class _RowKeys:
 def check_cartesian(op, j, seed=0, squares=100, bound=3):
     """Sampled pullback preservation plus fiberwise eta/mu naturality squares.
 
-    One loop (_cartesian) runs on either of two keyings: rows (_RowKeys)
-    over a free operad whose orbit table gives every entry the call reads
-    one sigma, else canonical elements (_ElementKeys); a row call that
-    meets an entry with two sigmas starts again by elements. Its memos die
-    with the call: DX, the truncated D_j X of each label tuple X, one list
-    that every square and naturality map over X reads; the flattening of
-    each nested element (by rows, of each shape); and per map f, Df, the
-    image D f(u) of each element u, shared by the eta and mu keys and by
-    D D f. Where the projections of D P are not jointly injective, a pair
-    has an ambiguous lift."""
-    if op.is_free:
-        try:
-            return _cartesian(op, j, seed, squares, _RowKeys(op, j, bound))
-        except _LabelDependent:
-            pass
-    return _cartesian(op, j, seed, squares, _ElementKeys(op, j, bound))
-
-
-def _cartesian(op, j, seed, squares, D):
+    One loop on one keying, rows (_RowKeys), over every operad. Its memos
+    die with the call: DX, the truncated D_j X of each label tuple X, one
+    list that every square and naturality map over X reads; the flattening
+    of each shape; and per map f, Df, the image D f(u) of each element u,
+    shared by the eta and mu keys and by D D f. Only canonicalize's op.elems
+    memo, which an orbit entry with several sigmas reads, outlives it. Where
+    the projections of D P are not jointly injective, a pair has an
+    ambiguous lift."""
+    D = _RowKeys(op, j, bound)
     rng = random.Random(seed)
     report = {"operad": op.name, "j": j, "seed": seed, "ok": True,
               "squares": {"checked": 0, "failures": []},

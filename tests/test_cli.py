@@ -747,8 +747,9 @@ def test_cli_validate_terminal_algebra(tmp_path):
      "must be a JSON list or an object-level element"),
     ("terminal_symmetric", ['{"j": 0, "n": 2, "d": [9, 9], "xs": ["*", "*"]}', "1"],
      "(9, 9) is not a level-2 element"),
+    ("terminal", ["-1", "1"], "hom spec '-1' is a negative arity"),
 ], ids=["no-hom", "not-a-spec", "not-a-list", "not-an-object", "shorthand",
-        "element-j-1", "element-d-outside-its-level"])
+        "element-j-1", "element-d-outside-its-level", "negative-arity"])
 def test_cli_free_unusable_hom_exits_2(target, hom, message, tmp_path, capsys,
                                        monkeypatch):
     jsonio.save(jsonio.encode_classical(xor_classical(), True), tmp_path / "xor.json")
@@ -766,12 +767,18 @@ def test_cli_free_unusable_hom_exits_2(target, hom, message, tmp_path, capsys,
      "operad truncation 3 below arity bound 4"),
     (["validate", "operad", "list.json"], "top-level JSON value must be an object"),
     (["validate", "operad", "unknown.json"], "unknown builtin operad"),
+    (["validate", "multicat", "level-2.json"],
+     "element level 2 is neither 0 (objects) nor 1 (morphisms)"),
 ], ids=["bound-0", "no-such-file", "tabulated-truncation", "top-level-list",
-        "unknown-builtin"])
+        "unknown-builtin", "element-level-2"])
 def test_cli_unusable_input_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     jsonio.save(jsonio.encode_operad(barratt_eccles(3)), tmp_path / "be3.json")
     jsonio.save([1, 2], tmp_path / "list.json")
     jsonio.save({"kind": "operad", "builtin": "nope"}, tmp_path / "unknown.json")
+    # an element level other than 0 or 1 was read as the morphism level
+    doc = jsonio.encode_multicat(terminal_multicat(barratt_eccles(2)))
+    doc["source_action"][0][1] = {**doc["source_action"][0][1], "j": 2}
+    jsonio.save(doc, tmp_path / "level-2.json")
     monkeypatch.chdir(tmp_path)
     code, rep = run(argv, tmp_path)
     assert code == 2 and rep is None

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from functools import partial
 from math import factorial
 
 import pytest
@@ -673,75 +674,78 @@ def _reference_mu_naturality(op, j, seed, squares, bound=3):
 
 
 def _cases(rows):
-    return [pytest.param(make, N, j, id=f"{name}-{j}")
-            for name, make, N, js in rows for j in js]
+    """(make, j, whether the check passes) per j of each row (name, make,
+    js, the js where it fails); make builds the operad."""
+    return [pytest.param(make, j, j not in failing, id=f"{name}-{j}")
+            for name, make, js, failing in rows for j in js]
 
 
-# operads whose reference loops stay fast; ASS x BE has several orbits per level
-_SMALL = _cases([("BE3", barratt_eccles, 3, (0, 1)),
-                 ("ASS3", associativity_operad, 3, (0, 1)),
-                 ("ASSxBE2", ass_x_be, 2, (0, 1))])
+# operads whose reference loops stay fast; ASS x BE has several orbits per
+# level, COMM and two_sigma_operad orbit entries with several sigmas, and
+# fixed_swap_operad is not free
+_SMALL = _cases([("BE3", partial(barratt_eccles, 3), (0, 1), ()),
+                 ("ASS3", partial(associativity_operad, 3), (0, 1), ()),
+                 ("ASSxBE2", partial(ass_x_be, 2), (0, 1), ()),
+                 ("COMM3", partial(commutative_operad, 3), (1,), (1,)),
+                 ("two_sigma", lambda: two_sigma_operad(), (0, 1), (0,)),
+                 ("fixed_swap", lambda: fixed_swap_operad(), (0, 1), ())])
 
 
-@pytest.mark.parametrize("make,N,j", _cases([("BE", barratt_eccles, 4, (0, 1)),
-                                             ("ASS", associativity_operad, 4, (0, 1)),
-                                             ("COMM", commutative_operad, 4, (0,))])
+@pytest.mark.parametrize("make,j,cartesian",
+                         _cases([("BE", partial(barratt_eccles, 4), (0, 1), ()),
+                                 ("ASS", partial(associativity_operad, 4), (0, 1), ()),
+                                 ("COMM", partial(commutative_operad, 4), (0,), (0,))])
                          + _SMALL)
-def test_cartesian_squares_and_eta_match_the_per_square_loops(make, N, j):
-    rep = check_cartesian(make(N), j, seed=2027, squares=20)
-    assert rep["squares"] == _reference_squares(make(N), j, seed=2027, squares=20)
+def test_cartesian_squares_and_eta_match_the_per_square_loops(make, j, cartesian):
+    rep = check_cartesian(make(), j, seed=2027, squares=20)
+    assert rep["squares"] == _reference_squares(make(), j, seed=2027, squares=20)
     assert rep["eta_naturality"] == _reference_eta_naturality(
-        make(N), j, seed=2027, squares=20)
+        make(), j, seed=2027, squares=20)
     assert rep["squares"]["checked"] == 20 and rep["eta_naturality"]["checked"] > 0
-    assert bool(rep["squares"]["failures"]) == (make is commutative_operad)
+    assert bool(rep["squares"]["failures"]) != cartesian
 
 
-@pytest.mark.parametrize("make,N,j", _SMALL)
-def test_cartesian_mu_square_matches_the_per_function_loop(make, N, j):
-    rep = check_cartesian(make(N), j, seed=2027, squares=1)
-    assert rep["mu_naturality"] == _reference_mu_naturality(make(N), j, seed=2027,
+@pytest.mark.parametrize("make,j,cartesian", _SMALL)
+def test_cartesian_mu_square_matches_the_per_function_loop(make, j, cartesian):
+    rep = check_cartesian(make(), j, seed=2027, squares=1)
+    assert rep["mu_naturality"] == _reference_mu_naturality(make(), j, seed=2027,
                                                             squares=1)
-    assert rep["mu_naturality"]["checked"] > 0 and rep["ok"]
+    assert rep["mu_naturality"]["checked"] > 0 and rep["ok"] == cartesian
 
 
 def test_cartesian_check_flattens_each_nested_element_once(monkeypatch):
-    # over a free operad the mu square flattens each shape once, by one
-    # mu_raw call on a probe, and builds no element per nested element
-    op = barratt_eccles(4)
-    shapes, real_raw = Counter(), gmcat.opmonad.mu_raw
+    # over any operad the mu square flattens each shape once, by one mu_raw
+    # call on a probe, and builds no element per nested element; only COMM,
+    # whose orbit entries have several sigmas, relabels through op.elems
+    for make, j, digest in [
+            (barratt_eccles, 1, "95304aa474e6833345c8b7233f4af4ae739e592cbfce152aca891a5f74e0371e"),
+            (commutative_operad, 0, "6ef47d32bd1d24b4e20810c3faaaea89a7788a200cada7324f76dbe20f96bc71")]:
+        op = make(4)
+        shapes, real_raw = Counter(), gmcat.opmonad.mu_raw
 
-    def counting_raw(op, j, k, d, inners):
-        shapes[(j, k, d, tuple((e.n, e.d) for e in inners))] += 1
-        return real_raw(op, j, k, d, inners)
+        def counting_raw(op, j, k, d, inners):
+            shapes[(j, k, d, tuple((e.n, e.d) for e in inners))] += 1
+            return real_raw(op, j, k, d, inners)
 
-    def no_mu(op, e):
-        raise AssertionError("an element flattened one at a time")
+        def no_mu(op, e):
+            raise AssertionError("an element flattened one at a time")
 
-    monkeypatch.setattr(gmcat.opmonad, "mu_raw", counting_raw)
-    monkeypatch.setattr(gmcat.opmonad, "mu", no_mu)
-    rep = check_cartesian(op, 1, seed=2027, squares=5)
-    assert shapes and max(shapes.values()) == 1
-    assert set(shapes) == set(op.composites)
-    assert op.nested == {} and op.elems == {}
-    monkeypatch.undo()
-    assert rep["ok"]
-    assert rep["mu_naturality"] == _reference_mu_naturality(
-        barratt_eccles(4), 1, seed=2027, squares=5)
-    # the report of the per-function flattening, byte for byte
-    digest = hashlib.sha256(json.dumps(rep, sort_keys=True, default=repr).encode())
-    assert digest.hexdigest() == \
-        "95304aa474e6833345c8b7233f4af4ae739e592cbfce152aca891a5f74e0371e"
+        monkeypatch.setattr(gmcat.opmonad, "mu_raw", counting_raw)
+        monkeypatch.setattr(gmcat.opmonad, "mu", no_mu)
+        rep = check_cartesian(op, j, seed=2027, squares=5)
+        assert shapes and max(shapes.values()) == 1
+        assert set(shapes) == set(op.composites)
+        assert op.nested == {} and bool(op.elems) == (make is commutative_operad)
+        monkeypatch.undo()
+        assert rep["ok"] == (make is barratt_eccles)
+        assert rep["mu_naturality"] == _reference_mu_naturality(
+            make(4), j, seed=2027, squares=5)
+        # the report of the per-function flattening, byte for byte
+        assert _digest(rep) == digest, make.__name__
 
 
 def _digest(rep):
     return hashlib.sha256(json.dumps(rep, sort_keys=True, default=repr).encode()).hexdigest()
-
-
-def _by_elements(op, j, seed, squares):
-    """check_cartesian's report by its element path, which canonicalizes
-    each element and serves every operad."""
-    return gmcat.opmonad._cartesian(op, j, seed, squares,
-                                    gmcat.opmonad._ElementKeys(op, j, 3))
 
 
 _SECTIONS = (("squares", _reference_squares), ("eta_naturality", _reference_eta_naturality),
@@ -753,7 +757,6 @@ def test_an_identity_that_moves_elements_breaks_the_eta_and_mu_squares():
     # to [1; x], so eta(b) = [0; b] is the image of no element; the reference
     # loops name elements canonically too, so every section equals its own
     rep = check_cartesian(z3_unit_operad(), 1, seed=3, squares=10)
-    assert rep == _by_elements(z3_unit_operad(), 1, 3, 10)
     for name, reference in _SECTIONS:
         assert rep[name] == reference(z3_unit_operad(), 1, 3, 10), name
     assert [f["lifts"] for f in rep["eta_naturality"]["failures"]] == [0] * 26
@@ -776,7 +779,6 @@ def test_an_identity_that_merges_representatives_gives_ambiguous_lifts():
     op = make()
     rep = check_cartesian(op, 1, seed=3, squares=10)
     assert op.is_free and op.nested == {} and op.elems == {}
-    assert rep == _by_elements(make(), 1, 3, 10)
     for name, reference in _SECTIONS:
         assert rep[name] == reference(make(), 1, 3, 10), name
     kinds = {w[0] for f in rep["squares"]["failures"] for w in f["witnesses"]}
@@ -800,11 +802,13 @@ def two_sigma_operad():
     return CatOperad("two_sigma", 2, be.levels, be.unit, act, be._compose)
 
 
-def test_an_orbit_entry_with_two_sigmas_takes_the_element_path():
+def test_an_orbit_entry_with_two_sigmas_relabels_through_canonicalize():
     op = two_sigma_operad()
     assert op.is_free and len(_orbit(op, 0, 2, (1, 2))[2]) == 2
     rep = check_cartesian(op, 0, seed=3, squares=10)
-    assert op.nested  # nested_elements ran: each element was canonicalized
+    # the entry's relabelling depends on the labels: canonicalize, whose
+    # memo is op.elems
+    assert op.nested == {} and op.elems
     assert rep["squares"]["failures"] and rep["mu_naturality"]["failures"]
     assert _digest(rep) == \
         "134167c423066f8ffc85913bece8d75c78812588142eda55f24e7f6dd51ec4d0"
@@ -812,7 +816,8 @@ def test_an_orbit_entry_with_two_sigmas_takes_the_element_path():
     op = two_sigma_operad()
     rep = check_cartesian(op, 1, seed=3, squares=10)
     assert rep["ok"] and op.nested == {} and op.elems == {}
-    assert rep == _by_elements(two_sigma_operad(), 1, 3, 10)
+    for name, reference in _SECTIONS:
+        assert rep[name] == reference(two_sigma_operad(), 1, 3, 10), name
 
 
 def fixed_swap_operad():
@@ -832,16 +837,25 @@ def fixed_swap_operad():
     return CatOperad("fixed_swap", 2, be.levels, be.unit, act, be._compose)
 
 
-def test_a_non_free_operad_takes_the_element_path_whatever_its_sigmas():
-    # the element path merges the elements that canonicalize alike, as
-    # _elements does over a non-free operad; rows would count them twice
+def test_a_non_free_operad_merges_the_rows_that_canonicalize_alike():
+    # over a non-free operad each list holds each canonical row once, as
+    # _elements merges elements; rows per least representative would count
+    # those of m0 and m1 twice, 2 647 mu instances
     op = fixed_swap_operad()
     assert not op.is_free
     assert {len(_orbit(op, 1, 2, d)[2]) for d in op.level(2).morphisms} == {1}
     rep = check_cartesian(op, 1, seed=3, squares=10)
-    assert op.nested and rep["ok"] and rep["mu_naturality"]["checked"] == 902
+    assert op.nested == {} and op.elems == {}
+    assert rep["ok"] and rep["mu_naturality"]["checked"] == 902
     assert _digest(rep) == \
         "c1116c750c4949a7987707276ce510c5e12ab6bce083f164fb0e6929d711dc92"
+    # the lists the check reads are those of _elements, in its sorted order,
+    # though [m0; (x, y)] canonicalizes to [m0; (y, x)]
+    keys = gmcat.opmonad._RowKeys(op, 1, 3)
+    assert [keys.elem(u) for u in keys.DX(("x", "y"))] == \
+        list(all_elements(op, 1, ("x", "y"), 3))
+    assert [keys.nested_elem(v) for v in keys.nested(("x", "y"))] == \
+        [v for v, _ in nested_elements(op, 1, ("x", "y"), 2, 3)]
 
 
 def turned_swap_operad():
@@ -867,7 +881,8 @@ def test_a_least_representative_moved_by_its_orbit_entry_relabels_its_labels():
     assert op.is_free and _orbit(op, 1, 2, m[1])[1:] == (m[0], (Perm((2, 1)),))
     rep = check_cartesian(op, 1, seed=3, squares=10)
     assert op.nested == {} and op.elems == {}
-    assert rep == _by_elements(turned_swap_operad(), 1, 3, 10)
+    for name, reference in _SECTIONS:
+        assert rep[name] == reference(turned_swap_operad(), 1, 3, 10), name
     assert rep["squares"]["failures"] and rep["mu_naturality"]["failures"]
     assert _digest(rep) == \
         "c843543610aaa84c6f1802ea2d6774efcc1a4b0d0a81fcaf8437042888e5d95d"
@@ -879,7 +894,8 @@ def test_only_a_non_free_builtin_canonicalizes_each_element(make):
     op = make(3)
     for j in (0, 1):
         check_cartesian(op, j, seed=5, squares=3)
-    assert (op.nested == {} and op.elems == {}) == (make is not commutative_operad)
+    # COMM's orbit entries have several sigmas, so it relabels through op.elems
+    assert op.nested == {} and bool(op.elems) == (make is commutative_operad)
 
 
 def test_cartesian_failures_match_the_per_function_flattening():
