@@ -42,16 +42,17 @@ of a builtin operad equals the one of its tabulated copy.
 Cartesianness (D of a pullback, the eta and mu squares) and cover
 preservation are unique-lifting checks, each one lift count
 (finset.lifts_over). Over every operad check_cartesian keys elements by
-rows (place of d, xs), read from a table per representative or per shape
-(_RowKeys): an orbit entry's (least, sigma) relabels every xs over it, an
-entry with several sigmas relabels through canonicalize, and one mu_raw
-call flattens every nested element of a shape.
+rows (place of d, xs) (_RowKeys): an orbit entry's (least, sigma) relabels
+every xs over it, and a shape table, one mu_raw call per shape, every
+flattening. Where D is polynomial (free, over least representatives that
+are canonical, with one sigma per shape) the mu square is counted shape by
+shape; elsewhere it is enumerated.
 """
 
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import groupby, product, repeat
+from itertools import product
 from operator import itemgetter
 
 from .errors import FreenessError, StructuralError
@@ -453,14 +454,14 @@ class _RowKeys:
     An element [d; xs] is the row (R, xs), R the place of d among the
     elements of levels 0..cap, by arity and then by canon_key, so canon_key
     orders rows as it orders elements; a nested element is (R, its inner
-    rows). Each key comes from a table: the (least, move) of a
-    representative (_relabelling) relabels every xs over it, and that of a
-    shape (k, R, ((n_i, R_i), ...)) is its composite's, from one mu_raw
-    call on positional leaves. Over a free operad the lists are those of
-    _elements' free path; over any other each holds each canonical row
-    once, as _elements merges, DX and the nested ones sorted. A MonadElem
-    is built only for a witness or a shape's probe; op.nested gains
-    nothing, and op.elems only through an orbit entry with several sigmas."""
+    rows). The (least, move) of a representative (_relabelling) relabels
+    every xs over it; the shape table, the one place a flattening is read,
+    holds each shape's (R_s, sigma_s), from one mu_raw call on positional
+    leaves. Over a free operad the lists are those of _elements' free path;
+    over any other each holds each canonical row once, as _elements merges,
+    sorted but for pullback's. A MonadElem is built only for a witness or a
+    shape's probe; op.nested gains nothing, and op.elems only through an
+    orbit entry with several sigmas."""
 
     def __init__(self, op, j, bound):
         self.op, self.j, self.free = op, j, op.is_free
@@ -475,19 +476,16 @@ class _RowKeys:
         self.unit = self.ranks[1].get(op.unit if j == 0 else op.unit_mor) if cap else None
         self.moves = [None] * len(self.ds)  # _relabelling by R
         self.shapes = {}  # (k, R, ((n_i, R_i), ...)): its composite's _relabelling
-        self.flat = {}  # nested row: the row of its flattening
-        self.mu = self.flat.__getitem__
         self.DX = cache(self._DX)
         self.nested = cache(self._nested)
-        self._blocks = cache(self._nested_blocks)
+        self.mu = cache(self._mu)
 
     def elem(self, row):
         r, xs = row
         return MonadElem(self.j, len(xs), self.ds[r], xs)
 
     def nested_elem(self, row):
-        """The nested element of a row, or of a flattenings entry."""
-        r, inner = row[:2]
+        r, inner = row
         return MonadElem(self.j, len(inner), self.ds[r], tuple(map(self.elem, inner)))
 
     def eta(self, x):
@@ -518,8 +516,9 @@ class _RowKeys:
         rows = self._canonical(labels)
         return rows if self.free else sorted(set(rows), key=canon_key)
 
-    def image(self, fmap):
-        f, move = fmap.__getitem__, self._move
+    def image(self, f):
+        """D f on rows, from f on labels (D D f on nested rows, from Df)."""
+        move = self._move
 
         def Df(row):
             r, xs = row
@@ -531,7 +530,7 @@ class _RowKeys:
     def pullback(self, P):
         """The (D first, D second) rows of D_j P, each its own key."""
         if not self.free:  # one key per canonical row; only its lifts are counted
-            first, second = (self.image({p: p[i] for p in P}) for i in (0, 1))
+            first, second = (self.image(itemgetter(i)) for i in (0, 1))
             return ([(first(w), second(w)) for w in dict.fromkeys(self._canonical(P))],
                     itemgetter(0, 1))
         firsts, seconds = [p[0] for p in P], [p[1] for p in P]
@@ -542,9 +541,9 @@ class _RowKeys:
                 keys += zip(self._relabelled(n, r, us), self._relabelled(n, r, vs))
         return keys, itemgetter(0, 1)
 
-    def _flatten(self, k, r, shape, leaves):
-        key = (k, r, shape)
-        hit = self.shapes.get(key)
+    def _shape(self, k, r, shape):
+        """The shape table's (R_s, sigma_s) of (k, r, shape): one mu_raw call."""
+        hit = self.shapes.get((k, r, shape))
         if hit is None:
             probe, start = [], 0
             for n, ri in shape:
@@ -552,73 +551,66 @@ class _RowKeys:
                 start += n
             n, composed, _ = mu_raw(self.op, self.j, k, self.ds[r], probe)
             least, move = _relabelling(self.op, self.j, n, composed)
-            hit = self.shapes[key] = (self.ranks[n][least], move)
-        least, move = hit
+            hit = self.shapes[(k, r, shape)] = (self.ranks[n][least], move)
+        return hit
+
+    def _mu(self, row):
+        """The row of a nested row's flattening."""
+        r, inner = row
+        least, move = self._shape(len(inner), r, tuple((len(xs), ri) for ri, xs in inner))
+        leaves = tuple(x for _, xs in inner for x in xs)
         return least, leaves if move is None else move(leaves)
 
-    def _flattened(self, k, tuples, rs):
-        """[(r, the flattening rows of [d; p] for the inner row tuples p)] for
-        d at each R = r in rs."""
-        shapes = [tuple((len(xs), ri) for ri, xs in p) for p in tuples]
-        leaves = [tuple(x for _, xs in p for x in xs) for p in tuples]
-        return [(r, [self._flatten(k, r, sh, lv) for sh, lv in zip(shapes, leaves)])
-                for r in rs]
-
-    def _nested_blocks(self, labels):
-        """nested_elements(op, j, labels, 2, cap) as blocks (k, the inner row
-        tuples p, [(R, the flattening rows of [d; each p]) for some d]); its
-        elements are the (R, p) in that order. Over a free operad a block
-        holds every least d of arity k, else one canonical d."""
-        cap = self.cap
-        # layer 1 is all_elements, sorted: the free path of _elements, or DX
-        layer = (sorted(dict.fromkeys((r, xs) for n, leasts in enumerate(self.leasts)
-                                      for r in leasts for xs in product(labels, repeat=n)),
-                        key=canon_key) if self.free else self.DX(labels))
-        blocks = []
-        for k, leasts in enumerate(self.leasts):  # layer 2 within cap
-            tuples = [p for p, _ in product_within([layer] * k,
-                                                   lambda row: (len(row[1]),), cap)]
-            if self.free:
-                blocks.append((k, tuples, self._flattened(k, tuples, leasts)))
-                continue
-            rows = sorted({row for r in leasts for row in self._relabelled(k, r, tuples)},
-                          key=canon_key)
-            for r, group in groupby(rows, itemgetter(0)):
-                ps = [p for _, p in group]
-                blocks.append((k, ps, self._flattened(k, ps, (r,))))
-        return blocks
-
     def _nested(self, labels):
-        out = []
-        for _, tuples, flats in self._blocks(labels):
-            for r, keys in flats:
-                rows = [(r, p) for p in tuples]
-                self.flat.update(zip(rows, keys))
-                out += rows
-        return out
+        """nested_elements(op, j, labels, 2, cap) for sorted labels: over a
+        free operad every least d over every tuple of layer-1 rows (those of
+        _elements' free path), else each canonical row once, sorted."""
+        layer = ([(r, xs) for n, leasts in enumerate(self.leasts)
+                  for r in leasts for xs in product(labels, repeat=n)]
+                 if self.free else self.DX(labels))
+        tuples = [[p for p, _ in product_within([layer] * k, lambda row: (len(row[1]),),
+                                                self.cap)] for k in range(self.cap + 1)]
+        if self.free:
+            return [(r, p) for k, leasts in enumerate(self.leasts)
+                    for r in leasts for p in tuples[k]]
+        return sorted({row for k, leasts in enumerate(self.leasts)
+                       for r in leasts for row in self._relabelled(k, r, tuples[k])},
+                      key=canon_key)
 
-    def flattenings(self, labels, Df):
-        """(R, inner rows, mu row, D D f row) per nested element, keyed by
-        [2:]; the hits keep their nested row as [:2]."""
-        out = []
-        for k, tuples, flats in self._blocks(labels):
-            images = [tuple(map(Df, p)) for p in tuples]
-            for r, keys in flats:
-                out += zip(repeat(r), tuples, keys, self._relabelled(k, r, images))
-        return out, itemgetter(2, 3)
+    def polynomial(self):
+        """{n_s: the number of shapes with n_s leaves} where D is polynomial,
+        else None. The premises: the operad is free, every least R of levels
+        0..cap is its own canonical form with no relabelling, and every
+        shape's sigma_s is one permutation (never canonicalize's)."""
+        if not self.free or any(self._move(n, r) != (r, None)
+                                for n, leasts in enumerate(self.leasts) for r in leasts):
+            return None
+        inner = [(n, r) for n, leasts in enumerate(self.leasts) for r in leasts]
+        counts = {}
+        for k, leasts in enumerate(self.leasts):
+            for shape, sums in product_within([inner] * k, lambda s: (s[0],), self.cap):
+                for r in leasts:
+                    move = self._shape(k, r, shape)[1]
+                    if not (move is None or isinstance(move, itemgetter)):
+                        return None
+                    counts[sum(sums)] = counts.get(sum(sums), 0) + 1
+        return counts
 
 
 def check_cartesian(op, j, seed=0, squares=100, bound=3):
     """Sampled pullback preservation plus fiberwise eta/mu naturality squares.
 
-    One loop on one keying, rows (_RowKeys), over every operad. Its memos
-    die with the call: DX, the truncated D_j X of each label tuple X, one
-    list that every square and naturality map over X reads; the flattening
-    of each shape; and per map f, Df, the image D f(u) of each element u,
-    shared by the eta and mu keys and by D D f. Only canonicalize's op.elems
-    memo, which an orbit entry with several sigmas reads, outlives it. Where
-    the projections of D P are not jointly injective, a pair has an
-    ambiguous lift."""
+    One loop on one keying, rows (_RowKeys), over every operad; its memos
+    (DX per label tuple, the shape table, Df per map) die with the call, and
+    only canonicalize's op.elems outlives it. Where the projections of D P
+    are not jointly injective, a pair has an ambiguous lift.
+
+    Where D is polynomial (_RowKeys.polynomial), D f(R, xs) = (R, f(xs)) for
+    every least R and mu sends a nested row of shape s to (R_s,
+    sigma_s(leaves)). So a pair (u, w) with D f(u) = mu(w) has one lift, the
+    row of w's shape with leaves sigma_s^-1(u's labels), and the u over the
+    w of shape s number |A|^n_s in all: each map adds sum_s |A|^n_s mu
+    instances and no failure. Elsewhere the loop enumerates the pairs."""
     D = _RowKeys(op, j, bound)
     rng = random.Random(seed)
     report = {"operad": op.name, "j": j, "seed": seed, "ok": True,
@@ -634,8 +626,9 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
             continue  # keep the enumeration tractable; seeded, so still deterministic
         # D of the pullback square P is again a pullback: unique joint lifts
         fails = [("missing lift" if not ws else "ambiguous lift", (u, v))
-                 for u, v, ws in lifts_over(*D.pullback(P), D.DX(A), D.image(f),
-                                            D.DX(B), D.image(g))
+                 for u, v, ws in lifts_over(*D.pullback(P),
+                                            D.DX(A), D.image(f.__getitem__),
+                                            D.DX(B), D.image(g.__getitem__))
                  if len(ws) != 1]
         report["squares"]["checked"] += 1
         done += 1
@@ -652,8 +645,9 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         B = tuple(f"z{i}" for i in range(nb))
         functions.append((A, B, {a: rng.choice(B) for a in A}))
 
+    shapes = D.polynomial()
     for A, B, fmap in functions:
-        Df = D.image(fmap)
+        Df = D.image(fmap.__getitem__)
         DA = D.DX(A)
         # eta square: pairs (x in D A, b in B) with D f(x) = eta(b) lift uniquely to A
         for x, b, hits in lifts_over(A, lambda a: (D.eta(a), fmap[a]),
@@ -662,9 +656,14 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
             if len(hits) != 1:
                 report["eta_naturality"]["failures"].append(
                     {"map": fmap, "pair": (D.elem(x), b), "lifts": len(hits)})
+        if shapes is not None:  # decided per shape: every pair lifts uniquely
+            report["mu_naturality"]["checked"] += sum(
+                c * len(A) ** m for m, c in shapes.items())
+            continue
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
-        for u, w, hits in lifts_over(*D.flattenings(A, Df), DA, Df,
-                                     D.nested(B), D.mu):
+        DDf = D.image(Df)
+        for u, w, hits in lifts_over(D.nested(A), lambda v: (D.mu(v), DDf(v)),
+                                     DA, Df, D.nested(B), D.mu):
             report["mu_naturality"]["checked"] += 1
             if len(hits) != 1:
                 report["mu_naturality"]["failures"].append(

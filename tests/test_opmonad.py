@@ -599,9 +599,13 @@ def _draws(seed, squares):
 
 def _canonical_elements(op, j, labels, bound):
     """all_elements, each named by its canonical form, as check_cartesian
-    names them: where a least translate is not canonical the two differ."""
-    return tuple(canonicalize(op, j, e.n, e.d, e.xs)
-                 for e in all_elements(op, j, labels, bound))
+    names them. Over a free operad _elements builds [d; xs] for each least d,
+    which need not be canonical; over any other it has canonicalized
+    already, and canonicalize is not idempotent there."""
+    elements = all_elements(op, j, labels, bound)
+    if not op.is_free:
+        return elements
+    return tuple(canonicalize(op, j, e.n, e.d, e.xs) for e in elements)
 
 
 def _reference_square_preserved(op, j, A, B, f, g, P, bound):
@@ -856,6 +860,11 @@ def test_a_non_free_operad_merges_the_rows_that_canonicalize_alike():
         list(all_elements(op, 1, ("x", "y"), 3))
     assert [keys.nested_elem(v) for v in keys.nested(("x", "y"))] == \
         [v for v, _ in nested_elements(op, 1, ("x", "y"), 2, 3)]
+    # the reference loops read that D A too; canonicalize is not idempotent
+    # here, so canonicalizing all_elements again would move two of its 11
+    DA = all_elements(op, 1, ("x", "y"), 3)
+    assert _canonical_elements(op, 1, ("x", "y"), 3) == DA and len(DA) == 11
+    assert sum(canonicalize(op, 1, e.n, e.d, e.xs) != e for e in DA) == 2
 
 
 def turned_swap_operad():
@@ -886,6 +895,126 @@ def test_a_least_representative_moved_by_its_orbit_entry_relabels_its_labels():
     assert rep["squares"]["failures"] and rep["mu_naturality"]["failures"]
     assert _digest(rep) == \
         "c843543610aaa84c6f1802ea2d6774efcc1a4b0d0a81fcaf8437042888e5d95d"
+
+
+def sorted_composite_operad():
+    """BE(2) but for its level-2 objects: the identity sends (2, 1) to (1, 2)
+    as the transposition does, so that orbit entry has two sigmas, and each
+    composite of outer arity 2 there is (2, 1). It is free and its least
+    representative (1, 2) is its own canonical form, yet mu canonicalizes
+    [(1, 2); [u; x], [u; y]] to [(1, 2); the lesser of (x, y) and (y, x)]."""
+    be = barratt_eccles(2)
+
+    def act(j, n, sigma, x):
+        return (1, 2) if (j, n, x) == (0, 2, (2, 1)) else be.act(j, n, sigma, x)
+
+    def compose(j, k, x, inners):
+        y = be._compose(j, k, x, inners)
+        return (2, 1) if (j, k, y) == (0, 2, (1, 2)) else y
+    return CatOperad("sorted_composite", 2, be.levels, be.unit, act, compose)
+
+
+def _failing_premises(op, j, bound=3):
+    """The premises of check_cartesian's per-shape count that fail, read off
+    the orbit table and op.compose: 1, the operad is not free; 2, a least
+    representative is not its own canonical form with the identity alone;
+    3, some shape's composite has an orbit entry with several sigmas."""
+    cap = min(bound, op.max_level)
+    leasts = [_least_translates(op, j, n) for n in range(cap + 1)]
+    failing = set() if op.is_free else {1}
+    for n, ds in enumerate(leasts):
+        for d in ds:
+            _, least, sigmas = _orbit(op, j, n, d)
+            if least != d or [s.is_identity for s in sigmas] != [True]:
+                failing.add(2)
+    inner = [(n, d) for n, ds in enumerate(leasts) for d in ds]
+    for k, ds in enumerate(leasts):
+        for shape, sums in product_within([inner] * k, lambda s: (s[0],), cap):
+            for d in ds:
+                composed = op.compose(j, k, d, shape)
+                if len(_orbit(op, j, sum(sums), composed)[2]) > 1:
+                    failing.add(3)
+    return failing
+
+
+# (operad, j, the premises it fails, whether its mu square fails); each
+# premise fails alone on some operad: 1 on fixed_swap at j = 0, 2 on
+# z3_unit and turned_swap at j = 1, 3 on sorted_composite at j = 0
+@pytest.mark.parametrize("make,j,failing,mu_fails", [
+    pytest.param(partial(commutative_operad, 3), 0, {1, 2, 3}, True, id="COMM3-0"),
+    pytest.param(fixed_swap_operad, 0, {1}, False, id="fixed_swap-0"),
+    pytest.param(fixed_swap_operad, 1, {1, 2}, False, id="fixed_swap-1"),
+    pytest.param(z3_unit_operad, 1, {2}, True, id="z3_unit-1"),
+    pytest.param(lambda: z3_unit_operad(lambda x: min(x + 1, 2)), 1, {2}, True,
+                 id="z3_merging-1"),
+    pytest.param(turned_swap_operad, 1, {2}, True, id="turned_swap-1"),
+    pytest.param(two_sigma_operad, 0, {2, 3}, True, id="two_sigma-0"),
+    pytest.param(sorted_composite_operad, 0, {3}, True, id="sorted_composite-0"),
+    pytest.param(sorted_composite_operad, 1, set(), False, id="sorted_composite-1"),
+    pytest.param(partial(barratt_eccles, 3), 1, set(), False, id="BE3-1")])
+def test_the_mu_square_is_counted_only_where_its_premises_hold(make, j, failing,
+                                                               mu_fails):
+    op = make()
+    assert _failing_premises(op, j) == failing
+    # where a premise fails the check enumerates the mu square, and every
+    # section is the reference loops'
+    assert (gmcat.opmonad._RowKeys(op, j, 3).polynomial() is None) == bool(failing)
+    rep = check_cartesian(make(), j, seed=3, squares=10)
+    for name, reference in _SECTIONS:
+        assert rep[name] == reference(make(), j, 3, 10), name
+    assert bool(rep["mu_naturality"]["failures"]) == mu_fails
+
+
+def _closed_form_counts(op, j, seed, squares, bound=3):
+    """(eta, mu) instance counts of check_cartesian where D is polynomial,
+    from c_n = |O(n)_j| / n!, the least representatives of level n: per map
+    f : A -> B with a = |A|, the eta square has a instances and the mu
+    square sum_{k <= cap} c_k sum_{m <= cap} [t^m] (sum_{n <= cap} c_n a^n t^n)^k."""
+    cap = min(bound, op.max_level)
+    c = []
+    for n in range(cap + 1):
+        size = len(op.elements(j, n))
+        assert size % factorial(n) == 0
+        c.append(size // factorial(n))
+    eta_count = mu_count = 0
+    for A, _, _ in _draws(seed, squares)[1]:
+        a = len(A)
+        inner = [c[n] * a ** n for n in range(cap + 1)]
+        power = [1] + [0] * cap  # inner ** k, truncated past t^cap
+        for k in range(cap + 1):
+            mu_count += c[k] * sum(power)
+            power = [sum(power[i] * inner[m - i] for i in range(m + 1))
+                     for m in range(cap + 1)]
+        eta_count += a
+    return eta_count, mu_count
+
+
+# counts: (eta, mu) of the enumerating check, before the mu square was
+# counted per shape
+@pytest.mark.parametrize("make,j,seed,squares,counts", [
+    pytest.param(partial(barratt_eccles, 4), 0, 2026, 100, (21, 1983), id="BE4-0"),
+    pytest.param(partial(barratt_eccles, 4), 1, 2027, 100, (25, 36947), id="BE4-1"),
+    pytest.param(partial(associativity_operad, 4), 0, 2026, 100, (21, 1983), id="ASS4-0"),
+    pytest.param(partial(associativity_operad, 4), 1, 2027, 100, (25, 2947), id="ASS4-1"),
+    pytest.param(partial(ass_x_be, 3), 1, 2027, 20, (27, 858141), id="ASSxBE3-1")])
+def test_cartesian_counts_match_the_closed_form(make, j, seed, squares, counts):
+    op = make()
+    rep = check_cartesian(op, j, seed=seed, squares=squares)
+    assert rep["ok"]
+    got = rep["eta_naturality"]["checked"], rep["mu_naturality"]["checked"]
+    assert got == _closed_form_counts(op, j, seed, squares) == counts
+
+
+def test_ass_x_be_counts_its_mu_square_per_shape(monkeypatch):
+    # 782 411 mu instances, counted without a nested row; the digest is the
+    # enumerating check's report, byte for byte
+    def no_nested(self, labels):
+        raise AssertionError("a nested row built")
+    monkeypatch.setattr(gmcat.opmonad._RowKeys, "_nested", no_nested)
+    rep = check_cartesian(ass_x_be(3), 1, seed=2027, squares=100)
+    assert rep["ok"] and rep["mu_naturality"]["checked"] == 782411
+    assert _digest(rep) == \
+        "f47efc580eb346bdb34489b485518f2a027d03830b6d9344eb24980130dfcd2a"
 
 
 @pytest.mark.parametrize("make", [barratt_eccles, associativity_operad,
