@@ -12,8 +12,15 @@ printed with it. Hypothesis draws from seed 0 unless the arguments give
 --hypothesis-seed, so two runs on one tree list the same statements; the
 seed is printed too.
 
+With --by-function (before the pytest arguments) it also lists, per
+function of src/gmcat, the pytest node ids that reach it: the tests that
+called it, and the test modules whose collection (module-level set-up)
+called it. Each id is a valid pytest argument, so a mutation check can
+run only the tests that reach the function it mutates.
+
     python scripts/unreached.py tests/test_finset.py
     python scripts/unreached.py tests --deselect tests/test_acceptance.py::test_criterion_7_adjunction_suite
+    python scripts/unreached.py --by-function tests/test_finset.py
 """
 
 import argparse
@@ -54,9 +61,44 @@ def _body_statements(tree):
     return out
 
 
+def _functions(tree):
+    """(dotted name, first line) for every function in tree, methods and
+    nested functions named under their class or function. The first line
+    is the one a code object starts at: the first decorator's, if any."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    out.append((prefix + child.name, min(
+                        [child.lineno] + [d.lineno for d in child.decorator_list])))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+    visit(tree, "")
+    return out
+
+
+class _CurrentNode:
+    """A pytest plugin that tracks the node whose code runs: the test being
+    run, or the module being collected (and so imported)."""
+
+    def __init__(self):
+        self.nodeid = None
+
+    def pytest_collectstart(self, collector):
+        self.nodeid = collector.nodeid
+
+    def pytest_runtest_logstart(self, nodeid, location):
+        self.nodeid = nodeid
+
+
 def trace(pytest_args):
-    """Run pytest under the line tracer: (exit code, {file name: lines run})."""
-    root, ran = str(PACKAGE), {}
+    """Run pytest under the line tracer: (exit code, {file name: lines run},
+    {(file name, first line of a function): node ids that called it})."""
+    root, ran, callers = str(PACKAGE), {}, {}
+    node = _CurrentNode()
 
     def local(frame, event, _):
         if event == "line":
@@ -68,13 +110,15 @@ def trace(pytest_args):
         if not name.startswith(root):
             return None
         ran.setdefault(name, set())
+        callers.setdefault((name, frame.f_code.co_firstlineno), set()).add(node.nodeid)
         return local
     sys.settrace(on_call)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args],
+                           plugins=[node])
     finally:
         sys.settrace(None)
-    return code, ran
+    return code, ran, callers
 
 
 def with_hypothesis_seed(pytest_args):
@@ -90,11 +134,13 @@ def with_hypothesis_seed(pytest_args):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--by-function", action="store_true",
+                    help="also list the node ids that reach each function")
     ap.add_argument("pytest_args", nargs=argparse.REMAINDER,
                     help="test paths and pytest options")
     args = ap.parse_args()
     pytest_args, seed = with_hypothesis_seed(args.pytest_args)
-    code, ran = trace(pytest_args)
+    code, ran, callers = trace(pytest_args)
     total = 0
     print(f"\npytest exit code {int(code)} under tracing, hypothesis seed {seed}")
     for path in sorted(PACKAGE.glob("*.py")):
@@ -108,6 +154,15 @@ def main():
         for stmt in missed:
             print(f"  {path.name}:{stmt.lineno}: {lines[stmt.lineno - 1].strip()}")
     print(f"total: {total} statements unreached")
+    if args.by_function:
+        print("\nnode ids reaching each function")
+        for path in sorted(PACKAGE.glob("*.py")):
+            for name, first in _functions(ast.parse(path.read_text())):
+                ids = sorted(n for n in callers.get((str(path), first), ())
+                             if n is not None)
+                print(f"{path.stem}.{name}: {len(ids)}")
+                for nodeid in ids:
+                    print(f"  {nodeid}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,11 @@ relation, so each of its classes is (h,). The unit is unit_map.
 Composition reads its three parts (the interchange lift, the regrouped
 list and the data composite) from memos on the multicategory and the
 operad, once per distinct input; the composability check and the hat
-condition still run on every composite.
+condition still run on every composite. Both compare ends of lists, and
+each list's two ends, its target and its flattened sources, are computed
+once and read from M.list_ends. The target is never found through the
+flattening, so a list whose sources flatten past the truncation still
+has a target, and only flat_source raises BoundExceeded.
 
 A hom-set comes out in canon_key order by construction: each target's
 lists are sorted once, when phi_rows is built, and the data over a list
@@ -68,13 +72,28 @@ class HatMorphism:
         return f"Hat({self.phi!r}, {self.sigma!r})"
 
 
+def list_target(op, M, phi):
+    """The targets of a multimorphism list, one monad element; read from
+    M.list_ends after the first call, and never through a flattening."""
+    ends = M.list_ends.get(phi)
+    if ends is None:
+        ends = M.list_ends[phi] = (map_elem(op, M.tgt.get, phi), None)
+    return ends[0]
+
+
 def flat_source(op, M, phi):
-    """The flattened sources of a multimorphism list, one monad element."""
-    return mu(op, map_elem(op, M.src.get, phi))
+    """The flattened sources of a multimorphism list, one monad element;
+    read from M.list_ends after the first call. A flattening that raises
+    stores nothing."""
+    ends = M.list_ends.get(phi)
+    if ends is None or ends[1] is None:
+        flat = mu(op, map_elem(op, M.src.get, phi))
+        ends = M.list_ends[phi] = (list_target(op, M, phi), flat)
+    return ends[1]
 
 
 def hat_target(op, M, hat):
-    return map_elem(op, M.tgt.get, hat.phi)
+    return list_target(op, M, hat.phi)
 
 
 def hat_source(op, hat):
@@ -114,7 +133,8 @@ def _regroup(op, M, outer, inner):
 def hat_compose(op, M, f, g):
     """f after g: interchange f's data past g's list, then compose slotwise.
 
-    Composability and the hat condition are checked on every call. The
+    Composability and the hat condition are checked on every call, on the
+    ends of g's list and of the composite list that M.list_ends holds. The
     three parts are read from memos after their first computation: the
     interchange lift from M.lifts, the regrouped list from M.regroupings
     and the data composite from op.data_composites (through gamma_D). The
@@ -239,11 +259,11 @@ class LazyDAlgebra:
         """The class of hat, its representative first."""
         if not self.quotient:  # the provisional construction has no relation
             return (hat,)
-        lookup = self._closure(hat_source(self.operad, hat),
-                               hat_target(self.operad, self.M, hat))[1]
-        if hat not in lookup:
+        members = self._closure(hat_source(self.operad, hat),
+                                hat_target(self.operad, self.M, hat))[1].get(hat)
+        if members is None:
             raise StructuralError("morphism missing from its hom-set closure")
-        return lookup[hat]
+        return members
 
     def class_of(self, hat):
         return self.members(hat)[0]

@@ -50,6 +50,10 @@ class DMulticat:
                         repr=False)
     regroupings: dict = field(default_factory=dict, init=False, compare=False,
                               repr=False)
+    # the ends of each multimorphism list that adjoint reads, by list:
+    # (target, flattened sources), the latter None until flat_source asks
+    list_ends: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         _require_free(self.operad, "a generalized multicategory")

@@ -236,7 +236,14 @@ def test_criterion_7_adjunction_suite():
     elapsed = time.perf_counter() - t0
     for key, r in rep.items():
         assert r["ok"], (key, r["failures"][:2] if "failures" in r else r)
-    assert rep["tri_sym"]["checked_U"] > 0 and rep["tri_sym"]["checked_L"] > 0
+    assert rep["tri_sym"]["checked_U"] > 0
+    # checked_L counts the classes of L(terminal) within the bound: n^m
+    # and C(m+n-1, n-1) per pair of arities, as criterion 6's grid
+    assert rep["tri_sym"]["checked_L"] == sum(
+        n ** m for m in range(4) for n in range(4)) == 60
+    assert rep["tri_word"]["checked_L"] == sum(
+        comb(m + n - 1, n - 1) if n else int(m == 0)
+        for m in range(4) for n in range(4)) == 35
     assert elapsed < 10.0
     print(f"\n[criterion 7] adjunction suite: PASS ({elapsed:.1f}s < 10s, "
           f"U={rep['tri_sym']['checked_U']}+{rep['tri_word']['checked_U']}, "

@@ -4,6 +4,7 @@ import gc
 import sys
 import weakref
 from dataclasses import FrozenInstanceError, replace
+from itertools import product
 from math import comb
 
 import pytest
@@ -13,9 +14,9 @@ import gmcat.finset as finset
 import gmcat.opmonad as opmonad
 from gmcat.adjoint import (L, HatMorphism, check_triangles, coeq_equiv,
                            counit_hat, counit_report, descent_report,
-                           hat_compose, hat_L, hat_source, hat_target,
-                           hat_unit_report, make_hat, to_algebra, unit_map,
-                           unit_report, validate_coeq_fork,
+                           flat_source, hat_compose, hat_L, hat_source,
+                           hat_target, hat_unit_report, make_hat, to_algebra,
+                           unit_map, unit_report, validate_coeq_fork,
                            witness_hat_unit_failure)
 from gmcat.catoperad import associativity_operad, barratt_eccles
 from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
@@ -147,6 +148,25 @@ def test_hom_count_oracles():
             for op, M in nonsymmetric:
                 got = len(L(M).hom(obj(op, M, m), obj(op, M, n)))
                 assert got == want, (op.name, m, n, got)
+
+
+def test_free_permutative_hom_counts_over_z2():
+    # L(U(z2)) is the free permutative category on the multicategory with
+    # one multimorphism (x_1..x_k) -> sum mod 2: a morphism a -> b is a
+    # function f : [m] -> [n] whose fibre over each j sums to b_j mod 2
+    A = z2_discrete_algebra(BE)
+    lz = L(underlying(A, 3))
+    objs = lz.objects_upto(3)
+    sizes = {}
+    for a in objs:
+        for b in objs:
+            want = sum(all(sum(x for x, j in zip(a.xs, f) if j == k) % 2 == y
+                           for k, y in enumerate(b.xs))
+                       for f in product(range(b.n), repeat=a.n))
+            sizes[(a, b)] = len(lz.hom(a, b))
+            assert sizes[(a, b)] == want, (a, b)
+    assert len(sizes) == 225
+    assert sum(sizes.values()) == 360 == counit_report(A, bound=3)["classes"]
 
 
 def test_empty_hom_is_identity():
@@ -420,10 +440,11 @@ def test_memoized_composite_matches_the_plain_one(make, bound, want_pairs):
 def test_each_part_is_computed_once_per_distinct_input(monkeypatch):
     op = barratt_eccles(4)  # its own data composites
     A = z2_discrete_algebra(op)
-    keys = {"chi": [], "regroup": [], "gamma_D": []}
+    keys = {"chi": [], "regroup": [], "gamma_D": [], "flatten": []}
     composites = []
     inner_chi, inner_regroup = adjoint.chi, adjoint._regroup
     inner_aligned, inner_compose = opmonad._aligned_compose, adjoint.hat_compose
+    inner_mu = adjoint.mu
 
     def spy_chi(op, sigma, phis, *maps):
         keys["chi"].append((sigma, phis))
@@ -438,21 +459,32 @@ def test_each_part_is_computed_once_per_distinct_input(monkeypatch):
             keys["gamma_D"].append((E, E2))
         return inner_aligned(op, E, E2, *maps)
 
+    def spy_mu(op, e):
+        caller = sys._getframe(1)
+        if caller.f_code is adjoint.flat_source.__code__:
+            keys["flatten"].append(caller.f_locals["phi"])
+        return inner_mu(op, e)
+
     def spy_compose(*args):
         composites.append(args)
         return inner_compose(*args)
     monkeypatch.setattr(adjoint, "chi", spy_chi)
     monkeypatch.setattr(adjoint, "_regroup", spy_regroup)
     monkeypatch.setattr(opmonad, "_aligned_compose", spy_aligned)
+    monkeypatch.setattr(adjoint, "mu", spy_mu)
     monkeypatch.setattr(adjoint, "hat_compose", spy_compose)
     assert counit_report(A, bound=3)["ok"]
     counts = {name: len(ks) for name, ks in keys.items()}
     assert counts == {name: len(set(ks)) for name, ks in keys.items()}
-    assert counts == {"chi": 585, "regroup": 1286, "gamma_D": 307}
+    assert counts == {"chi": 585, "regroup": 1286, "gamma_D": 307,
+                      "flatten": 416}
     assert len(composites) == 10608
     U = underlying(A, 3)
     assert (len(U.lifts), len(U.regroupings)) == (585, 1286)
     assert len(op.data_composites) == 307
+    # every list the check reads holds both of its ends
+    assert set(U.list_ends) == set(keys["flatten"])
+    assert all(flat is not None for _, flat in U.list_ends.values())
     # a second pass reads every part from the tables
     assert counit_report(A, bound=3)["ok"]
     assert {name: len(ks) for name, ks in keys.items()} == counts
@@ -475,19 +507,45 @@ def test_a_composition_that_raises_stores_nothing(case):
         chi(op, f.sigma, g.phi, M.src.get, M.tgt.get)
         error = BoundExceeded
     before = (dict(M.lifts), dict(M.regroupings), dict(op.data_composites))
-    assert all(before)
+    ends = dict(M.list_ends)
+    assert all(before) and ends
     with pytest.raises(error):
         hat_compose(op, M, f, g)
     assert (M.lifts, M.regroupings, op.data_composites) == before
+    # the composability check may read g's target, never f's list
+    assert M.list_ends.items() >= ends.items()
+    assert M.list_ends.keys() - ends.keys() <= {g.phi}
+    assert case == "not composable" or f.phi not in M.list_ends
+
+
+@pytest.mark.parametrize("target_first", [True, False],
+                         ids=["target-first", "flattening-first"])
+def test_a_list_past_the_truncation_has_a_target_and_no_flattening(target_first):
+    op = associativity_operad(3)
+    M = terminal_multicat(op)  # its own list_ends
+    b = elements_of(op, 0, M.objects, 2)[0]
+    # the sources of this list flatten to arity 6, past the truncation
+    f = HatMorphism(map_elem(op, lambda x: ("t", 3), b), I_D(op, b))
+    if target_first:
+        assert L(M).tgt(f) == b
+    with pytest.raises(BoundExceeded):
+        flat_source(op, M, f.phi)
+    assert M.list_ends == ({f.phi: (b, None)} if target_first else {})
+    assert L(M).tgt(f) == b
+    with pytest.raises(BoundExceeded):
+        flat_source(op, M, f.phi)
+    assert M.list_ends == {f.phi: (b, None)}
 
 
 def test_a_replaced_multicategory_starts_with_empty_tables():
     M = terminal_multicat(associativity_operad(2))
     assert unit_report(M)["ok"]
-    assert M.lifts and M.regroupings and M.free_algebras
+    assert M.lifts and M.regroupings and M.list_ends and M.free_algebras
     twin = replace(M, composition=dict(M.composition))
-    assert twin.lifts == twin.regroupings == twin.free_algebras == {}
+    assert twin.lifts == twin.regroupings == twin.list_ends == {}
+    assert twin.free_algebras == {}
     assert twin.lifts is not M.lifts and twin.regroupings is not M.regroupings
+    assert twin.list_ends is not M.list_ends
 
 
 @pytest.mark.parametrize("M", [MB, MA], ids=["BE", "ASS"])
@@ -518,6 +576,9 @@ def test_hat_morphism_collision_and_read_only():
     planted = HatMorphism(k.phi, k.sigma)
     object.__setattr__(planted, "_hash", hash(h))
     assert planted != h and len({h, planted}) == 2
+    # a list alone is not a provisional morphism, whatever it holds
+    assert h.__eq__(h.phi) is NotImplemented
+    assert h != h.phi and h.phi != h
     for name in ("phi", "sigma", "_hash"):
         with pytest.raises(FrozenInstanceError):
             setattr(h, name, None)

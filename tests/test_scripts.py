@@ -55,6 +55,34 @@ def test_unreached_lists_the_statements_a_run_never_reaches(tmp_path):
     assert listed.rstrip().endswith("statements unreached")
 
 
+def test_unreached_lists_the_node_ids_that_reach_each_function(tmp_path):
+    # identity_perm runs as the module is collected, the rest inside tests
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("from gmcat.finset import fibres, identity_perm, sort_labels\n\n"
+                     "ONE = identity_perm(1)\n\n"
+                     "def test_sort():\n    assert sort_labels([2, 1]) == (1, 2)\n\n"
+                     "def test_fibres():\n    assert fibres([1], str) == {'1': [1]}\n")
+    out = run_script("unreached.py", "--by-function", str(probe))
+    assert "pytest exit code 0 under tracing" in out
+    reached, counts = {}, {}
+    for line in out.split("node ids reaching each function\n")[1].splitlines():
+        if line.startswith("  "):
+            reached[name].append(line.strip())
+        else:
+            name, count = line.rsplit(": ", 1)
+            reached[name], counts[name] = [], int(count)
+    assert counts == {name: len(ids) for name, ids in reached.items()}
+    # each id as pytest prints it, relative to its root directory
+    short = {name: [i.rsplit("/", 1)[-1] for i in ids] for name, ids in reached.items()}
+    assert short["finset.sort_labels"] == short["finset.canon_key"] == [
+        "test_probe.py::test_sort"]
+    assert short["finset.fibres"] == ["test_probe.py::test_fibres"]
+    assert short["finset.identity_perm"] == ["test_probe.py"]
+    assert short["finset.Perm.__post_init__"] == ["test_probe.py"]
+    assert short["finset.perms"] == short["adjoint.hat_compose"] == []
+    assert short["adjoint.counit_report.judge"] == []
+
+
 @pytest.mark.parametrize("given, seed", [([], "0"), (["--hypothesis-seed=5"], "5"),
                                          (["--hypothesis-seed", "7"], "7")],
                          ids=["default", "equals", "separate"])
