@@ -9,7 +9,7 @@ import argparse
 from math import comb
 
 from gmcat.adjoint import L, hat_L
-from gmcat.catoperad import associativity_operad, barratt_eccles
+from gmcat.catoperad import BUILTIN_OPERADS
 from gmcat.dmulticat import terminal_multicat
 from gmcat.opmonad import elements_of
 
@@ -29,9 +29,7 @@ def main():
                     help="count provisional morphisms instead of classes")
     args = ap.parse_args()
 
-    build = barratt_eccles if args.operad == "barratt_eccles" \
-        else associativity_operad
-    op = build(args.max_arity)
+    op = BUILTIN_OPERADS[args.operad](args.max_arity)
     M = terminal_multicat(op)
     free = hat_L(M) if args.hat else L(M)
     oracle = ORACLES[args.operad]

@@ -15,11 +15,11 @@ relation, so each of its classes is (h,). The unit is unit_map.
 Composition reads its three parts (the interchange lift, the regrouped
 list and the data composite) from memos on the multicategory and the
 operad, once per distinct input; the composability check and the hat
-condition still run on every composite. Both compare ends of lists, and
-each list's two ends, its target and its flattened sources, are computed
-once and read from M.list_ends. The target is never found through the
-flattening, so a list whose sources flatten past the truncation still
-has a target, and only flat_source raises BoundExceeded.
+condition still run on every composite. Both compare ends of lists: a
+list's targets and its flattened sources are computed once each, and read
+from M.list_targets and M.flat_sources. Neither is found through the
+other, so a list whose sources flatten past the truncation still has a
+target, and only flat_source raises BoundExceeded.
 
 A hom-set comes out in canon_key order by construction: each target's
 lists are sorted once, when phi_rows is built, and the data over a list
@@ -74,22 +74,21 @@ class HatMorphism:
 
 def list_target(op, M, phi):
     """The targets of a multimorphism list, one monad element; read from
-    M.list_ends after the first call, and never through a flattening."""
-    ends = M.list_ends.get(phi)
-    if ends is None:
-        ends = M.list_ends[phi] = (map_elem(op, M.tgt.get, phi), None)
-    return ends[0]
+    M.list_targets after the first call."""
+    tgt = M.list_targets.get(phi)
+    if tgt is None:
+        tgt = M.list_targets[phi] = map_elem(op, M.tgt.get, phi)
+    return tgt
 
 
 def flat_source(op, M, phi):
     """The flattened sources of a multimorphism list, one monad element;
-    read from M.list_ends after the first call. A flattening that raises
+    read from M.flat_sources after the first call. A flattening that raises
     stores nothing."""
-    ends = M.list_ends.get(phi)
-    if ends is None or ends[1] is None:
-        flat = mu(op, map_elem(op, M.src.get, phi))
-        ends = M.list_ends[phi] = (list_target(op, M, phi), flat)
-    return ends[1]
+    flat = M.flat_sources.get(phi)
+    if flat is None:
+        flat = M.flat_sources[phi] = mu(op, map_elem(op, M.src.get, phi))
+    return flat
 
 
 def hat_target(op, M, hat):
@@ -134,12 +133,12 @@ def hat_compose(op, M, f, g):
     """f after g: interchange f's data past g's list, then compose slotwise.
 
     Composability and the hat condition are checked on every call, on the
-    ends of g's list and of the composite list that M.list_ends holds. The
-    three parts are read from memos after their first computation: the
-    interchange lift from M.lifts, the regrouped list from M.regroupings
-    and the data composite from op.data_composites (through gamma_D). The
-    two tables on M are written only once make_hat has accepted the
-    composite, so a call that raises stores nothing in them."""
+    ends of g's list and of the composite list (M.list_targets and
+    M.flat_sources). The three parts are read from memos after their first
+    computation: the interchange lift from M.lifts, the regrouped list from
+    M.regroupings and the data composite from op.data_composites (through
+    gamma_D). M.lifts and M.regroupings are written only once make_hat has
+    accepted the composite, so a call that raises stores nothing in them."""
     if hat_source(op, f) != hat_target(op, M, g):
         raise StructuralError("hat morphisms not composable")
     lift_key = (f.sigma, g.phi)
@@ -173,8 +172,8 @@ class LazyDAlgebra:
     M: object
     quotient: bool
     name: str = ""
-    # multimorphism lists by target, as (phi, flattened source) rows grouped
-    # by flattened arity: the rows that can land in one hom-set
+    # multimorphism lists by target, grouped by the arity of their flattened
+    # sources: the lists that can land in one hom-set
     phi_rows: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
     # object-level data by arity, indexed (by (source, target), by target)
@@ -197,14 +196,12 @@ class LazyDAlgebra:
 
     def _phis(self, a, b):
         """The multimorphism lists with target b whose flattened sources have
-        a's arity, with those sources (skipping flattenings past truncation),
-        in canon_key order."""
+        a's arity (none past the truncation), in canon_key order."""
         if b not in self.phi_rows:
             op, M = self.operad, self.M
             phis = [canonicalize(op, 0, p.n, p.d, p.xs)
                     for p in sorted(fillings(M, b, op.max_level), key=canon_key)]
-            self.phi_rows[b] = fibres(((phi, flat_source(op, M, phi)) for phi in phis),
-                                      lambda r: r[1].n)
+            self.phi_rows[b] = fibres(phis, lambda phi: flat_source(op, M, phi).n)
         return self.phi_rows[b].get(a.n, ())
 
     def _sigmas(self, n):
@@ -222,15 +219,16 @@ class LazyDAlgebra:
     def hom_hat(self, a, b):
         """In canon_key order: the lists are in order, and so is the data
         over each list."""
+        op, M = self.operad, self.M
         by_ends = self._sigmas(a.n)[0]
-        return tuple(HatMorphism(phi, s) for phi, flat in self._phis(a, b)
-                     for s in by_ends.get((a, flat), ()))
+        return tuple(HatMorphism(phi, s) for phi in self._phis(a, b)
+                     for s in by_ends.get((a, flat_source(op, M, phi)), ()))
 
     # -- the coequalizer relation -------------------------------------------
     def relation_instances(self, a, b):
         """Both legs of every relation instance landing in hom(a, b)."""
         op, M = self.operad, self.M
-        for phi, _ in self._phis(a, b):
+        for phi in self._phis(a, b):
             slots = [self._sigmas(s.n)[1].get(s, ())
                      for s in (M.src[g] for g in phi.xs)]
             for taus in product(*slots):

@@ -52,7 +52,6 @@ class CatOperad:
     elems: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     ranks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    nested: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     composites: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     data_composites: dict = field(default_factory=dict, init=False, compare=False,
                                   repr=False)
@@ -318,15 +317,13 @@ def validate_operad(op, total_arity=None):
                 if L.src.get(sf) != act(0, n, s, L.src[f]) or \
                    L.tgt.get(sf) != act(0, n, s, L.tgt[f]):
                     failures.append(("action breaks endpoints", (n, s, f)))
-        # (x.s).t is read from t's row at the place of x.s, unless x.s left the level
+        # (x.s).t is read from t's row at the place of x.s
         place = {f: i for i, f in enumerate(L.morphisms)}
-        places = {s: [place[g] for g in row] if all(g in place for g in row) else None
-                  for s, row in rows.items()}
         for s in sym:
+            ps = [place[g] for g in rows[s]]
             for t in sym:
-                st = _mul(s, t)  # right action: x.(s o t) = (x.s).t
-                at, ps = rows[t], places[s]
-                if ps is not None and rows[st] == [at[i] for i in ps]:
+                st, at = _mul(s, t), rows[t]  # right action: x.(s o t) = (x.s).t
+                if rows[st] == [at[i] for i in ps]:
                     continue
                 for f in L.morphisms:
                     if act(1, n, st, f) != act(1, n, t, act(1, n, s, f)):

@@ -12,6 +12,7 @@ import os
 import sys
 import time
 import traceback
+from collections import Counter
 
 from . import jsonio
 from .adjoint import (L, check_triangles, counit_report, hat_L,
@@ -236,8 +237,7 @@ def cmd_free(cfg):
     if M is None:
         return build(cfg, checks)
     op = M.operad
-    a = _object_spec(cfg.hom[0], M, op)
-    b = _object_spec(cfg.hom[1], M, op)
+    a, b = (_object_spec(spec, M, op) for spec in cfg.hom)
     lz = hat_L(M) if cfg.hat else L(M)
     classes = lz.hom(a, b)
     if cfg.hat:
@@ -258,9 +258,7 @@ def cmd_underlying(cfg):
     if any(c["status"] == "fail" for c in checks):
         return build(cfg, checks)
     U = underlying(A, cfg.bound)
-    by_arity = {}
-    for w in U.morphisms:
-        by_arity[U.arity(w)] = by_arity.get(U.arity(w), 0) + 1
+    by_arity = Counter(map(U.arity, U.morphisms))
     checks.append(check("underlying multimorphisms", True,
                         counts={"morphisms": len(U.morphisms),
                                 **{f"arity_{n}": c

@@ -12,13 +12,16 @@ of a source [d; x1..xn] the [d; g1..gn] with tgt(gi) = xi, read by fibre.
 A classical source list (x1..xn) is encoded as [b; x1..xn] with b the base
 point of level n (`_level_unit_obj`), in the least of the level's orbits.
 The terminal multicategory needs no base point: it has a morphism out of
-every orbit. Alignments go through the operad's orbit table.
+every orbit. Alignments go through the operad's orbit table. The tables
+adjoint derives from a DMulticat's own are its fields, one plain memo
+each: lifts, regroupings, list_targets and flat_sources.
 """
 
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
+from math import prod
 
 from .errors import StructuralError
 from .fincat import (CatFunctor, Presheaf, transport_presheaf,
@@ -50,10 +53,12 @@ class DMulticat:
                         repr=False)
     regroupings: dict = field(default_factory=dict, init=False, compare=False,
                               repr=False)
-    # the ends of each multimorphism list that adjoint reads, by list:
-    # (target, flattened sources), the latter None until flat_source asks
-    list_ends: dict = field(default_factory=dict, init=False, compare=False,
-                            repr=False)
+    # the ends of each multimorphism list that adjoint reads, by list: its
+    # targets (adjoint.list_target) and its flattened sources (flat_source)
+    list_targets: dict = field(default_factory=dict, init=False, compare=False,
+                               repr=False)
+    flat_sources: dict = field(default_factory=dict, init=False, compare=False,
+                               repr=False)
 
     def __post_init__(self):
         _require_free(self.operad, "a generalized multicategory")
@@ -228,7 +233,7 @@ def validate_multicat(M, coherence_budget=2000, seed=0):
                 failures.append(("outer action does not interchange with "
                                  "composition", (f, delta, Phi2)))
 
-    coh = _coherence_triples(M, coherence_budget, seed)
+    coh = _coherence_triples(M, m2, coherence_budget, seed)
     for f, Phi, deltas in coh:
         acted, absorbed = act_slots(M, Phi, deltas)
         lhs = M.source_action.get((M.composition[(f, Phi)], absorbed))
@@ -240,23 +245,21 @@ def validate_multicat(M, coherence_budget=2000, seed=0):
             "m2": len(m2), "m3": len(m3), "coherence_checked": len(coh)}
 
 
-def _coherence_triples(M, budget, seed):
-    """Pairs from M2 with one action morphism chosen per source slot, among
-    the action entries M has (validate_presheaf reports the missing ones).
-    validate_multicat calls this only when every pair has a composite."""
+def _coherence_triples(M, m2, budget, seed):
+    """Pairs from m2 = enumerate_M2(M) with one action morphism chosen per
+    source slot, among the action entries M has (validate_presheaf reports
+    the missing ones). validate_multicat calls this only when every pair
+    has a composite."""
     op = M.operad
     deltas_at = fibres(all_elements(op, 1, M.objects, M.cap), lambda d: T_D(op, d))
     acting = {g: [t for t in deltas_at.get(M.src[g], ()) if (g, t) in M.source_action]
               for g in M.morphisms}
     combos = []
-    for f, Phi in enumerate_M2(M):
+    for f, Phi in m2:
         slots = [acting[g] for g in Phi.xs]
-        if any(not s for s in slots):
-            continue
-        count = 1
-        for s in slots:
-            count *= len(s)
-        combos.append((f, Phi, slots, count))
+        count = prod(map(len, slots))
+        if count:  # a slot without action entries has no triple
+            combos.append((f, Phi, slots, count))
     total = sum(c for *_, c in combos)
     out = []
     if total <= budget:
@@ -337,7 +340,8 @@ def _encode(cm, op, symmetric, rep):
             action[(f, delta)] = cm.act[(f, r.inverse().images)]
         else:
             if not r.is_identity:
-                raise StructuralError("non-identity action morphism over a discrete operad")
+                raise StructuralError(f"non-identity action morphism over {op.name}: "
+                                      "a non-symmetric multicategory acts by identities")
             action[(f, delta)] = f
     # each src(f) is [level unit object; literal sources], so a filling
     # lists its fillers in the literal order; every entry is carried, and

@@ -27,10 +27,10 @@ level in that order, and `op.ranks[(j, n)]` is {x: position in level n}.
 The orbit table alone decides a canonical element. It reads the ranks
 first, so an arity past the truncation raises BoundExceeded, and it
 refuses a translate outside its level (an invalid tabulated action).
-`op.elems[(j, d, xs)]` is the canonical element, `op.nested` holds
-nested_elements results, `op.composites` the composite of each shape
-that mu_raw flattens and `op.data_composites` the composite gamma_D(E, E2)
-of each pair it has composed. Every MonadElem is such a canonical element.
+`op.elems[(j, d, xs)]` is the canonical element, `op.composites` the
+composite of each shape that mu_raw flattens and `op.data_composites` the
+composite gamma_D(E, E2) of each pair it has composed. Every MonadElem is
+such a canonical element.
 
 A MonadElem hashes once, when it is built, to hash((j, n, d, xs)): the
 value a dataclass would compute on every lookup, so dicts and sets iterate
@@ -44,9 +44,9 @@ preservation are unique-lifting checks, each one lift count
 (finset.lifts_over). Over every operad check_cartesian keys elements by
 rows (place of d, xs) (_RowKeys): an orbit entry's (least, sigma) relabels
 every xs over it, and a shape table, one mu_raw call per shape, every
-flattening. Where D is polynomial (free, over least representatives that
-are canonical, with one sigma per shape) the mu square is counted shape by
-shape; elsewhere it is enumerated.
+flattening. Where D is polynomial (least representatives canonical with no
+relabelling, so a free action, and one sigma per shape) the mu square is
+counted shape by shape; elsewhere it is enumerated.
 """
 
 import random
@@ -295,25 +295,17 @@ def nested_elements(op, j, labels, layers, budget):
     Returns (elem, weights) pairs where weights[t] is the arity of the t-th
     flattening (weights[0] = top arity, last = leaf count). Layer 1 is
     all_elements; every layer above it is in canon_key order, built over
-    the sorted layer below (_elements).
+    the sorted layer below (_elements). Each call builds every layer anew.
     """
-    labels = tuple(labels)
-    memo_key = (j, labels, layers, budget)
-    hit = op.nested.get(memo_key)
-    if hit is not None:
-        return hit
     cap = min(budget, op.max_level)
     if layers == 1:
-        out = tuple((e, (e.n,)) for e in all_elements(op, j, labels, cap))
-    else:
-        inner = dict(nested_elements(op, j, labels, layers - 1, budget))
-        # layers >= 2 come out sorted; the label layer may not
-        ordered = sort_labels(inner) if layers == 2 else tuple(inner)
-        # the empty product has no weights
-        out = tuple((e, (e.n,) + (ws or (0,) * (layers - 1))) for e, ws in
-                    _elements(op, j, ordered, range(cap + 1), inner.__getitem__, cap))
-    op.nested[memo_key] = out
-    return out
+        return tuple((e, (e.n,)) for e in all_elements(op, j, tuple(labels), cap))
+    inner = dict(nested_elements(op, j, labels, layers - 1, budget))
+    # layers >= 2 come out sorted; the label layer may not
+    ordered = sort_labels(inner) if layers == 2 else tuple(inner)
+    # the empty product has no weights
+    return tuple((e, (e.n,) + (ws or (0,) * (layers - 1))) for e, ws in
+                 _elements(op, j, ordered, range(cap + 1), inner.__getitem__, cap))
 
 
 def monad_set_category(op, labels, bound):
@@ -460,8 +452,8 @@ class _RowKeys:
     leaves. Over a free operad the lists are those of _elements' free path;
     over any other each holds each canonical row once, as _elements merges,
     sorted but for pullback's. A MonadElem is built only for a witness or a
-    shape's probe; op.nested gains nothing, and op.elems only through an
-    orbit entry with several sigmas."""
+    shape's probe; nested_elements is never called, and op.elems gains
+    entries only through an orbit entry with several sigmas."""
 
     def __init__(self, op, j, bound):
         self.op, self.j, self.free = op, j, op.is_free
@@ -579,11 +571,12 @@ class _RowKeys:
 
     def polynomial(self):
         """{n_s: the number of shapes with n_s leaves} where D is polynomial,
-        else None. The premises: the operad is free, every least R of levels
-        0..cap is its own canonical form with no relabelling, and every
-        shape's sigma_s is one permutation (never canonicalize's)."""
-        if not self.free or any(self._move(n, r) != (r, None)
-                                for n, leasts in enumerate(self.leasts) for r in leasts):
+        else None. The premises: every least R of levels 0..cap is its own
+        canonical form with no relabelling (so the action is free on those
+        levels), and every shape's sigma_s is one permutation, never
+        canonicalize's."""
+        if any(self._move(n, r) != (r, None)
+               for n, leasts in enumerate(self.leasts) for r in leasts):
             return None
         inner = [(n, r) for n, leasts in enumerate(self.leasts) for r in leasts]
         counts = {}

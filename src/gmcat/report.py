@@ -50,9 +50,7 @@ def jsonable(v):
                 for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, (int, float, str)):
+    if v is None or isinstance(v, (bool, int, float, str)):
         return v
     return repr(v)
 

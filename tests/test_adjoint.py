@@ -440,11 +440,11 @@ def test_memoized_composite_matches_the_plain_one(make, bound, want_pairs):
 def test_each_part_is_computed_once_per_distinct_input(monkeypatch):
     op = barratt_eccles(4)  # its own data composites
     A = z2_discrete_algebra(op)
-    keys = {"chi": [], "regroup": [], "gamma_D": [], "flatten": []}
+    keys = {"chi": [], "regroup": [], "gamma_D": [], "flatten": [], "target": []}
     composites = []
     inner_chi, inner_regroup = adjoint.chi, adjoint._regroup
     inner_aligned, inner_compose = opmonad._aligned_compose, adjoint.hat_compose
-    inner_mu = adjoint.mu
+    inner_mu, inner_map = adjoint.mu, adjoint.map_elem
 
     def spy_chi(op, sigma, phis, *maps):
         keys["chi"].append((sigma, phis))
@@ -465,6 +465,12 @@ def test_each_part_is_computed_once_per_distinct_input(monkeypatch):
             keys["flatten"].append(caller.f_locals["phi"])
         return inner_mu(op, e)
 
+    def spy_map(op, f, e):
+        caller = sys._getframe(1)
+        if caller.f_code is adjoint.list_target.__code__:
+            keys["target"].append(caller.f_locals["phi"])
+        return inner_map(op, f, e)
+
     def spy_compose(*args):
         composites.append(args)
         return inner_compose(*args)
@@ -472,19 +478,20 @@ def test_each_part_is_computed_once_per_distinct_input(monkeypatch):
     monkeypatch.setattr(adjoint, "_regroup", spy_regroup)
     monkeypatch.setattr(opmonad, "_aligned_compose", spy_aligned)
     monkeypatch.setattr(adjoint, "mu", spy_mu)
+    monkeypatch.setattr(adjoint, "map_elem", spy_map)
     monkeypatch.setattr(adjoint, "hat_compose", spy_compose)
     assert counit_report(A, bound=3)["ok"]
     counts = {name: len(ks) for name, ks in keys.items()}
     assert counts == {name: len(set(ks)) for name, ks in keys.items()}
     assert counts == {"chi": 585, "regroup": 1286, "gamma_D": 307,
-                      "flatten": 416}
+                      "flatten": 416, "target": 142}
     assert len(composites) == 10608
     U = underlying(A, 3)
     assert (len(U.lifts), len(U.regroupings)) == (585, 1286)
     assert len(op.data_composites) == 307
-    # every list the check reads holds both of its ends
-    assert set(U.list_ends) == set(keys["flatten"])
-    assert all(flat is not None for _, flat in U.list_ends.values())
+    # each table holds exactly the lists whose end the check computed
+    assert set(U.flat_sources) == set(keys["flatten"])
+    assert set(U.list_targets) == set(keys["target"])
     # a second pass reads every part from the tables
     assert counit_report(A, bound=3)["ok"]
     assert {name: len(ks) for name, ks in keys.items()} == counts
@@ -507,22 +514,24 @@ def test_a_composition_that_raises_stores_nothing(case):
         chi(op, f.sigma, g.phi, M.src.get, M.tgt.get)
         error = BoundExceeded
     before = (dict(M.lifts), dict(M.regroupings), dict(op.data_composites))
-    ends = dict(M.list_ends)
-    assert all(before) and ends
+    targets, flats = dict(M.list_targets), dict(M.flat_sources)
+    assert all(before) and targets and flats
     with pytest.raises(error):
         hat_compose(op, M, f, g)
     assert (M.lifts, M.regroupings, op.data_composites) == before
-    # the composability check may read g's target, never f's list
-    assert M.list_ends.items() >= ends.items()
-    assert M.list_ends.keys() - ends.keys() <= {g.phi}
-    assert case == "not composable" or f.phi not in M.list_ends
+    # the composability check may read g's target, never f's list, and
+    # no flattening is reached
+    assert M.list_targets.items() >= targets.items()
+    assert M.list_targets.keys() - targets.keys() <= {g.phi}
+    assert case == "not composable" or f.phi not in M.list_targets
+    assert M.flat_sources == flats
 
 
 @pytest.mark.parametrize("target_first", [True, False],
                          ids=["target-first", "flattening-first"])
 def test_a_list_past_the_truncation_has_a_target_and_no_flattening(target_first):
     op = associativity_operad(3)
-    M = terminal_multicat(op)  # its own list_ends
+    M = terminal_multicat(op)  # its own list_targets and flat_sources
     b = elements_of(op, 0, M.objects, 2)[0]
     # the sources of this list flatten to arity 6, past the truncation
     f = HatMorphism(map_elem(op, lambda x: ("t", 3), b), I_D(op, b))
@@ -530,22 +539,23 @@ def test_a_list_past_the_truncation_has_a_target_and_no_flattening(target_first)
         assert L(M).tgt(f) == b
     with pytest.raises(BoundExceeded):
         flat_source(op, M, f.phi)
-    assert M.list_ends == ({f.phi: (b, None)} if target_first else {})
+    assert M.list_targets == ({f.phi: b} if target_first else {})
     assert L(M).tgt(f) == b
     with pytest.raises(BoundExceeded):
         flat_source(op, M, f.phi)
-    assert M.list_ends == {f.phi: (b, None)}
+    assert (M.list_targets, M.flat_sources) == ({f.phi: b}, {})
 
 
 def test_a_replaced_multicategory_starts_with_empty_tables():
     M = terminal_multicat(associativity_operad(2))
     assert unit_report(M)["ok"]
-    assert M.lifts and M.regroupings and M.list_ends and M.free_algebras
+    tables = ("lifts", "regroupings", "list_targets", "flat_sources",
+              "free_algebras")
+    assert all(getattr(M, name) for name in tables)
     twin = replace(M, composition=dict(M.composition))
-    assert twin.lifts == twin.regroupings == twin.list_ends == {}
-    assert twin.free_algebras == {}
-    assert twin.lifts is not M.lifts and twin.regroupings is not M.regroupings
-    assert twin.list_ends is not M.list_ends
+    for name in tables:
+        assert getattr(twin, name) == {}
+        assert getattr(twin, name) is not getattr(M, name)
 
 
 @pytest.mark.parametrize("M", [MB, MA], ids=["BE", "ASS"])

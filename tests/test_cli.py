@@ -27,7 +27,7 @@ from gmcat.finset import perms
 from gmcat.opmonad import elements_of, eta
 from comb_classical import comb_classical
 from product_operad import ass_x_be
-from test_dmulticat import pairing_classical
+from test_dmulticat import pairing_classical, sum_classical
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -683,6 +683,39 @@ def test_cli_classical_multicat_file_failing_its_axioms(tmp_path):
     assert code == 1
     assert [c["name"] for c in rep["checks"]] == ["classical multicategory axioms"]
     assert rep["checks"][0]["witnesses"][0] == ["bad identity", 1]
+
+
+@pytest.mark.parametrize("edit, witness", [
+    (lambda cm: replace(cm, tgt={**cm.tgt, "s2": "nope"}),
+     ["endpoint outside objects", "s2"]),
+    (lambda cm: replace(cm, comp={**cm.comp, ("s1", ("s1",)): "nope"}),
+     ["composite outside morphisms", ["s1", ["s1"]]]),
+], ids=["target-outside-objects", "composite-outside-morphisms"])
+def test_cli_classical_label_outside_its_table_exits_1(edit, witness, tmp_path):
+    # the classical check refuses the file before it is encoded
+    path = tmp_path / "sum.json"
+    jsonio.save(jsonio.encode_classical(edit(sum_classical(3)), True), path)
+    code, rep = run(["validate", "multicat", str(path)], tmp_path)
+    assert code == 1
+    assert [c["name"] for c in rep["checks"]] == ["classical multicategory axioms"]
+    assert rep["checks"][0]["witnesses"] == [witness]
+
+
+@pytest.mark.parametrize("symmetric, options, message", [
+    (True, ["--truncate", "2", "--bound", "2"], "arity exceeds the operad truncation"),
+    (False, ["--operad", "barratt_eccles"],
+     "non-identity action morphism over barratt_eccles"),
+], ids=["arity-past-truncation", "non-symmetric-over-barratt-eccles"])
+def test_cli_classical_file_its_operad_cannot_encode_exits_2(
+        symmetric, options, message, tmp_path, capsys):
+    # lawful classical tables that the encoding over the operad refuses
+    cm = sum_classical(3)
+    path = tmp_path / "sum.json"
+    jsonio.save(jsonio.encode_classical(
+        cm if symmetric else replace(cm, act={}), symmetric), path)
+    code, rep = run(["validate", "multicat", str(path), *options], tmp_path)
+    assert code == 2 and rep is None
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["dmulticat", "classical_multicat"])

@@ -5,8 +5,7 @@ from dataclasses import replace
 from itertools import product
 from math import comb, factorial, prod
 
-from gmcat.adjoint import (L, check_triangles, counit_report, flat_source,
-                           unit_report)
+from gmcat.adjoint import L, check_triangles, counit_report, unit_report
 from gmcat.catoperad import (_inner_families, associativity_operad,
                              barratt_eccles, commutative_operad,
                              composable_families, operad_tables,
@@ -188,11 +187,12 @@ def test_coherence_sample_below_the_exhaustive_count():
     # over its budget the interchange check samples `budget` instances, the
     # same ones for one seed, each among the exhaustive instances
     M = from_symmetric(sum_classical(3), op=BE)
-    full = _coherence_triples(M, 2000, seed=0)
+    m2 = enumerate_M2(M)
+    full = _coherence_triples(M, m2, 2000, seed=0)
     assert len(full) == 79
-    sampled = _coherence_triples(M, 20, seed=7)
+    sampled = _coherence_triples(M, m2, 20, seed=7)
     assert len(sampled) == 20 and set(sampled) <= set(full)
-    assert _coherence_triples(M, 20, seed=7) == sampled
+    assert _coherence_triples(M, m2, 20, seed=7) == sampled
     rep = validate_multicat(M, coherence_budget=20, seed=7)
     assert rep["ok"] and rep["coherence_checked"] == 20
     assert validate_multicat(M, coherence_budget=20, seed=7) == rep
@@ -257,9 +257,10 @@ def test_a_slot_without_action_entries_is_left_to_the_presheaf_check():
     assert "action does not interchange with composition" not in {
         kind for kind, _ in rep["failures"]}
     # a sample draws among the pairs whose every slot has an action entry
-    sampled = _coherence_triples(M, 20, seed=7)
+    m2 = enumerate_M2(M)
+    sampled = _coherence_triples(M, m2, 20, seed=7)
     assert len(sampled) == 20
-    assert set(sampled) <= set(_coherence_triples(M, 2000, seed=0))
+    assert set(sampled) <= set(_coherence_triples(M, m2, 2000, seed=0))
 
 
 def test_corrupted_equivariance_is_rejected():
@@ -569,13 +570,13 @@ def filtered_M3(M):
 
 
 def filtered_phi_rows(lz, n):
-    """The length-n rows, grouped by (target, flattened arity), in canon_key
-    order: elements_of is in that order over sorted labels."""
+    """The lists of length n, grouped by (target, flattened arity), in
+    canon_key order: elements_of is in that order over sorted labels."""
     op, M = lz.operad, lz.M
-    rows = ((phi, flat_source(op, M, phi))
-            for phi in elements_of(op, 0, sort_labels(M.morphisms), n)
-            if sum(M.src[g].n for g in phi.xs) <= op.max_level)
-    return fibres(rows, lambda r: (map_elem(op, M.tgt.get, r[0]), r[1].n))
+    arity = lambda phi: sum(M.src[g].n for g in phi.xs)
+    phis = (phi for phi in elements_of(op, 0, sort_labels(M.morphisms), n)
+            if arity(phi) <= op.max_level)
+    return fibres(phis, lambda phi: (map_elem(op, M.tgt.get, phi), arity(phi)))
 
 
 def filtered_action_elements(op, labels, src_n, tgt_n, bound):
