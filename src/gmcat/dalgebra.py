@@ -249,7 +249,7 @@ def kappa_report(A, bound=3):
         left_unit = (U.ident[U.tgt[f]], eta(op, 0, f))
         if k2(left_unit) != (C.ident[C.tgt[k1(f)]], k1(f)):
             failures.append(("comparison breaks the unit section", f))
-    m3 = enumerate_M3(U)
+    m3 = enumerate_M3(U, m2)
     for w in m3:
         g1, g2, g3 = k3(w)
         if C.src[g2] != C.tgt[g3]:

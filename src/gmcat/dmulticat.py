@@ -97,10 +97,11 @@ def enumerate_M2(M):
                  for Phi in fillings(M, M.src[f], M.cap))
 
 
-def enumerate_M3(M):
-    """Composable triples: (pair, Psi) with Psi an object-monad element of
-    pairs whose first components recover the pair's filling."""
-    op, m2 = M.operad, enumerate_M2(M)
+def enumerate_M3(M, m2):
+    """Composable triples over m2 = enumerate_M2(M): (pair, Psi) with Psi an
+    object-monad element of pairs whose first components recover the pair's
+    filling."""
+    op = M.operad
     by_first = fibres(m2, lambda w: w[0])
     flat = lambda W: (sum(M.src[g].n for g in W[1].xs),)
     # Phi.d is least in its orbit, so no two combos canonicalize alike
@@ -215,7 +216,7 @@ def validate_multicat(M, coherence_budget=2000, seed=0):
 
     if missing:  # associativity composes every composable pair
         return {"ok": False, "failures": failures, "m2": len(m2)}
-    m3 = enumerate_M3(M)
+    m3 = enumerate_M3(M, m2)
     for w in m3:
         a, b = gamma_T(M, w), gamma_S(M, w)
         if M.composition.get(a) != M.composition.get(b):

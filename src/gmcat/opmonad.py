@@ -41,12 +41,12 @@ of a builtin operad equals the one of its tabulated copy.
 
 Cartesianness (D of a pullback, the eta and mu squares) and cover
 preservation are unique-lifting checks, each one lift count
-(finset.lifts_over). Over every operad check_cartesian keys elements by
-rows (place of d, xs) (_RowKeys): an orbit entry's (least, sigma) relabels
-every xs over it, and a shape table, one mu_raw call per shape, every
-flattening. Where D is polynomial (least representatives canonical with no
-relabelling, so a free action, and one sigma per shape) the mu square is
-counted shape by shape; elsewhere it is enumerated.
+(finset.lifts_over) over MonadElems. Where D is polynomial (_polynomial:
+every least representative is its own canonical form, reached by the
+identity alone, so the action is free on the levels read; and every
+shape's composite has one sigma), check_cartesian decides the pullback
+squares and the mu square from these premises and counts their instances;
+elsewhere it enumerates them. It enumerates the eta square everywhere.
 """
 
 import random
@@ -428,188 +428,78 @@ def _random_sets(rng):
     return A, B, Z, f, g
 
 
-def _relabelling(op, j, n, d):
-    """(least, move) with canonicalize(op, j, n, d, xs) = [least; move(xs)]
-    for every xs: move is None for the identity sigma, an itemgetter of the
-    positions of any other single sigma, and canonicalize itself (so its
-    op.elems memo) where the orbit table gives d several sigmas."""
-    _, least, sigmas = _orbit(op, j, n, d)
-    if len(sigmas) > 1:
-        return least, lambda xs: canonicalize(op, j, n, d, xs).xs
-    s, = sigmas  # other than the identity only for n >= 2: itemgetter gives a tuple
-    return least, None if s.is_identity else itemgetter(*(i - 1 for i in s.images))
-
-
-class _RowKeys:
-    """check_cartesian's keys: canonical elements as plain tuples.
-
-    An element [d; xs] is the row (R, xs), R the place of d among the
-    elements of levels 0..cap, by arity and then by canon_key, so canon_key
-    orders rows as it orders elements; a nested element is (R, its inner
-    rows). The (least, move) of a representative (_relabelling) relabels
-    every xs over it; the shape table, the one place a flattening is read,
-    holds each shape's (R_s, sigma_s), from one mu_raw call on positional
-    leaves. Over a free operad the lists are those of _elements' free path;
-    over any other each holds each canonical row once, as _elements merges,
-    sorted but for pullback's. A MonadElem is built only for a witness or a
-    shape's probe; nested_elements is never called, and op.elems gains
-    entries only through an orbit entry with several sigmas."""
-
-    def __init__(self, op, j, bound):
-        self.op, self.j, self.free = op, j, op.is_free
-        cap = self.cap = min(bound, op.max_level)
-        self.ds, self.ranks = [], []  # R: d, and per level {d: R}
-        for n in range(cap + 1):
-            self.ranks.append({d: len(self.ds) + i for d, i in _rank(op, j, n).items()})
-            self.ds += op.elements(j, n)
-        self.leasts = [[rank[d] for d in _least_translates(op, j, n)]
-                       for n, rank in enumerate(self.ranks)]
-        # a unit outside level 1 is no canonical element's
-        self.unit = self.ranks[1].get(op.unit if j == 0 else op.unit_mor) if cap else None
-        self.moves = [None] * len(self.ds)  # _relabelling by R
-        self.shapes = {}  # (k, R, ((n_i, R_i), ...)): its composite's _relabelling
-        self.DX = cache(self._DX)
-        self.nested = cache(self._nested)
-        self.mu = cache(self._mu)
-
-    def elem(self, row):
-        r, xs = row
-        return MonadElem(self.j, len(xs), self.ds[r], xs)
-
-    def nested_elem(self, row):
-        r, inner = row
-        return MonadElem(self.j, len(inner), self.ds[r], tuple(map(self.elem, inner)))
-
-    def eta(self, x):
-        return self.unit, (x,)
-
-    def _move(self, n, r):
-        """_relabelling of the element R = r of level n, its least as an R."""
-        hit = self.moves[r]
-        if hit is None:
-            least, move = _relabelling(self.op, self.j, n, self.ds[r])
-            hit = self.moves[r] = (self.ranks[n][least], move)
-        return hit
-
-    def _relabelled(self, n, r, tuples):
-        """The canonical rows of [d; xs] for the n-tuples xs, d at R = r."""
-        least, move = self._move(n, r)
-        if move is None:
-            return [(least, xs) for xs in tuples]
-        return [(least, move(xs)) for xs in tuples]
-
-    def _canonical(self, labels):
-        """The canonical row of [d; xs] for each least d and tuple xs."""
-        return [row for n, leasts in enumerate(self.leasts)
-                for tuples in (list(product(labels, repeat=n)),)
-                for r in leasts for row in self._relabelled(n, r, tuples)]
-
-    def _DX(self, labels):
-        rows = self._canonical(labels)
-        return rows if self.free else sorted(set(rows), key=canon_key)
-
-    def image(self, f):
-        """D f on rows, from f on labels (D D f on nested rows, from Df)."""
-        move = self._move
-
-        def Df(row):
-            r, xs = row
-            least, mv = move(len(xs), r)
-            ys = tuple(map(f, xs))
-            return least, ys if mv is None else mv(ys)
-        return cache(Df)
-
-    def pullback(self, P):
-        """The (D first, D second) rows of D_j P, each its own key."""
-        if not self.free:  # one key per canonical row; only its lifts are counted
-            first, second = (self.image(itemgetter(i)) for i in (0, 1))
-            return ([(first(w), second(w)) for w in dict.fromkeys(self._canonical(P))],
-                    itemgetter(0, 1))
-        firsts, seconds = [p[0] for p in P], [p[1] for p in P]
-        keys = []
-        for n, leasts in enumerate(self.leasts):
-            us, vs = list(product(firsts, repeat=n)), list(product(seconds, repeat=n))
-            for r in leasts:
-                keys += zip(self._relabelled(n, r, us), self._relabelled(n, r, vs))
-        return keys, itemgetter(0, 1)
-
-    def _shape(self, k, r, shape):
-        """The shape table's (R_s, sigma_s) of (k, r, shape): one mu_raw call."""
-        hit = self.shapes.get((k, r, shape))
-        if hit is None:
-            probe, start = [], 0
-            for n, ri in shape:
-                probe.append(MonadElem(self.j, n, self.ds[ri], tuple(range(start, start + n))))
-                start += n
-            n, composed, _ = mu_raw(self.op, self.j, k, self.ds[r], probe)
-            least, move = _relabelling(self.op, self.j, n, composed)
-            hit = self.shapes[(k, r, shape)] = (self.ranks[n][least], move)
-        return hit
-
-    def _mu(self, row):
-        """The row of a nested row's flattening."""
-        r, inner = row
-        least, move = self._shape(len(inner), r, tuple((len(xs), ri) for ri, xs in inner))
-        leaves = tuple(x for _, xs in inner for x in xs)
-        return least, leaves if move is None else move(leaves)
-
-    def _nested(self, labels):
-        """nested_elements(op, j, labels, 2, cap) for sorted labels: over a
-        free operad every least d over every tuple of layer-1 rows (those of
-        _elements' free path), else each canonical row once, sorted."""
-        layer = ([(r, xs) for n, leasts in enumerate(self.leasts)
-                  for r in leasts for xs in product(labels, repeat=n)]
-                 if self.free else self.DX(labels))
-        tuples = [[p for p, _ in product_within([layer] * k, lambda row: (len(row[1]),),
-                                                self.cap)] for k in range(self.cap + 1)]
-        if self.free:
-            return [(r, p) for k, leasts in enumerate(self.leasts)
-                    for r in leasts for p in tuples[k]]
-        return sorted({row for k, leasts in enumerate(self.leasts)
-                       for r in leasts for row in self._relabelled(k, r, tuples[k])},
-                      key=canon_key)
-
-    def polynomial(self):
-        """{n_s: the number of shapes with n_s leaves} where D is polynomial,
-        else None. The premises: every least R of levels 0..cap is its own
-        canonical form with no relabelling (so the action is free on those
-        levels), and every shape's sigma_s is one permutation, never
-        canonicalize's."""
-        if any(self._move(n, r) != (r, None)
-               for n, leasts in enumerate(self.leasts) for r in leasts):
-            return None
-        inner = [(n, r) for n, leasts in enumerate(self.leasts) for r in leasts]
-        counts = {}
-        for k, leasts in enumerate(self.leasts):
-            for shape, sums in product_within([inner] * k, lambda s: (s[0],), self.cap):
-                for r in leasts:
-                    move = self._shape(k, r, shape)[1]
-                    if not (move is None or isinstance(move, itemgetter)):
-                        return None
-                    counts[sum(sums)] = counts.get(sum(sums), 0) + 1
-        return counts
+def _polynomial(op, j, cap):
+    """{n_s: the number of shapes with n_s leaves} where D_j is polynomial
+    on levels 0..cap, else None. The premises, read off the orbit table and
+    op.compose (once per shape; no table is kept): every least
+    representative d is its own canonical form, reached by the identity
+    alone (so the action is free on those levels), and every shape's
+    composite has one sigma in its orbit entry."""
+    leasts = [_least_translates(op, j, n) for n in range(cap + 1)]
+    for n, ds in enumerate(leasts):
+        for d in ds:
+            _, least, sigmas = _orbit(op, j, n, d)
+            if least != d or [s.is_identity for s in sigmas] != [True]:
+                return None
+    inner = [(n, d) for n, ds in enumerate(leasts) for d in ds]
+    counts = {}
+    for k, ds in enumerate(leasts):
+        for shape, sums in product_within([inner] * k, lambda s: (s[0],), cap):
+            n = sum(sums)
+            for d in ds:
+                if len(_orbit(op, j, n, op.compose(j, k, d, shape))[2]) != 1:
+                    return None
+                counts[n] = counts.get(n, 0) + 1
+    return counts
 
 
 def check_cartesian(op, j, seed=0, squares=100, bound=3):
     """Sampled pullback preservation plus fiberwise eta/mu naturality squares.
 
-    One loop on one keying, rows (_RowKeys), over every operad; its memos
-    (DX per label tuple, the shape table, Df per map) die with the call, and
-    only canonicalize's op.elems outlives it. Where the projections of D P
-    are not jointly injective, a pair has an ambiguous lift.
+    Elements are named canonically, as map_elem names them. D X and the
+    nested elements per label tuple, their flattenings and D f per
+    naturality map are functools.cache locals of the call.
 
-    Where D is polynomial (_RowKeys.polynomial), D f(R, xs) = (R, f(xs)) for
-    every least R and mu sends a nested row of shape s to (R_s,
-    sigma_s(leaves)). So a pair (u, w) with D f(u) = mu(w) has one lift, the
-    row of w's shape with leaves sigma_s^-1(u's labels), and the u over the
-    w of shape s number |A|^n_s in all: each map adds sum_s |A|^n_s mu
-    instances and no failure. Elsewhere the loop enumerates the pairs."""
-    D = _RowKeys(op, j, bound)
+    Where D is polynomial (_polynomial), the pullback and mu squares lift
+    uniquely by its premises, so they are counted and nothing over a square
+    is built. By the first premise every canonical element is [d; xs] with
+    d least, and D f[d; xs] = [d; f(xs)]. So a pair ([d; xs], [d'; ys]) with
+    D f[d; xs] = D g[d'; ys] has d = d' and f(x_i) = g(y_i), and its only
+    lift is [d; ((x_i, y_i))_i], over P: each square passes. By the second, mu
+    sends a nested element of shape s to [d_s; sigma_s(leaves)], so a pair
+    (u, w) with D f(u) = mu(w) has one lift, w's shape with leaves
+    sigma_s^-1(u's labels), and the u over the w of shape s number
+    |A|^n_s: each map adds sum_s |A|^n_s mu instances and no failure. The
+    eta square is enumerated over every operad; its 13 maps are small.
+
+    Elsewhere every section enumerates: D P keyed by the images of its
+    projections (where they are not jointly injective, a pair has an
+    ambiguous lift), and the nested elements by mu and D D f."""
+    cap = min(bound, op.max_level)
+    shapes = _polynomial(op, j, cap)
     rng = random.Random(seed)
     report = {"operad": op.name, "j": j, "seed": seed, "ok": True,
               "squares": {"checked": 0, "failures": []},
               "eta_naturality": {"checked": 0, "failures": []},
               "mu_naturality": {"checked": 0, "failures": []}}
+
+    @cache
+    def DX(labels):
+        # _elements' free path builds [d; xs] for d least, which need not be
+        # canonical; its other path has canonicalized, and canonicalize is
+        # not idempotent there
+        elements = all_elements(op, j, labels, cap)
+        if not op.is_free:
+            return elements
+        return tuple(canonicalize(op, j, e.n, e.d, e.xs) for e in elements)
+
+    nested = cache(lambda labels: tuple(
+        v for v, _ in nested_elements(op, j, labels, 2, cap)))
+    flat = cache(partial(mu, op))
+
+    def image(f):
+        """D f, from f on labels."""
+        return partial(map_elem, op, f)
 
     done = 0
     while done < squares:
@@ -617,18 +507,21 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         P = tuple(fibre_product(A, f.__getitem__, B, g.__getitem__))
         if len(P) > 10:
             continue  # keep the enumeration tractable; seeded, so still deterministic
-        # D of the pullback square P is again a pullback: unique joint lifts
-        fails = [("missing lift" if not ws else "ambiguous lift", (u, v))
-                 for u, v, ws in lifts_over(*D.pullback(P),
-                                            D.DX(A), D.image(f.__getitem__),
-                                            D.DX(B), D.image(g.__getitem__))
-                 if len(ws) != 1]
         report["squares"]["checked"] += 1
         done += 1
+        if shapes is not None:  # every pair lifts uniquely
+            continue
+        # D of the pullback square P is again a pullback: unique joint lifts
+        first, second = image(itemgetter(0)), image(itemgetter(1))
+        fails = [("missing lift" if not ws else "ambiguous lift", (u, v))
+                 for u, v, ws in lifts_over(all_elements(op, j, P, cap),
+                                            lambda w: (first(w), second(w)),
+                                            DX(A), image(f.__getitem__),
+                                            DX(B), image(g.__getitem__))
+                 if len(ws) != 1]
         if fails:
             report["squares"]["failures"].append(
-                {"sets": (A, B, Z), "maps": (f, g),
-                 "witnesses": [(kind, (D.elem(u), D.elem(v))) for kind, (u, v) in fails[:3]]})
+                {"sets": (A, B, Z), "maps": (f, g), "witnesses": fails[:3]})
 
     # one fixed collapse plus seeded random functions
     functions = [(("x", "y"), ("z",), {"x": "z", "y": "z"})]
@@ -638,30 +531,28 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         B = tuple(f"z{i}" for i in range(nb))
         functions.append((A, B, {a: rng.choice(B) for a in A}))
 
-    shapes = D.polynomial()
     for A, B, fmap in functions:
-        Df = D.image(fmap.__getitem__)
-        DA = D.DX(A)
+        Df = cache(image(fmap.__getitem__))
+        DA = DX(A)
         # eta square: pairs (x in D A, b in B) with D f(x) = eta(b) lift uniquely to A
-        for x, b, hits in lifts_over(A, lambda a: (D.eta(a), fmap[a]),
-                                     DA, Df, B, D.eta):
+        for x, b, hits in lifts_over(A, lambda a: (eta(op, j, a), fmap[a]),
+                                     DA, Df, B, partial(eta, op, j)):
             report["eta_naturality"]["checked"] += 1
             if len(hits) != 1:
                 report["eta_naturality"]["failures"].append(
-                    {"map": fmap, "pair": (D.elem(x), b), "lifts": len(hits)})
+                    {"map": fmap, "pair": (x, b), "lifts": len(hits)})
         if shapes is not None:  # decided per shape: every pair lifts uniquely
             report["mu_naturality"]["checked"] += sum(
                 c * len(A) ** m for m, c in shapes.items())
             continue
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
-        DDf = D.image(Df)
-        for u, w, hits in lifts_over(D.nested(A), lambda v: (D.mu(v), DDf(v)),
-                                     DA, Df, D.nested(B), D.mu):
+        DDf = image(Df)
+        for u, w, hits in lifts_over(nested(A), lambda v: (flat(v), DDf(v)),
+                                     DA, Df, nested(B), flat):
             report["mu_naturality"]["checked"] += 1
             if len(hits) != 1:
                 report["mu_naturality"]["failures"].append(
-                    {"map": fmap, "pair": (D.elem(u), D.nested_elem(w)),
-                     "lifts": [repr(D.nested_elem(v)) for v in hits]})
+                    {"map": fmap, "pair": (u, w), "lifts": [repr(v) for v in hits]})
 
     report["ok"] = not (report["squares"]["failures"] or
                         report["eta_naturality"]["failures"] or

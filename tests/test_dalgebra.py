@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmcat.dalgebra
+import gmcat.dmulticat
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
                              commutative_operad)
 from gmcat.dalgebra import (DAlgebra, free_algebra, kappa, kappa_report,
@@ -154,6 +155,18 @@ def test_kappa_squares_z2():
     rep = kappa_report(z2_discrete_algebra(BE), bound=2)
     assert rep["ok"], rep["failures"][:3]
     assert rep["m2"] > 0 and rep["m3"] > 0
+
+
+def test_kappa_report_enumerates_the_composable_pairs_once(monkeypatch):
+    A = z2_discrete_algebra(BE)
+    U = underlying(A, 2)  # memoized on A, so kappa_report enumerates U alone
+    want = kappa_report(A, bound=2)
+    calls = []
+    for module in (gmcat.dalgebra, gmcat.dmulticat):
+        monkeypatch.setattr(module, "enumerate_M2",
+                            lambda M: calls.append(M) or enumerate_M2(M))
+    assert kappa_report(A, bound=2) == want
+    assert calls == [U] and want["ok"]
 
 
 def test_kappa_squares_terminal():

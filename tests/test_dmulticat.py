@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import product
 from math import comb, factorial, prod
 
+import gmcat.dmulticat
 from gmcat.adjoint import L, check_triangles, counit_report, unit_report
 from gmcat.catoperad import (_inner_families, associativity_operad,
                              barratt_eccles, commutative_operad,
@@ -12,7 +13,7 @@ from gmcat.catoperad import (_inner_families, associativity_operad,
                              tabulated_operad, validate_operad)
 from gmcat.dalgebra import (free_algebra, terminal_algebra, underlying,
                             validate_algebra, z2_discrete_algebra)
-from gmcat.errors import FreenessError
+from gmcat.errors import FreenessError, StructuralError
 from gmcat.fincat import terminal_category, validate_presheaf
 from gmcat.finset import (Perm, block_perm, canon_key, fibres, perms,
                           product_within, sort_labels)
@@ -21,10 +22,11 @@ from gmcat.dmulticat import (ClassicalMulticat, DMulticat, _coherence_triples,
                              from_symmetric, gamma_S, gamma_T, over_point_form,
                              terminal_multicat, validate_classical,
                              validate_multicat)
-from gmcat.opmonad import (I_D, T_D, all_elements, canonicalize, elements_of,
-                           elements_within, eta, map_elem, melem, mu)
+from gmcat.opmonad import (I_D, T_D, MonadElem, all_elements, canonicalize,
+                           elements_of, elements_within, eta, map_elem, melem, mu)
 from comb_classical import M as M_TERM, MT as MT_TERM, comb_classical
 from product_operad import ass_x_be, be_x_be
+from test_opmonad import two_sigma_operad
 
 BE = barratt_eccles(4)
 ASS = associativity_operad(4)
@@ -286,6 +288,46 @@ def test_nonsymmetric_encoding():
         assert f2 == f
 
 
+def test_validate_multicat_enumerates_the_composable_pairs_once(monkeypatch):
+    M = underlying(z2_discrete_algebra(BE), 3)
+    want = validate_multicat(M, coherence_budget=5000)
+    calls = []
+    monkeypatch.setattr(gmcat.dmulticat, "enumerate_M2",
+                        lambda M: calls.append(M) or enumerate_M2(M))
+    assert validate_multicat(M, coherence_budget=5000) == want
+    assert calls == [M] and want["ok"] and want["m2"] == 176
+
+
+def test_an_action_that_the_encoder_cannot_align_is_refused():
+    # two_sigma's identity moves the level-2 objects, so the base point
+    # (1, 2) reaches no target of an action element over the sources
+    with pytest.raises(StructuralError, match="could not align action morphism"):
+        from_symmetric(sum_classical(2), two_sigma_operad())
+
+
+def test_tables_that_validate_classical_rejects_are_refused():
+    cm = replace(sum_classical(2), ident={"*": "nope"})
+    assert validate_classical(cm, True)["failures"] == [("bad identity", "*")]
+    with pytest.raises(StructuralError,
+                       match=r"classical tables fail: \('bad identity', '\*'\)"):
+        from_symmetric(cm, BE)
+
+
+def test_composing_off_the_table_is_refused():
+    M = from_symmetric(sum_classical(2), BE)
+    with pytest.raises(StructuralError, match="composition undefined on"):
+        M.compose("s2", eta(BE, 0, "s1"))
+
+
+def test_a_source_past_the_truncation_is_refused():
+    be3 = barratt_eccles(3)
+    src = {"f": MonadElem(0, 4, (1, 2, 3, 4), ("*",) * 4)}
+    M = DMulticat(be3, ("*",), ("f",), {"f": "*"}, src, {}, {}, {})
+    with pytest.raises(StructuralError,
+                       match="morphism arity exceeds the operad truncation"):
+        validate_multicat(M)
+
+
 def test_nonsymmetric_rejects_misaligned_sources():
     cm = sum_classical(2)
     bad = dict(cm.comp)
@@ -297,7 +339,7 @@ def test_nonsymmetric_rejects_misaligned_sources():
 
 def test_associativity_two_routes_agree():
     M = from_symmetric(sum_classical(3), op=BE)
-    for w in enumerate_M3(M):
+    for w in enumerate_M3(M, enumerate_M2(M)):
         assert M.compose(*gamma_T(M, w)) == M.compose(*gamma_S(M, w))
 
 
@@ -612,7 +654,7 @@ DIFFERENTIAL = {
 def test_fibre_reads_equal_the_filtered_enumerations(name):
     M = DIFFERENTIAL[name]()
     assert list(enumerate_M2(M)) == filtered_M2(M)
-    assert list(enumerate_M3(M)) == filtered_M3(M)
+    assert list(enumerate_M3(M, enumerate_M2(M))) == filtered_M3(M)
     lz = L(M)
     objs = lz.objects_upto(min(M.cap, 3))
     for n in range(min(M.cap, 3) + 1):

@@ -88,6 +88,27 @@ def test_canon_key_orders_mixed_labels():
     assert sorted(xs, key=canon_key) == [1, 2, "a", "b", ("a", 1)]
 
 
+def test_canon_key_puts_none_first_and_refuses_an_unordered_label():
+    assert sorted(["a", 1, None, False], key=canon_key) == [None, False, 1, "a"]
+    with pytest.raises(TypeError, match="no canonical order for float"):
+        canon_key(1.5)
+
+
+def test_a_table_missing_a_value_or_leaving_its_codomain_is_refused():
+    A, Z = finset(["a", "b"]), finset([0])
+    with pytest.raises(StructuralError, match="missing value at 'b'"):
+        FinFn(A, Z, {"a": 0})
+    with pytest.raises(StructuralError, match="value 1 outside codomain"):
+        FinFn(A, Z, {"a": 0, "b": 1})
+
+
+def test_pullback_refuses_a_cospan_whose_codomains_differ():
+    A = finset(["a"])
+    f, g = FinFn(A, finset([0]), {"a": 0}), FinFn(A, finset([0, 1]), {"a": 0})
+    with pytest.raises(StructuralError, match="cospan codomains differ"):
+        pullback(f, g)
+
+
 # labels are the same exactly when they are ==, as in every dict and set;
 # canon_key still orders 1 before True, but no longer tells them apart
 
@@ -158,6 +179,16 @@ def test_union_find_minimal_roots():
     uf.union(9, 2)
     assert uf.find(9) == 2
     assert set(uf.classes()) == {1, 2}
+
+
+def test_union_find_compresses_the_path_it_walks():
+    # each union hangs the later root under the earlier: 4 -> 3 -> 2 -> 1
+    uf = UnionFind([1, 2, 3, 4])
+    for a, b in ((3, 4), (2, 3), (1, 2)):
+        assert uf.union(a, b)
+    assert uf.parent == {1: 1, 2: 1, 3: 2, 4: 3}
+    assert uf.find(4) == 1
+    assert uf.parent == {1: 1, 2: 1, 3: 1, 4: 1}
     for root, members in uf.classes().items():
         assert root == min(members, key=canon_key)
 

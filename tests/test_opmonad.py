@@ -34,7 +34,7 @@ from gmcat.opmonad import (I_D, S_D, T_D, MonadElem, all_elements,
                            monad_set_category, mu, nested_elements,
                            validate_monad_category, validate_monad_laws)
 from gmcat.opmonad import _least_translates, _orbit, _random_sets
-from product_operad import ass_x_be, product_operad
+from product_operad import ass_x_be, be_x_be, product_operad
 from test_catoperad import corrupted_compose
 
 BE = barratt_eccles(4)
@@ -718,30 +718,34 @@ def test_cartesian_mu_square_matches_the_per_function_loop(make, j, cartesian):
 
 
 def test_cartesian_check_flattens_each_nested_element_once(monkeypatch):
-    # over any operad the mu square flattens each shape once, by one mu_raw
-    # call on a probe, and builds no element per nested element; only COMM,
-    # whose orbit entries have several sigmas, relabels through op.elems
+    # where D is polynomial (BE) the mu square is counted and nothing is
+    # flattened; elsewhere (COMM) each nested element is flattened once per
+    # call, and each shape composed once, through op.composites
     for make, j, digest in [
             (barratt_eccles, 1, "95304aa474e6833345c8b7233f4af4ae739e592cbfce152aca891a5f74e0371e"),
             (commutative_operad, 0, "6ef47d32bd1d24b4e20810c3faaaea89a7788a200cada7324f76dbe20f96bc71")]:
         op = make(4)
-        shapes, real_raw = Counter(), gmcat.opmonad.mu_raw
+        flattened, composed, real_mu = Counter(), Counter(), gmcat.opmonad.mu
+        real_compose = op._compose
 
-        def counting_raw(op, j, k, d, inners):
-            shapes[(j, k, d, tuple((e.n, e.d) for e in inners))] += 1
-            return real_raw(op, j, k, d, inners)
+        def counting_mu(op, e):
+            flattened[e] += 1
+            return real_mu(op, e)
 
-        def no_mu(op, e):
-            raise AssertionError("an element flattened one at a time")
+        def counting_compose(*shape):
+            composed[shape] += 1
+            return real_compose(*shape)
 
-        monkeypatch.setattr(gmcat.opmonad, "mu_raw", counting_raw)
-        monkeypatch.setattr(gmcat.opmonad, "mu", no_mu)
-        monkeypatch.setattr(gmcat.opmonad, "nested_elements", _never_nested)
+        monkeypatch.setattr(gmcat.opmonad, "mu", counting_mu)
+        monkeypatch.setattr(op, "_compose", counting_compose)
         rep = check_cartesian(op, j, seed=2027, squares=5)
-        assert shapes and max(shapes.values()) == 1
-        assert set(shapes) == set(op.composites)
-        assert bool(op.elems) == (make is commutative_operad)
         monkeypatch.undo()
+        assert bool(flattened) == (make is commutative_operad)
+        assert max(flattened.values(), default=1) == 1
+        # the premises compose each shape once and keep no table
+        assert composed and set(composed.values()) == {1}
+        assert set(op.composites) == (set(composed) if make is commutative_operad
+                                      else set())
         assert rep["ok"] == (make is barratt_eccles)
         assert rep["mu_naturality"] == _reference_mu_naturality(
             make(4), j, seed=2027, squares=5)
@@ -757,16 +761,30 @@ _SECTIONS = (("squares", _reference_squares), ("eta_naturality", _reference_eta_
              ("mu_naturality", _reference_mu_naturality))
 
 
-def _never_nested(*args):
-    raise AssertionError("check_cartesian called nested_elements")
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError(f"check_cartesian called {what}")
+    return refuse
+
+
+_never_nested = _refuse("nested_elements")
 
 
 def _cartesian(monkeypatch, op, j, **kwargs):
-    """check_cartesian(op, j, **kwargs) with nested_elements patched to
-    raise: the check builds its nested rows itself."""
+    """check_cartesian(op, j, **kwargs), with nested_elements patched to
+    raise where D is polynomial (no premise fails): there the mu square is
+    counted, and nothing nested is built."""
     with monkeypatch.context() as m:
-        m.setattr(gmcat.opmonad, "nested_elements", _never_nested)
+        if not _failing_premises(op, j):
+            m.setattr(gmcat.opmonad, "nested_elements", _never_nested)
         return check_cartesian(op, j, **kwargs)
+
+
+def _over_a_square(op):
+    """The op.elems keys whose labels are not the naturality maps' (x, y, z,
+    x*, z*): the elements canonicalized over a square's sets A, B or P."""
+    return [key for key in op.elems
+            if not all(isinstance(x, str) and x[0] in "xyz" for x in key[2])]
 
 
 def test_an_identity_that_moves_elements_breaks_the_eta_and_mu_squares():
@@ -795,7 +813,7 @@ def test_an_identity_that_merges_representatives_gives_ambiguous_lifts(monkeypat
         return z3_unit_operad(lambda x: min(x + 1, 2))
     op = make()
     rep = _cartesian(monkeypatch, op, 1, seed=3, squares=10)
-    assert op.is_free and op.elems == {}
+    assert op.is_free
     for name, reference in _SECTIONS:
         assert rep[name] == reference(make(), 1, 3, 10), name
     kinds = {w[0] for f in rep["squares"]["failures"] for w in f["witnesses"]}
@@ -832,7 +850,7 @@ def test_an_orbit_entry_with_two_sigmas_relabels_through_canonicalize(monkeypatc
     # at j = 1 the action is BE's: every entry has one sigma
     op = two_sigma_operad()
     rep = _cartesian(monkeypatch, op, 1, seed=3, squares=10)
-    assert rep["ok"] and op.elems == {}
+    assert rep["ok"] and _over_a_square(op) == []
     for name, reference in _SECTIONS:
         assert rep[name] == reference(two_sigma_operad(), 1, 3, 10), name
 
@@ -855,26 +873,20 @@ def fixed_swap_operad():
 
 
 def test_a_non_free_operad_merges_the_rows_that_canonicalize_alike(monkeypatch):
-    # over a non-free operad each list holds each canonical row once, as
-    # _elements merges elements; rows per least representative would count
-    # those of m0 and m1 twice, 2 647 mu instances
+    # over a non-free operad each list holds each canonical element once, as
+    # _elements merges them; an element per least representative would
+    # count those of m0 and m1 twice, 2 647 mu instances
     op = fixed_swap_operad()
     assert not op.is_free
     assert {len(_orbit(op, 1, 2, d)[2]) for d in op.level(2).morphisms} == {1}
     rep = _cartesian(monkeypatch, op, 1, seed=3, squares=10)
-    assert op.elems == {}
     assert rep["ok"] and rep["mu_naturality"]["checked"] == 902
     assert _digest(rep) == \
         "c1116c750c4949a7987707276ce510c5e12ab6bce083f164fb0e6929d711dc92"
-    # the lists the check reads are those of _elements, in its sorted order,
-    # though [m0; (x, y)] canonicalizes to [m0; (y, x)]
-    keys = gmcat.opmonad._RowKeys(op, 1, 3)
-    assert [keys.elem(u) for u in keys.DX(("x", "y"))] == \
-        list(all_elements(op, 1, ("x", "y"), 3))
-    assert [keys.nested_elem(v) for v in keys.nested(("x", "y"))] == \
-        [v for v, _ in nested_elements(op, 1, ("x", "y"), 2, 3)]
-    # the reference loops read that D A too; canonicalize is not idempotent
-    # here, so canonicalizing all_elements again would move two of its 11
+    # the check and the reference loops read _elements' sorted D A, though
+    # [m0; (x, y)] canonicalizes to [m0; (y, x)]: canonicalize is not
+    # idempotent here, so canonicalizing all_elements again would move two
+    # of its 11
     DA = all_elements(op, 1, ("x", "y"), 3)
     assert _canonical_elements(op, 1, ("x", "y"), 3) == DA and len(DA) == 11
     assert sum(canonicalize(op, 1, e.n, e.d, e.xs) != e for e in DA) == 2
@@ -903,7 +915,6 @@ def test_a_least_representative_moved_by_its_orbit_entry_relabels_its_labels(
     m = op.level(2).morphisms
     assert op.is_free and _orbit(op, 1, 2, m[1])[1:] == (m[0], (Perm((2, 1)),))
     rep = _cartesian(monkeypatch, op, 1, seed=3, squares=10)
-    assert op.elems == {}
     for name, reference in _SECTIONS:
         assert rep[name] == reference(turned_swap_operad(), 1, 3, 10), name
     assert rep["squares"]["failures"] and rep["mu_naturality"]["failures"]
@@ -974,7 +985,8 @@ def test_the_mu_square_is_counted_only_where_its_premises_hold(make, j, failing,
     assert _failing_premises(op, j) == failing
     # where a premise fails the check enumerates the mu square, and every
     # section is the reference loops'
-    assert (gmcat.opmonad._RowKeys(op, j, 3).polynomial() is None) == bool(failing)
+    shapes = gmcat.opmonad._polynomial(op, j, min(3, op.max_level))
+    assert (shapes is None) == bool(failing)
     rep = check_cartesian(make(), j, seed=3, squares=10)
     for name, reference in _SECTIONS:
         assert rep[name] == reference(make(), j, 3, 10), name
@@ -1022,15 +1034,44 @@ def test_cartesian_counts_match_the_closed_form(make, j, seed, squares, counts):
 
 
 def test_ass_x_be_counts_its_mu_square_per_shape(monkeypatch):
-    # 782 411 mu instances, counted without a nested row; the digest is the
-    # enumerating check's report, byte for byte
-    def no_nested(self, labels):
-        raise AssertionError("a nested row built")
-    monkeypatch.setattr(gmcat.opmonad._RowKeys, "_nested", no_nested)
+    # 782 411 mu instances, counted without a nested element; the digest is
+    # the enumerating check's report, byte for byte
+    monkeypatch.setattr(gmcat.opmonad, "nested_elements", _never_nested)
     rep = check_cartesian(ass_x_be(3), 1, seed=2027, squares=100)
     assert rep["ok"] and rep["mu_naturality"]["checked"] == 782411
     assert _digest(rep) == \
         "f47efc580eb346bdb34489b485518f2a027d03830b6d9344eb24980130dfcd2a"
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("make", [barratt_eccles, associativity_operad])
+def test_a_polynomial_check_flattens_nothing_and_builds_nothing_over_a_square(
+        make, j, monkeypatch):
+    # D is polynomial over BE and ASS: the squares and the mu square are
+    # decided from the premises, so no element over P (labels (a, b)) is
+    # built, and nothing is nested or flattened
+    def post_init(e):
+        if any(isinstance(x, tuple) for x in e.xs):
+            raise AssertionError(f"an element over a pullback: {e!r}")
+        real_post_init(e)
+
+    real_post_init = MonadElem.__post_init__
+    want = check_cartesian(make(4), j, seed=2026 + j, squares=100)
+    for name in ("nested_elements", "mu", "mu_raw"):
+        monkeypatch.setattr(gmcat.opmonad, name, _refuse(name))
+    monkeypatch.setattr(MonadElem, "__post_init__", post_init)
+    rep = check_cartesian(make(4), j, seed=2026 + j, squares=100)
+    assert rep == want and rep["ok"] and rep["squares"]["checked"] == 100
+
+
+def test_be_x_be_counts_its_squares_and_mu_square_from_the_premises(monkeypatch):
+    # 22 741 235 mu instances, counted without a nested element; the digest
+    # is the enumerating check's report, byte for byte
+    monkeypatch.setattr(gmcat.opmonad, "nested_elements", _never_nested)
+    rep = check_cartesian(be_x_be(3), 1, seed=2027, squares=100)
+    assert rep["ok"] and rep["mu_naturality"]["checked"] == 22741235
+    assert _digest(rep) == \
+        "e5a146de334530a07504100fd712e584330e29fea2ca77cb23461dd37eec6ada"
 
 
 @pytest.mark.parametrize("make", [barratt_eccles, associativity_operad,
@@ -1039,8 +1080,9 @@ def test_only_a_non_free_builtin_canonicalizes_each_element(make, monkeypatch):
     op = make(3)
     for j in (0, 1):
         _cartesian(monkeypatch, op, j, seed=5, squares=3)
-    # COMM's orbit entries have several sigmas, so it relabels through op.elems
-    assert bool(op.elems) == (make is commutative_operad)
+    # where D is polynomial the squares are counted: only COMM, whose orbit
+    # entries have several sigmas, canonicalizes elements over a square
+    assert bool(_over_a_square(op)) == (make is commutative_operad)
 
 
 def test_cartesian_failures_match_the_per_function_flattening():
@@ -1060,8 +1102,8 @@ def test_tabulated_operad_is_cartesian_like_its_builtin(make, j):
     got = check_cartesian(tab, j, seed=2026 + j, squares=10)
     assert (want.pop("operad"), got.pop("operad")) == (op.name, tab.name)
     assert got == want and got["ok"]
-    # mu read its composites through the memo over the table lookups
-    assert tab.composites
+    # the premises read the table's composites and keep none
+    assert tab.composites == {}
 
 
 def test_composites_are_memoized_per_shape_and_failures_are_not():
