@@ -497,10 +497,6 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         v for v, _ in nested_elements(op, j, labels, 2, cap)))
     flat = cache(partial(mu, op))
 
-    def image(f):
-        """D f, from f on labels."""
-        return partial(map_elem, op, f)
-
     done = 0
     while done < squares:
         A, B, Z, f, g = _random_sets(rng)
@@ -512,12 +508,13 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         if shapes is not None:  # every pair lifts uniquely
             continue
         # D of the pullback square P is again a pullback: unique joint lifts
-        first, second = image(itemgetter(0)), image(itemgetter(1))
+        first = partial(map_elem, op, itemgetter(0))
+        second = partial(map_elem, op, itemgetter(1))
+        Df, Dg = (partial(map_elem, op, h.__getitem__) for h in (f, g))
         fails = [("missing lift" if not ws else "ambiguous lift", (u, v))
                  for u, v, ws in lifts_over(all_elements(op, j, P, cap),
                                             lambda w: (first(w), second(w)),
-                                            DX(A), image(f.__getitem__),
-                                            DX(B), image(g.__getitem__))
+                                            DX(A), Df, DX(B), Dg)
                  if len(ws) != 1]
         if fails:
             report["squares"]["failures"].append(
@@ -532,7 +529,7 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
         functions.append((A, B, {a: rng.choice(B) for a in A}))
 
     for A, B, fmap in functions:
-        Df = cache(image(fmap.__getitem__))
+        Df = cache(partial(map_elem, op, fmap.__getitem__))
         DA = DX(A)
         # eta square: pairs (x in D A, b in B) with D f(x) = eta(b) lift uniquely to A
         for x, b, hits in lifts_over(A, lambda a: (eta(op, j, a), fmap[a]),
@@ -546,7 +543,7 @@ def check_cartesian(op, j, seed=0, squares=100, bound=3):
                 c * len(A) ** m for m, c in shapes.items())
             continue
         # mu square: pairs (u in D A, w in D D B) with D f(u) = mu(w)
-        DDf = image(Df)
+        DDf = partial(map_elem, op, Df)
         for u, w, hits in lifts_over(nested(A), lambda v: (flat(v), DDf(v)),
                                      DA, Df, nested(B), flat):
             report["mu_naturality"]["checked"] += 1

@@ -179,6 +179,8 @@ def test_union_find_minimal_roots():
     uf.union(9, 2)
     assert uf.find(9) == 2
     assert set(uf.classes()) == {1, 2}
+    for root, members in uf.classes().items():
+        assert root == min(members, key=canon_key)
 
 
 def test_union_find_compresses_the_path_it_walks():

@@ -781,10 +781,16 @@ def _cartesian(monkeypatch, op, j, **kwargs):
 
 
 def _over_a_square(op):
-    """The op.elems keys whose labels are not the naturality maps' (x, y, z,
-    x*, z*): the elements canonicalized over a square's sets A, B or P."""
-    return [key for key in op.elems
-            if not all(isinstance(x, str) and x[0] in "xyz" for x in key[2])]
+    """The op.elems keys with a label of a square's A (a0, a1, ...), B (b0,
+    b1, ...) or P (pairs): the elements canonicalized over A, B or P. The
+    naturality maps label with x, y and z, or with elements over those (D D f
+    of a nested element); the images D f, D g over a square's Z need an
+    element over A or B first."""
+    def over(x):
+        if isinstance(x, MonadElem):
+            return any(map(over, x.xs))
+        return isinstance(x, tuple) or x[0] in "ab"
+    return [key for key in op.elems if any(map(over, key[2]))]
 
 
 def test_an_identity_that_moves_elements_breaks_the_eta_and_mu_squares():
