@@ -22,6 +22,10 @@ The memos live on the operad. Orbit data is memoized per element:
 that reaches it), built when d is first canonicalized or aligned. A free
 action has exactly one such sigma; otherwise canonicalize takes the least
 relabelling over all of them, so one canonical form serves every operad.
+It keys each label once and compares the sigmas on the permuted keys:
+canon_key of an n-tuple is (4, n, the keys of its entries), so the
+relabellings in canon_key order are the sigmas ordered by
+sigma.permuted(keys), and min, like a stable sort, keeps the first least.
 "Least" is canon_key order, read off positions: category() stores every
 level in that order, and `op.ranks[(j, n)]` is {x: position in level n}.
 The orbit table alone decides a canonical element. It reads the ranks
@@ -138,10 +142,13 @@ def canonicalize(op, j, n, d, xs):
     hit = op.elems.get(key)
     if hit is None:
         _, least, sigmas = _orbit(op, j, n, d)
-        relabelled = [s.permuted(xs) for s in sigmas]
-        if len(relabelled) > 1:  # ordering labels is costly; free orbits skip it
-            relabelled.sort(key=canon_key)
-        hit = op.elems[key] = MonadElem(j, n, least, relabelled[0])
+        s = sigmas[0]
+        # the least relabelling in canon_key order, keying each label once
+        # (module docstring); a free orbit has one sigma and keys nothing
+        if len(sigmas) > 1:
+            keys = tuple(map(canon_key, xs))
+            s = min(sigmas, key=lambda t: t.permuted(keys))
+        hit = op.elems[key] = MonadElem(j, n, least, s.permuted(xs))
     return hit
 
 

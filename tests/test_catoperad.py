@@ -2,7 +2,7 @@ import time
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +55,37 @@ def test_barratt_eccles_deeper_families():
     assert rep["checked"]["families"] > 1000
 
 
+def _closed_form_checked(c, N):
+    """validate_operad's families, e1, e2 and functor counts at total arity N
+    from c(j, n) = |O(n)_j|: each sums, over j, k >= 1 and profiles
+    (n_1..n_k) with k + sum n_i <= N, c(j, k) prod c(j, n_i) times a weight:
+    1, k!, prod n_i!, and for functor 1 at j = 1 only."""
+    counts = dict.fromkeys(("families", "e1", "e2", "functor"), 0)
+    for j in (0, 1):
+        for k in range(1, N + 1):
+            for profile in product(range(N - k + 1), repeat=k):
+                if k + sum(profile) > N:
+                    continue
+                families = c(j, k) * prod(c(j, m) for m in profile)
+                counts["families"] += families
+                counts["e1"] += factorial(k) * families
+                counts["e2"] += prod(map(factorial, profile)) * families
+                counts["functor"] += j * families
+    return counts
+
+
+@pytest.mark.parametrize("make, c, at_4", [
+    (barratt_eccles, lambda j, n: factorial(n) ** (1 + j), (884, 15588, 1140, 810)),
+    (associativity_operad, lambda j, n: factorial(n), (148, 1524, 228, 74))],
+    ids=["BE", "ASS"])
+def test_validate_operad_counts_match_the_closed_form(make, c, at_4):
+    for N in range(1, 5):
+        checked = validate_operad(make(N))["checked"]
+        closed = _closed_form_checked(c, N)
+        assert {name: checked[name] for name in closed} == closed
+    assert tuple(closed.values()) == at_4
+
+
 def test_associativity_operad_shape():
     op = associativity_operad(4)
     assert len(op.level(2).objects) == 2
@@ -82,6 +113,14 @@ def test_commutative_operad_axioms_hold_but_not_free():
     rep = freeness_report(op)
     w = rep["witnesses"][0]
     assert w["level"] == 2 and w["sigma"] == (2, 1) and w["fixed_point"] == "*"
+
+
+def test_act_and_compose_refuse_a_wrong_arity():
+    op = barratt_eccles(3)
+    with pytest.raises(StructuralError, match="action arity mismatch at level 2"):
+        op.act(0, 2, Perm((1, 2, 3)), (1, 2))
+    with pytest.raises(StructuralError, match="composition expects 2 inner elements"):
+        op.compose(0, 2, (1, 2), ((1, (1,)),))
 
 
 def test_corrupted_composition_names_the_tuple():

@@ -101,6 +101,20 @@ def test_functor_validation():
     assert not validate_functor(F)["ok"]
 
 
+def test_functor_validation_names_each_missing_image():
+    C = chaotic_sym(2)
+    F = identity(C)
+    F.obj_map[E] = "nowhere"
+    del F.mor_map[(S, S)]
+    failures = validate_functor(F)["failures"]
+    assert ("object image missing", E) in failures
+    assert ("morphism image missing", (S, S)) in failures
+    assert ("identity not preserved", E) in failures
+    # an identity sent to a morphism with the right endpoints
+    F = CatFunctor(sym2_monoid(), sym2_monoid(), {"*": "*"}, {"e": "s", "s": "e"})
+    assert ("identity not preserved", "*") in validate_functor(F)["failures"]
+
+
 # -- covers -------------------------------------------------------------------
 
 def test_identity_is_a_cover():
@@ -213,6 +227,23 @@ def test_transport_rejects_mismatched_eps():
     F = identity(C)
     with pytest.raises(StructuralError):
         transport_presheaf(F, P, {E: E, S: E})
+
+
+def test_transport_refuses_a_functor_that_is_no_target_cover():
+    C, T = chaotic_sym(2), terminal_category()
+    F = CatFunctor(C, T, {o: "*" for o in C.objects}, {m: "id*" for m in C.morphisms})
+    with pytest.raises(StructuralError, match="transport needs a target cover"):
+        transport_presheaf(F, c0_presheaf(T), {E: "*", S: "*"})
+
+
+def test_transport_refuses_an_action_that_breaks_the_presheaf_laws():
+    # the transported action is P's, so P's swapped unit breaks it too
+    F = identity(sym2_monoid())
+    P = Presheaf(F.cod, (0, 1), {0: "*", 1: "*"},
+                 {(0, "e"): 1, (1, "e"): 0, (0, "s"): 0, (1, "s"): 1})
+    with pytest.raises(StructuralError, match="transported action not a presheaf: "
+                       r"\('unit action fails', 0\)"):
+        transport_presheaf(F, P, {0: "*", 1: "*"})
 
 
 def test_discrete_category_builder():

@@ -292,10 +292,16 @@ def test_identity_elements():
 def test_gamma_rejects_noncomposable():
     e = melem(BE, 1, (((1, 2), (2, 1))), ("x", "y"))
     bad = melem(BE, 1, ((1, 2), (1, 2)), ("x", "z"))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="levels or labels do not match"):
         gamma_D(BE, e, bad)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="composition arity mismatch"):
         gamma_D(BE, e, melem(BE, 1, ((1,), (1,)), ("x",)))
+    # ASS x BE acts diagonally: these two level-2 objects lie in two orbits
+    op = ass_x_be(2)
+    E, E2 = (melem(op, 1, op.level(2).ident[o], ("x", "y"))
+             for o in (((1, 2), (1, 2)), ((1, 2), (2, 1))))
+    with pytest.raises(StructuralError, match="source and target orbits differ"):
+        gamma_D(op, E, E2)
 
 
 def test_truncation_is_loud():
@@ -311,6 +317,23 @@ def test_truncation_is_loud():
 def test_mu_rejects_foreign_labels():
     with pytest.raises(StructuralError):
         mu(BE, melem(BE, 0, (1,), ("not an element",)))
+
+
+X2 = melem(BE, 0, (1, 2), ("x", "y"))
+F2 = melem(BE, 1, ((1, 2), (1, 2)), ("x", "y"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: melem(BE, 2, (1,), ("x",)), "element level 2 is neither 0"),
+    (lambda: melem(BE, 0, (9, 9), ("x", "y")), r"\(9, 9\) is not a level-2 element"),
+    (lambda: S_D(BE, X2), "S_D expects a morphism-level element"),
+    (lambda: T_D(BE, X2), "T_D expects a morphism-level element"),
+    (lambda: I_D(BE, F2), "I_D expects an object-level element"),
+    (lambda: gamma_D(BE, F2, X2), "composition expects morphism-level elements"),
+], ids=["melem-j", "melem-d", "S_D", "T_D", "I_D", "compose"])
+def test_an_element_at_the_wrong_level_is_refused(call, message):
+    with pytest.raises(StructuralError, match=message):
+        call()
 
 
 # -- chi ------------------------------------------------------------------
@@ -342,9 +365,27 @@ def test_chi_identity_right_legs():
 
 def test_chi_rejects_mismatched_legs():
     phis = melem(BE, 0, (1, 2), ("g", "g"))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="chi precondition fails"):
         chi(BE, I_D(BE, melem(BE, 0, (1, 2), ("p", "r"))), phis,
             SRC.__getitem__, TGT.__getitem__)
+
+
+def test_chi_refuses_arguments_at_the_wrong_levels():
+    phis = melem(BE, 0, (2, 1), ("g", "h"))
+    with pytest.raises(StructuralError, match="chi expects"):
+        chi(BE, phis, phis, SRC.__getitem__, TGT.__getitem__)
+
+
+def test_chi_refuses_legs_that_no_sigma_aligns():
+    # two_sigma's identity moves (1, 2) to (2, 1): the legs meet as canonical
+    # elements, yet no sigma sends S(sigma.d) = (1, 2) to phis.d = (1, 2)
+    op = two_sigma_operad()
+    sigma = melem(op, 1, ((1, 2), (1, 2)), ("x", "y"))
+    phis = MonadElem(0, 2, (1, 2), ("f", "g"))
+    tgt = {"f": "x", "g": "y"}.__getitem__
+    assert S_D(op, sigma) == map_elem(op, tgt, phis)
+    with pytest.raises(StructuralError, match="interchange lifting failed"):
+        chi(op, sigma, phis, None, tgt)
 
 
 # -- D applied to categories and functors ----------------------------------
@@ -997,6 +1038,82 @@ def test_the_mu_square_is_counted_only_where_its_premises_hold(make, j, failing,
     for name, reference in _SECTIONS:
         assert rep[name] == reference(make(), j, 3, 10), name
     assert bool(rep["mu_naturality"]["failures"]) == mu_fails
+
+
+def _sorted_relabelling(op, j, n, d, xs):
+    """The canonical form by the sorting rule: the least translate, and the
+    first of the relabellings by every sigma reaching it in canon_key order
+    (a stable sort, so the first sigma among equal keys)."""
+    _, least, sigmas = _orbit(op, j, n, d)
+    return least, sorted((s.permuted(xs) for s in sigmas), key=canon_key)[0]
+
+
+# None, bools and the ints equal to them, strs, nested tuples and elements;
+# the 1s and Trues tie as labels but not in canon_key order
+_LABELS = (None, True, 1, False, 0, "x", "y", (), ("x", 1), ("x", True),
+           (("y",), None), melem(BE, 0, (1, 2), ("x", "y")),
+           melem(BE, 0, (2, 1), ("x", "y")), melem(BE, 0, (1,), (1,)))
+
+
+def _label_tuples(n, rng, draws=150):
+    """n-tuples of repeated labels, of 1 and True, and of distinct but equal
+    elements (which only the choice among tied sigmas orders), then seeded
+    draws from _LABELS."""
+    fixed = [(1,) * n, (True,) * n, ((1, True) * n)[:n], ((True, 1) * n)[:n],
+             (("y",) * (n - 1) + (None,))[:n],
+             tuple(MonadElem(0, 1, (1,), ("x",)) for _ in range(n))]
+    return fixed + [tuple(rng.choice(_LABELS) for _ in range(n))
+                    for _ in range(draws)]
+
+
+# every operad the tests build whose orbit table is not BE's or ASS's
+@pytest.mark.parametrize("make", [
+    partial(commutative_operad, 3), partial(commutative_operad, 4),
+    two_sigma_operad, fixed_swap_operad, turned_swap_operad, z3_unit_operad,
+    lambda: z3_unit_operad(lambda x: min(x + 1, 2)), sorted_composite_operad],
+    ids=["COMM3", "COMM4", "two_sigma", "fixed_swap", "turned_swap", "z3_unit",
+         "z3_merging", "sorted_composite"])
+def test_canonicalize_picks_the_relabelling_that_sorting_picks(make):
+    # each label is keyed once and the sigmas compared on the permuted keys;
+    # the result is the sorting rule's, entry by entry, 1 and True apart
+    op, rng = make(), random.Random(30)
+    several = 0
+    for n in range(op.max_level + 1):
+        for j in (0, 1):
+            for d in op.elements(j, n):
+                several += len(_orbit(op, j, n, d)[2]) > 1
+                for xs in _label_tuples(n, rng):
+                    op.elems.clear()  # every call takes the miss path
+                    got = canonicalize(op, j, n, d, xs)
+                    least, want = _sorted_relabelling(op, j, n, d, xs)
+                    assert (got.d, got.xs) == (least, want)
+                    assert tuple(map(type, got.xs)) == tuple(map(type, want))
+                    assert all(a is b for a, b in zip(got.xs, want))
+    assert bool(several) == (make in (two_sigma_operad, sorted_composite_operad)
+                             or op.name == "commutative")
+
+
+def test_a_miss_keys_each_label_once_and_only_where_sigmas_compete(monkeypatch):
+    keyed = []
+
+    def spy(x):
+        keyed.append(x)
+        return canon_key(x)
+    monkeypatch.setattr(gmcat.opmonad, "canon_key", spy)
+    xs = ("y", ("x", True), None, "y")
+    comm = commutative_operad(4)
+    e = canonicalize(comm, 0, 4, "*", xs)  # 24 sigmas
+    assert keyed == list(xs) and e.xs == (None, "y", "y", ("x", True))
+    keyed.clear()
+    assert canonicalize(comm, 0, 4, "*", xs) is e and keyed == []
+    # a free orbit entry has one sigma: nothing is keyed
+    canonicalize(comm, 0, 1, "*", xs[:1])
+    canonicalize(barratt_eccles(4), 1, 4, ((1, 2, 3, 4), (4, 3, 2, 1)), xs)
+    op = two_sigma_operad()
+    canonicalize(op, 1, 2, ((1, 2), (2, 1)), xs[:2])
+    assert keyed == []
+    canonicalize(op, 0, 2, (1, 2), xs[:2])  # two sigmas
+    assert keyed == list(xs[:2])
 
 
 def _closed_form_counts(op, j, seed, squares, bound=3):

@@ -93,3 +93,39 @@ def test_unreached_pins_the_hypothesis_seed_unless_given_one(given, seed, tmp_pa
                      f"    assert request.config.getoption('hypothesis_seed') == {seed!r}\n")
     out = run_script("unreached.py", str(probe), *given)
     assert f"pytest exit code 0 under tracing, hypothesis seed {seed}\n" in out
+
+
+def test_mutants_lists_the_faults_a_selection_misses(tmp_path):
+    # a two-function probe package: the tests catch the dropped failure and
+    # the dropped `return False`, not the dropped raise or count
+    package = tmp_path / "src" / "gmcat"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "probe.py").write_text(
+        "def negatives(xs):\n"
+        "    failures, bounded = [], 0\n"
+        "    for x in xs:\n"
+        "        if x < 0:\n"
+        "            failures.append(x)\n"
+        "        if x > 9:\n"
+        "            bounded += 1\n"
+        "    return failures, bounded\n\n\n"
+        "def positive(x):\n"
+        "    if x > 99:\n"
+        "        raise ValueError('too large')\n"
+        "    if x <= 0:\n"
+        "        return False\n"
+        "    return True\n")
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("from gmcat.probe import negatives, positive\n\n"
+                     "def test_negatives():\n    assert negatives([-1, 2])[0] == [-1]\n\n"
+                     "def test_positive():\n    assert positive(1) and not positive(0)\n")
+    out = run_script("mutants.py", "--src", str(tmp_path / "src"), "probe", str(probe))
+    assert out.splitlines()[:4] == [
+        "killed probe.py:5: failures.append(x)",
+        "survived probe.py:7: bounded += 1",
+        "survived probe.py:13: raise ValueError('too large')",
+        "killed probe.py:15: return False"]
+    assert "hypothesis seed 0; 4 mutants, 2 survived\n" in out
+    # the working copy is not written
+    assert "raise ValueError" in (package / "probe.py").read_text()
