@@ -332,8 +332,9 @@ class GroupAction:
                 failures.append(f"identity moves {x!r}")
         for s in self.group:
             for t in self.group:
+                st = s.compose(t)
                 for x in self.carrier:
-                    if self.act(s.compose(t), x) != self.act(s, self.act(t, x)):
+                    if self.act(st, x) != self.act(s, self.act(t, x)):
                         failures.append(f"action law fails at ({s}, {t}, {x!r})")
                         break
         for s in self.group:

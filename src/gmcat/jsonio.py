@@ -13,10 +13,21 @@ gets explicit tables, which only scales to small truncations.
 Each encoder dumps each distinct label once: its dump is a functools.cache
 of dump_label local to the call, so the document may share a label's list
 among entries (it is still plain JSON). Labels equal under == are one
-label, as everywhere in gmcat. save writes through json's C encoder, one
-line per table entry; load reads any layout.
+label, as everywhere in gmcat, and decode_category and decode_operad
+decode them to one object: the first one decoded, read through a _One
+dict local to the call (an operad seeds its _One with its levels' objects
+and morphisms, so its tables hold the levels' own objects and share each
+key's tuples). A tabulated ASS(4) has 16 286 composition entries over
+the 34 objects of its levels, so sharing is most of its decoded size.
+
+save writes through json's C encoder, one line per table entry. load
+reads any layout, with the cyclic collector paused: a parsed document is
+lists, dicts, strs, ints, bools and None, with no reference cycle for a
+collection to free, and collections during the parse only re-scan the
+growing document.
 """
 
+import gc
 import json
 from functools import cache
 
@@ -79,8 +90,18 @@ def encode_category(C):
                      for (f, g), h in sorted(C.comp.items(), key=repr)]}
 
 
+class _One(dict):
+    """one[v] is the first object equal to v that one was asked for, so
+    equal labels decode to one object; a hit is one dict lookup."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
 def decode_category(doc, op=None):
-    lab = lambda v: load_label(v, op)
+    one = _One()
+    lab = lambda v: one[load_label(v, op)]
     return category(
         [lab(x) for x in doc["objects"]],
         [lab(f) for f in doc["morphisms"]],
@@ -123,14 +144,20 @@ def decode_operad(doc):
         if name not in BUILTIN_OPERADS:
             raise StructuralError(f"unknown builtin operad {name!r}")
         return BUILTIN_OPERADS[name](doc.get("truncate", 4))
-    act_table = {(j, n, tuple(s), load_label(x)): load_label(y)
+    levels = [decode_category(L) for L in doc["levels"]]
+    # the levels' own labels come first, so the tables hold those objects
+    one = _One()
+    for L in levels:
+        for v in (*L.objects, *L.morphisms):
+            one[v]
+    act_table = {(j, n, one[tuple(s)], one[load_label(x)]): one[load_label(y)]
                  for j, n, s, x, y in doc["action"]}
-    comp_table = {(j, k, load_label(x),
-                   tuple((m, load_label(y)) for m, y in inners)): load_label(z)
+    comp_table = {(j, k, one[load_label(x)],
+                   one[tuple([one[(m, one[load_label(y)])] for m, y in inners])]):
+                  one[load_label(z)]
                   for j, k, x, inners, z in doc["composition"]}
-    return tabulated_operad(doc["name"], doc["max_level"],
-                            [decode_category(L) for L in doc["levels"]],
-                            load_label(doc["unit"]), act_table, comp_table)
+    return tabulated_operad(doc["name"], doc["max_level"], levels,
+                            one[load_label(doc["unit"])], act_table, comp_table)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +280,15 @@ def _not_an_integer(token):
 
 
 def load(path):
-    with open(path) as fh:
-        doc = json.load(fh, parse_float=_not_an_integer,
-                        parse_constant=_not_an_integer)
+    enabled = gc.isenabled()  # paused for the parse (module docstring)
+    gc.disable()
+    try:
+        with open(path) as fh:
+            doc = json.load(fh, parse_float=_not_an_integer,
+                            parse_constant=_not_an_integer)
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(doc, dict):
         raise StructuralError("top-level JSON value must be an object")
     return doc

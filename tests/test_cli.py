@@ -1,10 +1,12 @@
 """JSON round trips and the command-line front end."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -15,16 +17,18 @@ import gmcat.dmulticat
 from gmcat import jsonio
 from gmcat.adjoint import L
 from gmcat.catoperad import (associativity_operad, barratt_eccles,
-                             operad_tables, tabulated_operad, validate_operad)
+                             commutative_operad, operad_tables,
+                             tabulated_operad, validate_operad)
 from gmcat.cli import main
 from gmcat.dalgebra import (free_algebra, underlying, validate_algebra,
                             z2_discrete_algebra)
 from gmcat.dmulticat import (ClassicalMulticat, _level_unit_obj, from_symmetric,
                              terminal_multicat, validate_classical,
                              validate_multicat)
-from gmcat.fincat import terminal_category
-from gmcat.finset import perms
-from gmcat.opmonad import elements_of, eta
+from gmcat.errors import BoundExceeded, StructuralError
+from gmcat.fincat import category, terminal_category
+from gmcat.finset import Perm, perms
+from gmcat.opmonad import all_elements, elements_of, eta
 from comb_classical import comb_classical
 from product_operad import ass_x_be
 from test_dmulticat import pairing_classical, sum_classical
@@ -143,6 +147,134 @@ def test_save_writes_any_json_value(value, tmp_path):
     jsonio.save(value, path)
     text = path.read_text()
     assert json.loads(text) == value and text.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the operad reader: one object per label
+
+def reference_decode_operad(doc):
+    """The decode rule before labels were shared: every label of every
+    entry decodes to a fresh object."""
+    lab = jsonio.load_label
+    levels = [category([lab(x) for x in L["objects"]],
+                       [lab(f) for f in L["morphisms"]],
+                       {lab(f): lab(a) for f, a in L["src"]},
+                       {lab(f): lab(a) for f, a in L["tgt"]},
+                       {lab(a): lab(f) for a, f in L["ident"]},
+                       {(lab(f), lab(g)): lab(h) for f, g, h in L["comp"]})
+              for L in doc["levels"]]
+    act_table = {(j, n, tuple(s), lab(x)): lab(y)
+                 for j, n, s, x, y in doc["action"]}
+    comp_table = {(j, k, lab(x), tuple((m, lab(y)) for m, y in inners)): lab(z)
+                  for j, k, x, inners, z in doc["composition"]}
+    return tabulated_operad(doc["name"], doc["max_level"], levels,
+                            lab(doc["unit"]), act_table, comp_table)
+
+
+@cache
+def tabulated_doc(make, N):
+    """The builtin make(N) as explicit tables, its keys, and its JSON document."""
+    base = make(N)
+    tables = operad_tables(base)
+    table = tabulated_operad(f"{base.name}_table", N, base.levels, base.unit,
+                             *tables)
+    return tables, json.dumps(jsonio.encode_operad(table))
+
+
+def table_calls(op, tables):
+    """(level, value) of op.act and op.compose on every key of tables."""
+    act_table, comp_table = tables
+    for j, n, images, x in act_table:
+        yield n, op.act(j, n, Perm(images), x)
+    for j, k, x, inners in comp_table:
+        yield sum(m for m, _ in inners), op.compose(j, k, x, inners)
+
+
+READER_CASES = pytest.mark.parametrize("make, N", [
+    (barratt_eccles, 3), (associativity_operad, 4), (commutative_operad, 3),
+], ids=["BE3", "ASS4", "COMM3"])
+
+
+@READER_CASES
+def test_decoded_tables_agree_with_the_reference_rule(make, N):
+    tables, text = tabulated_doc(make, N)
+    op = jsonio.decode_operad(json.loads(text))
+    ref = reference_decode_operad(json.loads(text))
+    assert op.levels == ref.levels and op.unit == ref.unit
+    for (n, got), (_, want) in zip(table_calls(op, tables),
+                                   table_calls(ref, tables), strict=True):
+        assert got == want and repr(got) == repr(want)
+
+
+@READER_CASES
+def test_decoded_tables_hold_the_levels_own_objects(make, N):
+    tables, text = tabulated_doc(make, N)
+    op = jsonio.decode_operad(json.loads(text))
+    # the first level to decode a label owns it; COMM's levels repeat "id"
+    first = {}
+    for level in op.levels:
+        for v in (*level.objects, *level.morphisms):
+            first.setdefault(v, v)
+    assert op.unit is first[op.unit]
+    for n, value in table_calls(op, tables):
+        level = op.levels[n]
+        assert value in level.objects or value in level.morphisms
+        assert value is first[value]
+
+
+def test_a_value_equal_to_a_level_element_decodes_to_that_element(tmp_path):
+    # every 1 of a composition value written true: [true, 2] == (1, 2)
+    _, text = tabulated_doc(associativity_operad, 2)
+    doc = json.loads(text)
+    for row in doc["composition"]:
+        row[4] = [True if v == 1 else v for v in row[4]]
+    path = tmp_path / "ass2.json"
+    path.write_text(json.dumps(doc))
+    op = jsonio.decode_operad(jsonio.load(path))
+    ref = reference_decode_operad(jsonio.load(path))
+    inners = ((1, (1,)), (1, (1,)))
+    assert ref.compose(0, 2, (1, 2), inners) == (True, 2)
+    got = op.compose(0, 2, (1, 2), inners)
+    assert got == (1, 2) and type(got[0]) is int
+    assert got is op.levels[2].objects[op.levels[2].objects.index((1, 2))]
+    plain = jsonio.decode_operad(json.loads(text))
+    assert validate_operad(op) == validate_operad(ref) == validate_operad(plain)
+    assert validate_operad(op)["ok"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("text", ['{"a": [1, [2, "x"]]}', '{"a": [1, 2.5]}'],
+                         ids=["good", "float"])
+def test_load_pauses_the_collector_and_restores_its_state(enabled, text, tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    during, json_load = [], json.load
+    monkeypatch.setattr(json, "load", lambda *a, **k: (
+        during.append(gc.isenabled()) or json_load(*a, **k)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if "2.5" in text:
+            with pytest.raises(StructuralError, match="2.5 is not an integer"):
+                jsonio.load(path)
+        else:
+            assert jsonio.load(path) == {"a": [1, [2, "x"]]}
+        assert gc.isenabled() is enabled and during == [False]
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_algebra_entry_past_its_bound_is_refused_not_read():
+    # a hand-written entry at arity 3 in a file whose bound is 2: the bound
+    # refuses it, where a lookup would return the planted value
+    op = barratt_eccles(3)
+    doc = jsonio.encode_algebra(z2_discrete_algebra(op), 2)
+    e = next(e for e in all_elements(op, 0, (0, 1), 3) if e.n == 3)
+    doc["xi0"].append([jsonio.encode_elem(e), 7])
+    A = jsonio.decode_algebra(rt(doc))
+    with pytest.raises(BoundExceeded, match="arity 3 beyond tabulated bound 2"):
+        A.xi0(e)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,34 @@ def test_group_action_law_enforced():
             GroupAction(group, carrier, table)
 
 
+def test_validate_composes_each_pair_once_per_law(monkeypatch):
+    # closure and the action law each compose s*t once per pair, not once
+    # per carrier point: two regular orbits of Sym(3) have 12 points
+    act = regular_action(3, orbits=2)
+    calls, compose = [], Perm.compose
+    monkeypatch.setattr(Perm, "compose",
+                        lambda s, t: calls.append((s, t)) or compose(s, t))
+    assert act.validate() == {"ok": True, "failures": []}
+    assert 0 < len(calls) <= 2 * len(act.group) ** 2
+
+
+def test_validate_names_a_broken_action_law_and_a_collapsing_action():
+    # right multiplication fixes every point under the identity and is
+    # bijective, but (st).p = p s t differs from s.(t.p) = p t s
+    S3 = perms(3)
+    right = {(s, p): p.compose(s) for s in S3 for p in S3}
+    with pytest.raises(StructuralError,
+                       match=r"invalid group action: action law fails at"):
+        GroupAction(S3, S3, right)
+    # sending both points to x keeps the law but moves y under the identity;
+    # validate lists each permutation that collapses, after that failure
+    G = perms(2)
+    act = GroupAction(G, ("x", "y"), {(s, v): v for s in G for v in "xy"})
+    act.table.update({(s, "y"): "x" for s in G})
+    assert act.validate()["failures"] == [
+        "identity moves 'y'", *(f"{s} does not act bijectively" for s in G)]
+
+
 def test_orbit_quotient_of_two_regular_orbits():
     act = regular_action(2, orbits=2)
     Q, q = orbit_quotient(act)
